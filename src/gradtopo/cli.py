@@ -39,6 +39,11 @@ def _load(args, default_builtin=False):
         config = cantilever_config()
     else:
         raise ConfigError("--config is required (or use the bench subcommand)")
+    return _apply_overrides(config, args)
+
+
+def _apply_overrides(config, args):
+    """Apply --set, then --out and --seed, on top of a base config."""
     if getattr(args, "set", None):
         config = apply_overrides(config, args.set)
     if getattr(args, "out", None):
@@ -80,12 +85,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = benchmark_config()
-    if args.set:
-        config = apply_overrides(config, args.set)
-    if args.out:
-        config = apply_overrides(config, [f"output.directory={args.out}"])
-    return _execute(config)
+    if args.config:
+        raise ConfigError("bench runs the built-in benchmark scenario and takes "
+                          "no --config (use run --config)")
+    return _execute(_apply_overrides(benchmark_config(), args))
 
 
 def cmd_validate(args) -> int:
@@ -193,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="section.key=value", help="override a config key")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for the linear algebra backend")
 
     p = sub.add_parser("run", help="run one optimization")
     common(p)
@@ -234,8 +235,6 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        os.environ.setdefault("OMP_NUM_THREADS", str(args.threads))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -16,13 +16,17 @@ __all__ = [
     "SolverError",
     "strain_displacement",
     "element_averages",
+    "element_stiffness_factor",
+    "strain_operator",
     "assemble_elastic_stiffness",
+    "ElasticOperator",
     "assemble_load",
     "assemble_body_coupling",
     "assemble_scalar_mass",
     "assemble_scalar_stiffness",
     "assemble_volume_row",
     "lumped_weights",
+    "factor_spd",
     "solve_spd",
     "solve_saddle",
     "compute_element_stress",
@@ -63,21 +67,133 @@ def _element_dofs(mesh) -> np.ndarray:
     return dofs
 
 
-def assemble_elastic_stiffness(mesh, material, phi: np.ndarray, chi: np.ndarray,
-                               B: np.ndarray | None = None) -> sp.csr_matrix:
-    """Global elasticity stiffness (2N x 2N, no boundary conditions applied)."""
+def element_stiffness_factor(mesh, material, phi: np.ndarray,
+                             chi: np.ndarray) -> np.ndarray:
+    """s_e with K(phi,chi) = s_e K_A at each element centroid."""
+    return material.stiffness_factor(element_averages(mesh, phi),
+                                     element_averages(mesh, chi))
+
+
+# B_i = g_ix E_x + g_iy E_y: the strain-displacement block of node i in terms
+# of its shape-function gradient g_i (Voigt rows e11, e22, 2*e12)
+_UNIT_STRAINS = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                          [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
+
+
+def _unit_element_stiffness(mesh, K_A: np.ndarray) -> np.ndarray:
+    """Blocks A_e B_i^T K_A B_j of K_e^A, (M,3,3,2,2) indexed [e,i,j,c,d].
+
+    Each block is sum_pq g_ip g_jq (E_p^T K_A E_q): one (9M x 4) @ (4 x 4)
+    product.  Symmetrized, so every assembled stiffness is bitwise symmetric.
+    """
+    E = _UNIT_STRAINS
+    C = np.einsum("pvc,vw,qwd->pqcd", E, K_A, E).reshape(4, 4)
+    g = mesh.grads
+    gg = g[:, :, None, :, None] * g[:, None, :, None, :]       # [e,i,j,p,q]
+    Ke = (gg.reshape(-1, 4) @ C).reshape(gg.shape)
+    Ke *= mesh.element_areas[:, None, None, None, None]
+    return 0.5 * (Ke + Ke.transpose(0, 2, 1, 4, 3))
+
+
+def strain_operator(mesh, B: np.ndarray | None = None) -> sp.csr_matrix:
+    """Sparse (3M x 2N) map from nodal displacements to element Voigt strains.
+
+    Row 3e+i of (S u) is (B_e u_e)_i; the transpose scatters per-element
+    strain-space vectors q_e to the nodal load sum_e B_e^T q_e.
+    """
     if B is None:
         B = strain_displacement(mesh)
-    phi_e = element_averages(mesh, phi)
-    chi_e = element_averages(mesh, chi)
-    D = material.K_of(phi_e, chi_e)                      # (M,3,3)
-    Ke = np.einsum("e,eji,ejk,ekl->eil", mesh.element_areas, B, D, B, optimize=True)
+    M = mesh.element_count
+    cols = np.repeat(_element_dofs(mesh), 3, axis=0).ravel()
+    S = sp.csr_matrix((B.ravel(), cols, np.arange(0, 18 * M + 1, 6)),
+                      shape=(3 * M, 2 * mesh.node_count), copy=True)
+    S.eliminate_zeros()
+    return S
+
+
+def assemble_elastic_stiffness(mesh, material, phi: np.ndarray,
+                               chi: np.ndarray) -> sp.csr_matrix:
+    """Global elasticity stiffness sum_e s_e K_e^A (2N x 2N, no boundary
+    conditions applied), with s_e the stiffness factor at the centroid."""
+    s = element_stiffness_factor(mesh, material, phi, chi)
+    Ke = _unit_element_stiffness(mesh, material.K_A).transpose(0, 1, 3, 2, 4)
+    Ke = s[:, None, None] * Ke.reshape(-1, 6, 6)
     dofs = _element_dofs(mesh)
     rows = np.repeat(dofs, 6, axis=1).ravel()
     cols = np.tile(dofs, (1, 6)).ravel()
     n = 2 * mesh.node_count
     K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     return K
+
+
+class ElasticOperator:
+    """The elastic system in scalar-factor form, built once per mesh.
+
+    K(phi,chi) = s(phi_e,chi_e) K_A on every element, so the reduced stiffness
+    is sum_e s_e K_e^A on the free dofs.  Its CSR pattern (2x2 dof blocks of
+    free node pairs that share an element) and the scatter from the element
+    factors s to the stored entries are fixed: each iterate assembles with one
+    sparse matvec, data = scatter @ s.
+
+    strain_matrix   : (3M x 2N) strain operator (see strain_operator)
+    node_incidence  : (N x M) element->node incidence; node_incidence @ x sums
+                      the element values x_e onto the element's three nodes
+    """
+
+    def __init__(self, mesh, K_A: np.ndarray, bc: "DirichletSystem"):
+        M, N = mesh.element_count, mesh.node_count
+        el = mesh.elements
+        self.strain_matrix = strain_operator(mesh)
+        self.node_incidence = sp.csc_matrix(
+            (np.ones(3 * M), el.ravel(), np.arange(0, 3 * M + 1, 3)), shape=(N, M))
+
+        # DirichletSystem clamps whole nodes, so the free dofs are the pairs
+        # (2n, 2n+1) of the free nodes; rank numbers the free nodes in order
+        free_nodes = bc.free[0::2] // 2
+        nf = len(free_nodes)
+        rank = np.full(N, -1)
+        rank[free_nodes] = np.arange(nf)
+        r = rank[el]
+        a = np.repeat(r, 3, axis=1).ravel()          # element node pairs (e,i,j)
+        b = np.tile(r, (1, 3)).ravel()
+        keep = (a >= 0) & (b >= 0)
+        keys, block = np.unique(a[keep] * nf + b[keep], return_inverse=True)
+        block_row, block_col = np.divmod(keys, nf)
+        degree = np.bincount(block_row, minlength=nf)
+        first = np.concatenate([[0], np.cumsum(degree)])    # first block of a row
+        # the entry (2r+c, 2s+d) of block k = (r,s) is stored at
+        # 4*first[r] + 2*c*degree[r] + 2*(k - first[r]) + d
+        row_start = 4 * first[block_row] + 2 * (np.arange(len(keys)) - first[block_row])
+        c = np.array([0, 0, 1, 1])
+        d = np.array([0, 1, 0, 1])
+        pos = row_start[:, None] + 2 * c * degree[block_row][:, None] + d
+        self.n = 2 * nf
+        self.indptr = np.empty(self.n + 1, dtype=np.int32)
+        self.indptr[0::2] = 4 * first
+        self.indptr[1::2] = 4 * first[:-1] + 2 * degree
+        self.indices = np.empty(4 * len(keys), dtype=np.int32)
+        self.indices[pos] = 2 * block_col[:, None] + d
+
+        # local entries (2i+c, 2j+d) of every kept pair (e,i,j) -> stored entry
+        Ke = _unit_element_stiffness(mesh, K_A).reshape(9 * M, 4)
+        # built as its (M x nnz) transpose, whose rows are the elements in order
+        per_element = 4 * keep.reshape(M, 9).sum(axis=1)
+        self.scatter = sp.csr_matrix(
+            (Ke[keep].ravel(), pos[block].ravel(),
+             np.concatenate([[0], np.cumsum(per_element)])),
+            shape=(M, len(self.indices))).T
+
+    def stiffness(self, s: np.ndarray) -> sp.csc_matrix:
+        """Reduced stiffness sum_e s_e K_e^A on the free dofs.
+
+        The matrix is symmetric, so its CSR arrays are also its CSC arrays.
+        """
+        return sp.csc_matrix((self.scatter @ s, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+    def strains(self, u: np.ndarray) -> np.ndarray:
+        """(M,3) Voigt strains B_e u_e."""
+        return (self.strain_matrix @ u).reshape(-1, 3)
 
 
 def _traction_edge_contributions(mesh, config):
@@ -195,6 +311,21 @@ def assemble_volume_row(mesh) -> np.ndarray:
     return lumped_weights(mesh)
 
 
+def factor_spd(A) -> spla.SuperLU:
+    """Sparse LU factor of an SPD matrix; `.solve` applies A^-1.
+
+    An SPD matrix needs no pivoting, so SuperLU runs in symmetric mode:
+    minimum-degree ordering of A^T + A and diagonal pivots, which gives
+    about half the fill of the default unsymmetric COLAMD ordering.
+    """
+    try:
+        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+
+
 def solve_spd(A, rhs: np.ndarray, tol: float = 1e-10,
               maxiter: int | None = None) -> np.ndarray:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
@@ -253,15 +384,10 @@ def solve_saddle(A, r: np.ndarray, rhs: np.ndarray, target: float,
 
 def compute_element_stress(mesh, material, phi: np.ndarray, chi: np.ndarray,
                            u: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Constant per-element Voigt stress sigma = K(phi,chi) B u_e [MPa]."""
-    if B is None:
-        B = strain_displacement(mesh)
-    dofs = _element_dofs(mesh)
-    eps = np.einsum("eij,ej->ei", B, u[dofs])
-    phi_e = element_averages(mesh, phi)
-    chi_e = element_averages(mesh, chi)
-    D = material.K_of(phi_e, chi_e)
-    return np.einsum("eij,ej->ei", D, eps)
+    """Constant per-element Voigt stress sigma = s_e K_A B_e u_e [MPa]."""
+    s = element_stiffness_factor(mesh, material, phi, chi)
+    eps = (strain_operator(mesh, B) @ u).reshape(-1, 3)
+    return s[:, None] * (eps @ material.K_A)
 
 
 class DirichletSystem:

@@ -88,21 +88,19 @@ def build_rect_mesh(config) -> Mesh:
     def nid(ix, iy):
         return iy * (nx + 1) + ix
 
-    elements = np.empty((2 * nx * ny, 3), dtype=int)
-    e = 0
-    for iy in range(ny):
-        for ix in range(nx):
-            n00 = nid(ix, iy)
-            n10 = nid(ix + 1, iy)
-            n01 = nid(ix, iy + 1)
-            n11 = nid(ix + 1, iy + 1)
-            if (ix + iy) % 2 == 0:
-                elements[e] = (n00, n10, n11)
-                elements[e + 1] = (n00, n11, n01)
-            else:
-                elements[e] = (n00, n10, n01)
-                elements[e + 1] = (n10, n11, n01)
-            e += 2
+    # cells in row-major order (iy outer); each splits along the diagonal
+    # n00-n11 when ix+iy is even and along n10-n01 otherwise
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    n00 = nid(ix, iy)
+    n10 = n00 + 1
+    n01 = n00 + nx + 1
+    n11 = n01 + 1
+    even = ((ix + iy) % 2 == 0)[:, None]
+    first = np.where(even, np.column_stack([n00, n10, n11]),
+                     np.column_stack([n00, n10, n01]))
+    second = np.where(even, np.column_stack([n00, n11, n01]),
+                      np.column_stack([n10, n11, n01]))
+    elements = np.stack([first, second], axis=1).reshape(-1, 3)
 
     areas, grads = _geometry(nodes, elements)
 

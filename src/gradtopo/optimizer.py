@@ -96,8 +96,9 @@ class Optimizer:
         self.config = config
         self.mesh = build_rect_mesh(config)
         self.material = MaterialModel.from_config(config)
-        self.B = fem.strain_displacement(self.mesh)
         self.bc = fem.DirichletSystem(self.mesh, self.mesh.dirichlet_nodes())
+        self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A, self.bc)
+        self._factors = None        # element stiffness factors of the last iterate
         self.weights = fem.lumped_weights(self.mesh)           # volume row
         self.M_raw = fem.assemble_scalar_mass(self.mesh)
         self.K_raw = fem.assemble_scalar_stiffness(self.mesh)
@@ -135,15 +136,6 @@ class Optimizer:
         for box in config.fixed_solid:
             self.phi_lower[locate_region_nodes(self.mesh, box)] = 1.0
 
-        # elastic assembly index arrays, built once
-        el = self.mesh.elements
-        dofs = np.empty((self.mesh.element_count, 6), dtype=int)
-        dofs[:, 0::2] = 2 * el
-        dofs[:, 1::2] = 2 * el + 1
-        self._rows = np.repeat(dofs, 6, axis=1).ravel()
-        self._cols = np.tile(dofs, (1, 6)).ravel()
-        self._dofs = dofs
-
     # --- operators ---------------------------------------------------------
 
     def _phase_ops(self, tau: float):
@@ -164,10 +156,8 @@ class Optimizer:
             else:
                 A_chi = (gc / tau_c) * self.M_raw + cfg.kappa2 * gc * self.K_raw
             if cfg.solver == "direct":
-                lu_phi = spla.splu(A_phi.tocsc())
-                lu_chi = spla.splu(A_chi.tocsc())
-                solve_phi = lu_phi.solve
-                solve_chi = lu_chi.solve
+                solve_phi = fem.factor_spd(A_phi).solve
+                solve_chi = fem.factor_spd(A_chi).solve
             else:
                 solve_phi = lambda b: fem.solve_spd(A_phi, b, tol=cfg.linear_tol)
                 solve_chi = lambda b: fem.solve_spd(A_chi, b, tol=cfg.linear_tol)
@@ -175,15 +165,24 @@ class Optimizer:
             self._phase_factor_cache[tau] = (A_phi, A_chi, solve_phi, solve_chi, s2)
         return self._phase_factor_cache[tau]
 
-    def _assemble_elastic(self, phi, chi) -> sp.csr_matrix:
+    def _element_factors(self, phi, chi):
+        """(s, ds/dphi, ds/dchi) of K = s K_A at the element centroids.
+
+        The state, adjoint and sensitivity steps of one iterate all need them,
+        so the last iterate's factors are kept while phi and chi are unchanged.
+        """
+        last = self._factors
+        if last is not None and np.array_equal(last[0], phi) \
+                and np.array_equal(last[1], chi):
+            return last[2]
+        mat = self.material
         phi_e = fem.element_averages(self.mesh, phi)
         chi_e = fem.element_averages(self.mesh, chi)
-        D = self.material.K_of(phi_e, chi_e)
-        Ke = np.einsum("e,eji,ejk,ekl->eil", self.mesh.element_areas,
-                       self.B, D, self.B, optimize=True)
-        n = 2 * self.mesh.node_count
-        return sp.coo_matrix((Ke.ravel(), (self._rows, self._cols)),
-                             shape=(n, n)).tocsr()
+        factors = (mat.stiffness_factor(phi_e, chi_e),
+                   mat.stiffness_factor_dphi(phi_e, chi_e),
+                   mat.stiffness_factor_dchi(phi_e, chi_e))
+        self._factors = (phi.copy(), chi.copy(), factors)
+        return factors
 
     def _load(self, phi) -> np.ndarray:
         f = self.traction_load.copy()
@@ -191,34 +190,32 @@ class Optimizer:
             f += self.C.T @ phi
         return f
 
-    def _solve_reduced(self, K_red, rhs_red):
+    def _reduced_solver(self, K_red):
         if self.config.solver == "direct":
-            lu = spla.splu(K_red.tocsc())
-            return lu.solve, lu.solve(rhs_red)
-        solve = lambda b: fem.solve_spd(K_red, b, tol=self.config.linear_tol)
-        return solve, solve(rhs_red)
+            return fem.factor_spd(K_red).solve
+        return lambda b: fem.solve_spd(K_red, b, tol=self.config.linear_tol)
 
     # --- staggered sub-steps ------------------------------------------------
 
     def state_solve(self, phi, chi):
         """Elastic solve; returns (u, sigma, reusable reduced-system solver)."""
-        K = self._assemble_elastic(phi, chi)
-        f = self._load(phi)
-        K_red, f_red = self.bc.reduce(K, f)
-        solve, u_red = self._solve_reduced(K_red, f_red)
-        u = self.bc.expand(u_red)
-        sigma = fem.compute_element_stress(self.mesh, self.material, phi, chi,
-                                           u, B=self.B)
+        s = self._element_factors(phi, chi)[0]
+        solve = self._reduced_solver(self.elastic.stiffness(s))
+        u = self.bc.expand(solve(self._load(phi)[self.bc.free]))
+        sigma = s[:, None] * (self.elastic.strains(u) @ self.material.K_A)
         return u, sigma, solve
 
     def adjoint_solve(self, phi, chi, aggregate, solve):
         """Adjoint solve reusing the state factorization (same operator)."""
         cfg = self.config
-        rhs = cfg.kappa4 * self.traction_load.copy()
+        rhs = cfg.kappa4 * self.traction_load
         if self.has_body:
             rhs += cfg.kappa3 * (self.C.T @ phi)
-        rhs += stress.adjoint_stress_load(aggregate, self.mesh, self.material,
-                                          phi, chi, cfg.kappa5, B=self.B)
+        if cfg.kappa5 != 0.0:
+            s = self._element_factors(phi, chi)[0]
+            q = stress.element_stress_load(aggregate, self.mesh, s,
+                                           self.material.K_A, cfg.kappa5)
+            rhs += self.elastic.strain_matrix.T @ q.ravel()
         return self.bc.expand(solve(rhs[self.bc.free]))
 
     def _mechanical_driving(self, phi, chi, u, U, aggregate):
@@ -228,22 +225,16 @@ class Optimizer:
         integral of N_i * dK_d{phi,chi} Sigma : eps(u), one-point rule, with
         Sigma = eps(U) - kappa5 * F_sigma.
         """
-        mesh, mat, cfg = self.mesh, self.material, self.config
-        eps_u = np.einsum("eij,ej->ei", self.B, u[self._dofs])
-        Sigma = np.einsum("eij,ej->ei", self.B, U[self._dofs])
+        mesh, cfg = self.mesh, self.config
+        _, ds_dphi, ds_dchi = self._element_factors(phi, chi)
+        eps_u = self.elastic.strains(u)
+        Sigma = self.elastic.strains(U)
         if cfg.kappa5 != 0.0:
             Sigma = Sigma - cfg.kappa5 * stress.pointwise_penalty_gradient(aggregate, mesh)
-        phi_e = fem.element_averages(mesh, phi)
-        chi_e = fem.element_averages(mesh, chi)
-        sA = mat.stiffness_factor_dphi(phi_e, chi_e)
-        sC = mat.stiffness_factor_dchi(phi_e, chi_e)
-        core = np.einsum("ej,jk,ek->e", Sigma, mat.K_A, eps_u)
-        share = mesh.element_areas / 3.0
-        q_s = np.zeros(mesh.node_count)
-        q_sp = np.zeros(mesh.node_count)
-        for i in range(3):
-            np.add.at(q_s, mesh.elements[:, i], share * sA * core)
-            np.add.at(q_sp, mesh.elements[:, i], share * sC * core)
+        core = np.einsum("ej,ej->e", Sigma, eps_u @ self.material.K_A)
+        share = mesh.element_areas / 3.0 * core
+        q_s = self.elastic.node_incidence @ (ds_dphi * share)
+        q_sp = self.elastic.node_incidence @ (ds_dchi * share)
         return q_s, q_sp
 
     def phase_field_step(self, phi, chi, u, U, aggregate, tau=None):
@@ -389,6 +380,7 @@ class Optimizer:
 
         for it in range(1, cfg.max_iter + 1):
             u, sigma, solve = self.state_solve(phi, chi)
+            _require_finite(it, displacement=u)
             aggregate = self.aggregate_of(sigma)
             U = self.adjoint_solve(phi, chi, aggregate, solve)
 
@@ -408,6 +400,7 @@ class Optimizer:
                     break
                 tau *= 0.5
 
+            _require_finite(it, phi=phi_new, chi=chi_new)
             delta_phi = self.l2_norm(phi_new - phi)
             delta_chi = self.l2_norm(chi_new - chi)
             phi, chi = phi_new, chi_new
@@ -415,6 +408,7 @@ class Optimizer:
             compliance = self.compliance_of(phi, u)
             m_chi = self.m_chi_of(chi)
             objective = self.objective_of(phi, chi, u, aggregate)
+            _require_finite(it, objective=objective)
             prev_objective = objective
             converged = delta_phi < cfg.tol and delta_chi < cfg.tol
             state = OptimizerState(
@@ -441,6 +435,13 @@ class Optimizer:
         state.compliance = self.compliance_of(phi, u)
         state.objective = self.objective_of(phi, chi, u, aggregate)
         return state, history
+
+
+def _require_finite(it: int, **fields) -> None:
+    """Raise SolverError naming the iteration and the first non-finite field."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise fem.SolverError(f"iteration {it}: non-finite {name}")
 
 
 def run(config: RunConfig, callback=None):

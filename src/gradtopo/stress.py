@@ -15,7 +15,7 @@ import numpy as np
 from gradtopo import fem
 
 __all__ = ["StressAggregate", "von_mises", "von_mises_gradient",
-           "pnorm_aggregate", "adjoint_stress_load"]
+           "pnorm_aggregate", "element_stress_load", "adjoint_stress_load"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,16 @@ def pointwise_penalty_gradient(aggregate: StressAggregate, mesh) -> np.ndarray:
     return aggregate.dF_dsigma * (mesh.area / mesh.element_areas)[:, None]
 
 
+def element_stress_load(aggregate: StressAggregate, mesh, s: np.ndarray,
+                        K_A: np.ndarray, kappa5: float) -> np.ndarray:
+    """(M,3) strain-space stress-penalty load kappa5 A_e s_e K_A F_sigma_e.
+
+    A_e F_sigma_e = |Omega| dF_dsigma_e, so no per-element area enters; the
+    nodal load is sum_e B_e^T of these rows (fem.strain_operator transposed).
+    """
+    return (kappa5 * mesh.area) * s[:, None] * (aggregate.dF_dsigma @ K_A)
+
+
 def adjoint_stress_load(aggregate: StressAggregate, mesh, material,
                         phi: np.ndarray, chi: np.ndarray, kappa5: float,
                         B: np.ndarray | None = None) -> np.ndarray:
@@ -90,19 +100,8 @@ def adjoint_stress_load(aggregate: StressAggregate, mesh, material,
     Element-wise kappa5 * K(phi,chi) F_sigma contracted with the P1 strain
     test functions; zero for kappa5 = 0 or an on-constraint stress field.
     """
-    out = np.zeros(2 * mesh.node_count)
     if kappa5 == 0.0:
-        return out
-    if B is None:
-        B = fem.strain_displacement(mesh)
-    F_sigma = pointwise_penalty_gradient(aggregate, mesh)
-    phi_e = fem.element_averages(mesh, phi)
-    chi_e = fem.element_averages(mesh, chi)
-    D = material.K_of(phi_e, chi_e)
-    q_e = kappa5 * mesh.element_areas[:, None] * np.einsum(
-        "eji,ejk,ek->ei", B, D, F_sigma, optimize=True)   # (M,6)
-    el = mesh.elements
-    for i in range(3):
-        np.add.at(out, 2 * el[:, i], q_e[:, 2 * i])
-        np.add.at(out, 2 * el[:, i] + 1, q_e[:, 2 * i + 1])
-    return out
+        return np.zeros(2 * mesh.node_count)
+    s = fem.element_stiffness_factor(mesh, material, phi, chi)
+    q = element_stress_load(aggregate, mesh, s, material.K_A, kappa5)
+    return fem.strain_operator(mesh, B).T @ q.ravel()

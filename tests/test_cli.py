@@ -143,3 +143,25 @@ def test_console_script_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "config ok" in proc.stdout
+
+
+def test_bench_applies_seed(monkeypatch):
+    seen = []
+    monkeypatch.setattr("gradtopo.cli._execute",
+                        lambda config: seen.append(config) or EXIT_OK)
+    assert main(["bench", "--seed", "7", "--set", "optimizer.max_iter=1"]) == EXIT_OK
+    assert seen[0].seed == 7
+    assert seen[0].max_iter == 1
+    assert seen[0].perturb > 0.0          # still the benchmark scenario
+
+
+def test_bench_rejects_config(tmp_path, capsys):
+    assert main(["bench", "--config", write_cfg(tmp_path)]) == EXIT_ERROR
+    assert "--config" in capsys.readouterr().err
+
+
+def test_threads_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--builtin", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err

@@ -275,3 +275,72 @@ def test_dirichlet_requires_nonempty():
     cfg, mesh, mat = setup(2, 2)
     with pytest.raises(ValueError, match="non-empty"):
         fem.DirichletSystem(mesh, np.array([], dtype=int))
+
+
+# --- scalar-factor elastic operator ----------------------------------------
+
+def interior_fields(mesh, seed):
+    rng = np.random.default_rng(seed)
+    phi = 0.3 + 0.5 * rng.random(mesh.node_count)
+    chi = phi * (0.2 + 0.6 * rng.random(mesh.node_count))
+    return phi, chi
+
+
+@pytest.mark.parametrize("nx, ny", [(7, 3), (20, 10)])
+def test_fixed_pattern_matches_reduced_assembly(nx, ny):
+    cfg, mesh, mat = setup(nx, ny)
+    bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
+    op = fem.ElasticOperator(mesh, mat.K_A, bc)
+    for seed in range(3):
+        phi, chi = interior_fields(mesh, seed)
+        K_red = op.stiffness(fem.element_stiffness_factor(mesh, mat, phi, chi))
+        ref, _ = bc.reduce(fem.assemble_elastic_stiffness(mesh, mat, phi, chi),
+                           np.zeros(bc.n))
+        # every stored entry of the reference lies in the fixed pattern,
+        # which stores each entry once
+        cols = np.repeat(np.arange(K_red.shape[1]), np.diff(K_red.indptr))
+        stored = set(zip(K_red.indices.tolist(), cols.tolist()))
+        assert len(stored) == K_red.nnz
+        ref_coo = ref.tocoo()
+        assert set(zip(ref_coo.row.tolist(), ref_coo.col.tolist())) <= stored
+        A, R = K_red.toarray(), ref.toarray()
+        # entry scale sqrt(K_ii K_jj) bounds |K_ij| of an SPD matrix; entries
+        # that are sums of cancelling element terms are small against it
+        scale = np.sqrt(np.outer(np.diag(R), np.diag(R)))
+        assert np.all(np.abs(A - R) <= 1e-12 * scale)
+        assert np.array_equal(A, A.T)
+
+
+def test_element_stress_matches_reference_formula():
+    cfg, mesh, mat = setup(7, 3)
+    phi, chi = interior_fields(mesh, 4)
+    u = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
+    B = fem.strain_displacement(mesh)
+    dofs = fem._element_dofs(mesh)
+    D = mat.K_of(fem.element_averages(mesh, phi), fem.element_averages(mesh, chi))
+    ref = np.einsum("eij,ej->ei", D, np.einsum("eij,ej->ei", B, u[dofs]))
+    for sigma in (fem.compute_element_stress(mesh, mat, phi, chi, u),
+                  fem.compute_element_stress(mesh, mat, phi, chi, u, B=B)):
+        assert np.allclose(sigma, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    assert np.array_equal(B, fem.strain_displacement(mesh))     # B left intact
+
+
+@pytest.mark.parametrize("which", ["elastic", "phase"])
+def test_factor_spd_residual(which):
+    cfg, mesh, mat = setup(20, 10)
+    if which == "elastic":
+        bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
+        phi, chi = interior_fields(mesh, 8)
+        A = fem.ElasticOperator(mesh, mat.K_A, bc).stiffness(
+            fem.element_stiffness_factor(mesh, mat, phi, chi))
+    else:
+        A = 1e3 * fem.assemble_scalar_mass(mesh) + fem.assemble_scalar_stiffness(mesh)
+    b = np.random.default_rng(9).standard_normal(A.shape[0])
+    x = fem.factor_spd(A).solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_factor_spd_singular_is_a_solver_error():
+    A = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(fem.SolverError, match="factorization"):
+        fem.factor_spd(A)

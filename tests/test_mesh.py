@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradtopo.config import Box, cantilever_config
-from gradtopo.mesh import DIRICHLET, FREE, NEUMANN, build_rect_mesh, locate_region_nodes
+from gradtopo.mesh import (DIRICHLET, FREE, NEUMANN, _geometry, build_rect_mesh,
+                           locate_region_nodes)
 
 
 def small_mesh(nx=4, ny=2, **kw):
@@ -97,6 +98,35 @@ def test_alternating_diagonals():
     el = {tuple(sorted(t)) for t in mesh.elements.tolist()}
     assert tuple(sorted((0, 1, 4))) in el and tuple(sorted((0, 4, 3))) in el
     assert tuple(sorted((1, 2, 4))) in el and tuple(sorted((2, 5, 4))) in el
+
+
+def loop_elements(nx, ny):
+    """Reference: the cell-by-cell loop the vectorized builder replaced."""
+    def nid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    elements = []
+    for iy in range(ny):
+        for ix in range(nx):
+            n00, n10 = nid(ix, iy), nid(ix + 1, iy)
+            n01, n11 = nid(ix, iy + 1), nid(ix + 1, iy + 1)
+            if (ix + iy) % 2 == 0:
+                elements += [(n00, n10, n11), (n00, n11, n01)]
+            else:
+                elements += [(n00, n10, n01), (n10, n11, n01)]
+    return np.array(elements, dtype=int)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 2), (7, 3), (100, 50)])
+def test_elements_match_cell_loop(nx, ny):
+    mesh = small_mesh(nx, ny)
+    ref = loop_elements(nx, ny)
+    assert mesh.elements.dtype == ref.dtype
+    assert np.array_equal(mesh.elements, ref)
+    areas, grads = _geometry(mesh.nodes, ref)
+    assert np.array_equal(mesh.element_areas, areas)
+    assert np.array_equal(mesh.grads, grads)
+    assert len(mesh.boundary_edges) == 2 * (nx + ny)
 
 
 def test_locate_region_nodes():

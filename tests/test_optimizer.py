@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gradtopo import fem, stress
 from gradtopo.config import Box, cantilever_config
 from gradtopo.optimizer import Optimizer, initialize_fields, rescale, run
 
@@ -197,3 +198,45 @@ def test_beta_one_keeps_chi_fraction_at_m():
     cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=5, beta=1.0, kappa5=0.0)
     state, _ = run(cfg)
     assert state.m_chi == pytest.approx(0.8, abs=1e-6)
+
+
+def test_state_and_adjoint_match_reference_assembly():
+    """The fixed-pattern operator reproduces the reference assembly path."""
+    cfg = small_config(mesh_nx=20, mesh_ny=10)
+    opt = Optimizer(cfg)
+    phi, chi = interior_fields(opt, seed=21)
+    u, sigma, solve = opt.state_solve(phi, chi)
+    free = opt.bc.free
+    K = fem.assemble_elastic_stiffness(opt.mesh, opt.material, phi, chi)
+    K_red, f_red = opt.bc.reduce(K, opt.traction_load)
+    assert np.linalg.norm(K_red @ u[free] - f_red) <= 1e-10 * np.linalg.norm(f_red)
+    ref_sigma = fem.compute_element_stress(opt.mesh, opt.material, phi, chi, u)
+    assert np.allclose(sigma, ref_sigma, rtol=1e-12, atol=1e-12 * np.abs(ref_sigma).max())
+    agg = opt.aggregate_of(sigma)
+    U = opt.adjoint_solve(phi, chi, agg, solve)
+    rhs = cfg.kappa4 * opt.traction_load + stress.adjoint_stress_load(
+        agg, opt.mesh, opt.material, phi, chi, cfg.kappa5)
+    assert np.linalg.norm(K_red @ U[free] - rhs[free]) <= 1e-10 * np.linalg.norm(rhs[free])
+
+
+def test_state_solve_sees_in_place_field_changes():
+    opt = Optimizer(small_config())
+    phi, chi = interior_fields(opt, seed=3)
+    opt.state_solve(phi, chi)
+    phi[:] = 0.9
+    u, sigma, _ = opt.state_solve(phi, chi)
+    u_fresh, sigma_fresh, _ = Optimizer(small_config()).state_solve(phi, chi)
+    assert np.array_equal(u, u_fresh) and np.array_equal(sigma, sigma_fresh)
+
+
+def test_run_rejects_non_finite_displacement(monkeypatch):
+    opt = Optimizer(small_config())
+    state_solve = opt.state_solve
+
+    def nan_state(phi, chi):
+        u, sigma, solve = state_solve(phi, chi)
+        return np.full_like(u, np.nan), sigma, solve
+
+    monkeypatch.setattr(opt, "state_solve", nan_state)
+    with pytest.raises(fem.SolverError, match="iteration 1: non-finite displacement"):
+        opt.run()

@@ -155,3 +155,24 @@ def test_von_mises_nonnegative_and_scale_invariant(s11, s22, s12):
     vm = float(stress.von_mises(s)[0])
     assert vm >= 0.0
     assert float(stress.von_mises(2.0 * s)[0]) == pytest.approx(2.0 * vm, rel=1e-9, abs=1e-9)
+
+
+def test_adjoint_stress_load_matches_reference_formula():
+    cfg, mesh, mat = setup(7, 3)
+    rng = np.random.default_rng(31)
+    phi = 0.3 + 0.5 * rng.random(mesh.node_count)
+    chi = phi * rng.random(mesh.node_count)
+    sigma = 50.0 * rng.standard_normal((mesh.element_count, 3))
+    agg = stress.pnorm_aggregate(sigma, mesh, 45.0, 8)
+    kappa5 = 2.5
+    # element-wise kappa5 A_e B_e^T K(phi_e, chi_e) F_sigma, summed node by node
+    B = fem.strain_displacement(mesh)
+    D = mat.K_of(fem.element_averages(mesh, phi), fem.element_averages(mesh, chi))
+    F_sigma = stress.pointwise_penalty_gradient(agg, mesh)
+    q_e = kappa5 * mesh.element_areas[:, None] * np.einsum("eji,ejk,ek->ei", B, D, F_sigma)
+    ref = np.zeros(2 * mesh.node_count)
+    for i in range(3):
+        np.add.at(ref, 2 * mesh.elements[:, i], q_e[:, 2 * i])
+        np.add.at(ref, 2 * mesh.elements[:, i] + 1, q_e[:, 2 * i + 1])
+    q = stress.adjoint_stress_load(agg, mesh, mat, phi, chi, kappa5)
+    assert np.allclose(q, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
