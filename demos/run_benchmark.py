@@ -3,13 +3,12 @@
 Produces, under out/benchmark/:
   history.csv   per-iteration record of the optimization
   fields.vtk    final phi/chi/displacement fields (legacy VTK)
-  stiff.stl     extruded region with chi above the threshold (stiff infill)
-  soft.stl      extruded region with chi below the threshold (soft infill)
+  fields.npz    final fields, the snapshot `gradtopo export-stl` reads
+  above.stl     extruded region with chi above the threshold (stiff infill)
+  below.stl     extruded region with chi below the threshold (soft infill)
 """
 
 import os
-
-import numpy as np
 
 from gradtopo import export
 from gradtopo.config import benchmark_config
@@ -35,24 +34,12 @@ def main():
           f"{state.iter} iterations: compliance {state.compliance:.1f}, "
           f"m_chi {state.m_chi:.3f}")
 
-    export.write_history_csv(history, os.path.join(outdir, "history.csv"))
-    export.write_fields(state, opt.mesh, os.path.join(outdir, "fields.vtk"))
-
-    # split the structure at the chi threshold into two printable solids;
-    # both parts are restricted to the material region phi >= 0.5
-    def masked(level):
-        g = np.minimum(state.phi - 0.5, level)
-        return 0.5 + g / (4.0 * max(float(np.abs(g).max()), 1e-30))
-
-    threshold = config.chi_threshold
-    for name, level in (("stiff", state.chi - threshold),
-                        ("soft", threshold - state.chi)):
-        contour = export.threshold_contour(masked(level), opt.mesh, 0.5)
-        if contour.loops_above:
-            path = os.path.join(outdir, f"{name}.stl")
-            n = export.extrude_to_stl(contour.loops_above,
-                                      config.extrude_height, path)
-            print(f"wrote {path} ({n} triangles)")
+    export.write_run(config, state, history, opt.mesh)
+    # split the material region phi > 0.5 at chi = 0.5 into two printable
+    # solids, extruded 10 mm
+    for path, n in export.split_to_stl(state.phi, state.chi, opt.mesh,
+                                       threshold=0.5, height=10.0, outdir=outdir):
+        print(f"wrote {path} ({n} triangles)")
 
 
 if __name__ == "__main__":

@@ -54,8 +54,7 @@ def _apply_overrides(config, args):
 
 
 def _execute(config) -> int:
-    outdir = config.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(config.output_dir, exist_ok=True)
     opt = Optimizer(config)
 
     def progress(state, rec):
@@ -65,12 +64,7 @@ def _execute(config) -> int:
                      rec.compliance, rec.m_chi, rec.delta_phi, rec.delta_chi)
 
     state, history = opt.run(callback=progress)
-    if config.write_csv:
-        export.write_history_csv(history, os.path.join(outdir, "history.csv"))
-    if config.write_vtk:
-        export.write_fields(state, opt.mesh, os.path.join(outdir, "fields.vtk"))
-        np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi,
-                 chi=state.chi, u=state.u, sigma=state.sigma)
+    export.write_run(config, state, history, opt.mesh)
     vm_max = float(stress.von_mises(state.sigma).max(initial=0.0))
     print(f"converged={'yes' if state.converged else 'no'} "
           f"iterations={state.iter} compliance={state.compliance:.6g} "
@@ -124,10 +118,7 @@ def cmd_sweep(args) -> int:
             os.makedirs(subdir, exist_ok=True)
             opt = Optimizer(config)
             state, history = opt.run()
-            if config.write_csv:
-                export.write_history_csv(history, os.path.join(subdir, "history.csv"))
-            if config.write_vtk:
-                export.write_fields(state, opt.mesh, os.path.join(subdir, "fields.vtk"))
+            export.write_run(config, state, history, opt.mesh)
             rows.append((label, f"{state.compliance:.6g}", f"{state.m_chi:.4g}",
                          "YES" if state.converged else "NO"))
         except Exception as exc:  # per-run failures recorded, sweep continues
@@ -154,33 +145,13 @@ def cmd_export_stl(args) -> int:
     snap = np.load(args.snapshot)
     phi, chi = snap["phi"], snap["chi"]
     config = _load(args, default_builtin=True)
-    opt_mesh = build_rect_mesh(config)
-    if len(phi) != opt_mesh.node_count:
+    mesh = build_rect_mesh(config)
+    if len(phi) != mesh.node_count:
         raise ConfigError("snapshot does not match the configured mesh size")
-    threshold = args.threshold
-    os.makedirs(args.out or ".", exist_ok=True)
     outdir = args.out or "."
-
-    def masked(level_field):
-        # exclude void: keep only where phi >= 0.5
-        g = np.minimum(phi - 0.5, level_field)
-        scale = 4.0 * max(float(np.abs(g).max()), 1e-30)
-        return 0.5 + g / scale
-
-    written = []
-    above = export.threshold_contour(masked(chi - threshold), opt_mesh, 0.5) \
-        if threshold > 0 else export.threshold_contour(masked(np.ones_like(chi)), opt_mesh, 0.5)
-    if above.loops_above:
-        path = os.path.join(outdir, "above.stl")
-        export.extrude_to_stl(above.loops_above, args.height, path)
-        written.append(path)
-    if threshold > 0:
-        below = export.threshold_contour(masked(threshold - chi), opt_mesh, 0.5)
-        if below.loops_above:
-            path = os.path.join(outdir, "below.stl")
-            export.extrude_to_stl(below.loops_above, args.height, path)
-            written.append(path)
-    for path in written:
+    os.makedirs(outdir, exist_ok=True)
+    for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
+                                       args.height, outdir):
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -91,23 +91,17 @@ class RunConfig:
     seed: int = 0
     perturb: float = 0.0                 # amplitude of seeded initial noise
     safeguard: bool = False              # tau-halving on objective increase
-    literal_rhs: bool = False            # printed-matrix RHS coefficients
     stabilization: float = 0.0           # convex-concave splitting constant L
     chi_solver: str = "clamp"            # "clamp" | "obstacle"
-    solver: str = "direct"               # "direct" | "pcg"
-    linear_tol: float = 1e-10
 
     # [stress]
     pnorm_p: int = 8
     yield_stress: float = 45.0           # sigma_y [MPa]
-    pnorm_normalized: bool = True
 
     # [output]
     output_dir: str = "out"
     write_vtk: bool = True
     write_csv: bool = True
-    chi_threshold: float = 0.5
-    extrude_height: float = 10.0         # [mm]
     log_every: int = 50
 
     @property
@@ -178,11 +172,6 @@ def validate(config: RunConfig) -> list[str]:
         v.append(f"max_iter: must be >= 1, got {config.max_iter}")
     if config.traction_length is not None and config.traction_length <= 0:
         v.append(f"traction_length: must be > 0, got {config.traction_length}")
-    if not (0.0 < config.chi_threshold < 1.0):
-        v.append(f"chi_threshold: must be in (0,1), got {config.chi_threshold}")
-    positive("extrude_height", config.extrude_height)
-    if config.solver not in ("direct", "pcg"):
-        v.append(f"solver: must be 'direct' or 'pcg', got {config.solver!r}")
     if config.chi_solver not in ("clamp", "obstacle"):
         v.append(f"chi_solver: must be 'clamp' or 'obstacle', got {config.chi_solver!r}")
     for box in config.fixed_void + config.fixed_solid:
@@ -258,19 +247,13 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("optimizer", "seed"): ("seed", int),
     ("optimizer", "perturb"): ("perturb", float),
     ("optimizer", "safeguard"): ("safeguard", _parse_bool),
-    ("optimizer", "literal_rhs"): ("literal_rhs", _parse_bool),
     ("optimizer", "stabilization"): ("stabilization", float),
     ("optimizer", "chi_solver"): ("chi_solver", str),
-    ("optimizer", "solver"): ("solver", str),
-    ("optimizer", "linear_tol"): ("linear_tol", float),
     ("stress", "pnorm_p"): ("pnorm_p", int),
     ("stress", "yield_stress"): ("yield_stress", float),
-    ("stress", "normalized"): ("pnorm_normalized", _parse_bool),
     ("output", "directory"): ("output_dir", str),
     ("output", "write_vtk"): ("write_vtk", _parse_bool),
     ("output", "write_csv"): ("write_csv", _parse_bool),
-    ("output", "chi_threshold"): ("chi_threshold", float),
-    ("output", "extrude_height"): ("extrude_height", float),
     ("output", "log_every"): ("log_every", int),
 }
 

@@ -9,6 +9,7 @@ watertight binary STL prism.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -22,10 +23,11 @@ __all__ = [
     "ContourPolygonSet",
     "write_fields",
     "read_vtk_fields",
-    "write_mesh_vtk",
     "write_history_csv",
+    "write_run",
     "threshold_contour",
     "extrude_to_stl",
+    "split_to_stl",
     "read_stl",
     "stl_edge_use_counts",
     "stl_volume",
@@ -104,20 +106,6 @@ def read_vtk_fields(path: str) -> dict:
     return out
 
 
-def write_mesh_vtk(mesh, path: str) -> None:
-    """Mesh-only legacy-VTK dump for inspection."""
-
-    class _Empty:
-        pass
-
-    snap = _Empty()
-    snap.phi = np.zeros(mesh.node_count)
-    snap.chi = np.zeros(mesh.node_count)
-    snap.u = np.zeros(2 * mesh.node_count)
-    snap.sigma = np.zeros((mesh.element_count, 3))
-    write_fields(snap, mesh, path)
-
-
 def write_history_csv(history: list, path: str) -> None:
     """Iteration log: one row per IterationRecord, deterministic formatting."""
     with open(path, "w", encoding="ascii", newline="") as fh:
@@ -126,6 +114,19 @@ def write_history_csv(history: list, path: str) -> None:
         for rec in history:
             writer.writerow([repr(getattr(rec, f)) if isinstance(getattr(rec, f), float)
                              else getattr(rec, f) for f in IterationRecord.CSV_FIELDS])
+
+
+def write_run(config, state, history: list, mesh) -> None:
+    """The outputs of one run in config.output_dir: history.csv if
+    config.write_csv; fields.vtk and the fields.npz snapshot that export-stl
+    reads if config.write_vtk."""
+    outdir = config.output_dir
+    if config.write_csv:
+        write_history_csv(history, os.path.join(outdir, "history.csv"))
+    if config.write_vtk:
+        write_fields(state, mesh, os.path.join(outdir, "fields.vtk"))
+        np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi,
+                 chi=state.chi, u=state.u, sigma=state.sigma)
 
 
 # --------------------------------------------------------------------------
@@ -183,14 +184,18 @@ def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygon
 
     nodes = mesh.nodes
 
+    def snap(p) -> tuple[float, float]:
+        # the binary STL stores float32: snapping every point to it here makes
+        # the linker merge exactly the points the STL merges, and collapses
+        # eps-offset crossings onto their mesh nodes
+        return (float(np.float32(p[0])), float(np.float32(p[1])))
+
     def crossing(n1: int, n2: int) -> tuple[float, float]:
-        # canonical order makes shared-edge points bit-identical across
-        # elements; quantizing collapses eps-offset crossings onto mesh nodes
+        # canonical order makes shared-edge points bit-identical across elements
         if n1 > n2:
             n1, n2 = n2, n1
         s = (threshold - v[n1]) / (v[n2] - v[n1])
-        p = nodes[n1] + s * (nodes[n2] - nodes[n1])
-        return (round(float(p[0]), 9), round(float(p[1]), 9))
+        return snap(nodes[n1] + s * (nodes[n2] - nodes[n1]))
 
     boundary = _directed_boundary(mesh)
 
@@ -224,8 +229,7 @@ def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygon
         for (a, b) in boundary:
             ina = (v[a] > threshold) == above
             inb = (v[b] > threshold) == above
-            pa = (round(float(nodes[a][0]), 9), round(float(nodes[a][1]), 9))
-            pb = (round(float(nodes[b][0]), 9), round(float(nodes[b][1]), 9))
+            pa, pb = snap(nodes[a]), snap(nodes[b])
             if ina and inb:
                 segs.append((pa, pb))
             elif ina and not inb:
@@ -249,13 +253,12 @@ def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygon
             if counts[s] > 0:
                 cleaned.append(s)
         segs = cleaned
-        key = lambda p: (round(p[0], 9), round(p[1], 9))
         start_map: dict = {}
         for idx, (p, q) in enumerate(segs):
-            start_map.setdefault(key(p), []).append(idx)
+            start_map.setdefault(p, []).append(idx)
         used = [False] * len(segs)
         loops = []
-        order = sorted(range(len(segs)), key=lambda i: key(segs[i][0]))
+        order = sorted(range(len(segs)), key=lambda i: segs[i][0])
         for first in order:
             if used[first]:
                 continue
@@ -264,8 +267,7 @@ def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygon
             used[first] = True
             guard = 0
             while True:
-                endk = key(segs[cur][1])
-                candidates = [i for i in start_map.get(endk, []) if not used[i]]
+                candidates = [i for i in start_map.get(segs[cur][1], []) if not used[i]]
                 if not candidates:
                     break  # loop closed (end meets the first start) or defect
                 loop.append(segs[cur][1])
@@ -508,6 +510,31 @@ def extrude_to_stl(polygons, height: float, path: str, side: str = "above") -> i
             n = n / norm if norm > 0 else np.zeros(3)
             fh.write(struct.pack("<12fH", *n, *p0, *p1, *p2, 0))
     return len(tris)
+
+
+def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
+                 height: float, outdir: str) -> list[tuple[str, int]]:
+    """Split the material region phi > 0.5 at chi = threshold into two STLs.
+
+    above.stl holds the part with chi above the threshold, below.stl the
+    rest; threshold <= 0 writes the whole structure to above.stl.  A part
+    with no area is skipped.  Returns (path, triangle count) of every file.
+    """
+    if threshold > 0:
+        parts = (("above", chi - threshold), ("below", threshold - chi))
+    else:
+        parts = (("above", np.ones_like(chi)),)
+    written = []
+    for name, level in parts:
+        # min(phi - 0.5, level) > 0 exactly on the part, scaled into (0,1)
+        # about 0.5 so the split is one threshold_contour at 0.5
+        g = np.minimum(phi - 0.5, level)
+        field = 0.5 + g / (4.0 * max(float(np.abs(g).max()), 1e-30))
+        loops = threshold_contour(field, mesh, 0.5).loops_above
+        if loops:
+            path = os.path.join(outdir, f"{name}.stl")
+            written.append((path, extrude_to_stl(loops, height, path)))
+    return written
 
 
 def read_stl(path: str) -> np.ndarray:

@@ -24,10 +24,8 @@ __all__ = [
     "assemble_body_coupling",
     "assemble_scalar_mass",
     "assemble_scalar_stiffness",
-    "assemble_volume_row",
     "lumped_weights",
     "factor_spd",
-    "solve_spd",
     "solve_saddle",
     "compute_element_stress",
     "DirichletSystem",
@@ -35,7 +33,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """Linear solver failed to reach the requested residual."""
+    """A solve failed: a singular factor or saddle point, an obstacle active
+    set that does not settle, or a non-finite iterate."""
 
 
 def strain_displacement(mesh) -> np.ndarray:
@@ -306,11 +305,6 @@ def lumped_weights(mesh) -> np.ndarray:
     return w
 
 
-def assemble_volume_row(mesh) -> np.ndarray:
-    """Row r with r.phi = integral of the P1 field phi (exact)."""
-    return lumped_weights(mesh)
-
-
 def factor_spd(A) -> spla.SuperLU:
     """Sparse LU factor of an SPD matrix; `.solve` applies A^-1.
 
@@ -326,60 +320,19 @@ def factor_spd(A) -> spla.SuperLU:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
 
 
-def solve_spd(A, rhs: np.ndarray, tol: float = 1e-10,
-              maxiter: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
-
-    Guarantees ||A x - rhs|| <= tol * ||rhs|| or raises SolverError.
-    Deterministic for fixed inputs.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    nrhs = np.linalg.norm(rhs)
-    if nrhs == 0.0:
-        return np.zeros_like(rhs)
-    A = sp.csr_matrix(A)
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise SolverError("matrix has non-positive diagonal entries")
-    inv_diag = 1.0 / diag
-    if maxiter is None:
-        maxiter = max(1000, 10 * A.shape[0])
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(maxiter):
-        Ap = A @ p
-        alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * nrhs:
-            return x
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    res = np.linalg.norm(A @ x - rhs) / nrhs
-    raise SolverError(f"PCG did not converge: relative residual {res:.3e} "
-                      f"after {maxiter} iterations (tol {tol:.1e})")
-
-
-def solve_saddle(A, r: np.ndarray, rhs: np.ndarray, target: float,
-                 solve=None) -> tuple[np.ndarray, float]:
+def solve_saddle(solve, r: np.ndarray, rhs: np.ndarray, target: float,
+                 r_solved: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve [A r^T; r 0] (x, lam) = (rhs, target) by Schur complement.
 
-    `solve` maps a right-hand side to A^{-1} rhs; defaults to solve_spd.
+    `solve` maps a right-hand side to A^{-1} rhs; `r_solved` is A^{-1} r,
+    which stays fixed with the factor of A and is computed once with it.
     """
-    if solve is None:
-        solve = lambda b: solve_spd(A, b)
     s1 = solve(rhs)
-    s2 = solve(r)
-    denom = float(r @ s2)
+    denom = float(r @ r_solved)
     if abs(denom) < 1e-300 or not np.isfinite(denom):
         raise SolverError("saddle-point breakdown: r A^-1 r^T is singular")
     lam = (float(r @ s1) - target) / denom
-    return s1 - lam * s2, lam
+    return s1 - lam * r_solved, lam
 
 
 def compute_element_stress(mesh, material, phi: np.ndarray, chi: np.ndarray,

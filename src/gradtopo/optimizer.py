@@ -108,8 +108,6 @@ class Optimizer:
         # two-scale field degenerates and chi stays at the uniform fraction m
         self.single_material = config.beta == 1.0
 
-        gp = config.gamma_phi
-        gc = config.gamma_chi_eff
         self._phase_factor_cache: dict[float, tuple] = {}
         self._phase_ops(config.tau)
 
@@ -144,7 +142,7 @@ class Optimizer:
             cfg = self.config
             gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
             A_phi = (gp / tau) * self.M_raw + cfg.kappa1 * gp * self.K_raw
-            if cfg.stabilization > 0.0 and not cfg.literal_rhs:
+            if cfg.stabilization > 0.0:
                 A_phi = A_phi + (cfg.kappa1 / gp) * cfg.stabilization \
                     * sp.diags(self.weights)
             tau_c = cfg.tau_chi_eff
@@ -155,14 +153,11 @@ class Optimizer:
                     + cfg.kappa2 * gc * self.K_raw
             else:
                 A_chi = (gc / tau_c) * self.M_raw + cfg.kappa2 * gc * self.K_raw
-            if cfg.solver == "direct":
-                solve_phi = fem.factor_spd(A_phi).solve
-                solve_chi = fem.factor_spd(A_chi).solve
-            else:
-                solve_phi = lambda b: fem.solve_spd(A_phi, b, tol=cfg.linear_tol)
-                solve_chi = lambda b: fem.solve_spd(A_chi, b, tol=cfg.linear_tol)
-            s2 = solve_phi(self.weights)
-            self._phase_factor_cache[tau] = (A_phi, A_chi, solve_phi, solve_chi, s2)
+            solve_phi = fem.factor_spd(A_phi).solve
+            solve_chi = fem.factor_spd(A_chi).solve
+            # A_phi^-1 of the volume row, reused by every saddle solve
+            self._phase_factor_cache[tau] = (A_chi, solve_phi, solve_chi,
+                                             solve_phi(self.weights))
         return self._phase_factor_cache[tau]
 
     def _element_factors(self, phi, chi):
@@ -190,17 +185,12 @@ class Optimizer:
             f += self.C.T @ phi
         return f
 
-    def _reduced_solver(self, K_red):
-        if self.config.solver == "direct":
-            return fem.factor_spd(K_red).solve
-        return lambda b: fem.solve_spd(K_red, b, tol=self.config.linear_tol)
-
     # --- staggered sub-steps ------------------------------------------------
 
     def state_solve(self, phi, chi):
         """Elastic solve; returns (u, sigma, reusable reduced-system solver)."""
         s = self._element_factors(phi, chi)[0]
-        solve = self._reduced_solver(self.elastic.stiffness(s))
+        solve = fem.factor_spd(self.elastic.stiffness(s)).solve
         u = self.bc.expand(solve(self._load(phi)[self.bc.free]))
         sigma = s[:, None] * (self.elastic.strains(u) @ self.material.K_A)
         return u, sigma, solve
@@ -245,29 +235,23 @@ class Optimizer:
         """
         cfg = self.config
         tau = cfg.tau if tau is None else tau
-        A_phi, A_chi, solve_phi, solve_chi, s2 = self._phase_ops(tau)
+        A_chi, solve_phi, solve_chi, weights_solved = self._phase_ops(tau)
         gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
 
         q_s, q_sp = self._mechanical_driving(phi, chi, u, U, aggregate)
-        if cfg.literal_rhs:
-            # coefficients exactly as printed in the discrete matrix list
-            rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
-                + (cfg.kappa3 / gp) * (self.weights * dW(phi))
-        else:
-            rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
-                - (cfg.kappa1 / gp) * (self.weights * dW(phi))
-            if cfg.stabilization > 0.0:
-                # convex-concave splitting: the extra L*(phi' - phi) term
-                # cancels at stationarity, so steady states are unchanged while
-                # the explicit double-well update becomes stable for large tau
-                rhs_phi += (cfg.kappa1 / gp) * cfg.stabilization \
-                    * (self.weights * phi)
+        rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
+            - (cfg.kappa1 / gp) * (self.weights * dW(phi))
+        if cfg.stabilization > 0.0:
+            # convex-concave splitting: the extra L*(phi' - phi) term
+            # cancels at stationarity, so steady states are unchanged while
+            # the explicit double-well update becomes stable for large tau
+            rhs_phi += (cfg.kappa1 / gp) * cfg.stabilization \
+                * (self.weights * phi)
         if self.has_body:
             rhs_phi -= cfg.kappa3 * (self.C @ u) + (self.C @ U)
 
-        phi_new, lam = fem.solve_saddle(A_phi, self.weights, rhs_phi,
-                                        self.volume_target,
-                                        solve=lambda b: solve_phi(b) if b is not self.weights else s2)
+        phi_new, lam = fem.solve_saddle(solve_phi, self.weights, rhs_phi,
+                                        self.volume_target, weights_solved)
         if self.single_material:
             chi_new = chi
         else:
@@ -290,9 +274,14 @@ class Optimizer:
 
         Primal-dual active-set iteration; this respects the variational
         inequality directly, so the gradient-penalty operator acts with the
-        bound constraints instead of being clipped after the fact.
+        bound constraints instead of being clipped after the fact.  The
+        multiplier estimate g is compared with diag(A) times the bound
+        violation, so both are in the units of the right-hand side (with a
+        unit constant, a node would jump between its two bounds whenever
+        diag(A) outweighs the bound gap, and the iteration cycles).
         """
         A = A.tocsr()
+        d = A.diagonal()
         x = np.clip(x0, lower, upper)
         act_lo = x <= lower
         act_hi = x >= upper
@@ -305,19 +294,20 @@ class Optimizer:
                 b = rhs[idx] - A[idx] @ np.where(free, 0.0, x)
                 x[idx] = spla.spsolve(A_ff.tocsc(), b)
             g = A @ x - rhs                     # gradient of the QP
-            new_lo = g + (lower - x) > 0.0
-            new_hi = -g + (x - upper) > 0.0
+            new_lo = g + d * (lower - x) > 0.0
+            new_hi = -g + d * (x - upper) > 0.0
             if np.array_equal(new_lo, act_lo) and np.array_equal(new_hi, act_hi):
-                break
+                return np.clip(x, lower, upper)
             act_lo, act_hi = new_lo, new_hi
-        return np.clip(x, lower, upper)
+        raise fem.SolverError(f"obstacle active-set iteration did not settle "
+                              f"in {max_cycles} cycles")
 
     # --- diagnostics --------------------------------------------------------
 
     def aggregate_of(self, sigma):
         cfg = self.config
         return stress.pnorm_aggregate(sigma, self.mesh, cfg.yield_stress,
-                                      cfg.pnorm_p, normalized=cfg.pnorm_normalized)
+                                      cfg.pnorm_p)
 
     def compliance_of(self, phi, u) -> float:
         """Load work over the whole plate: thickness x per-thickness work."""

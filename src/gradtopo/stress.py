@@ -53,17 +53,14 @@ def von_mises_gradient(sigma: np.ndarray) -> np.ndarray:
     return grad
 
 
-def pnorm_aggregate(sigma: np.ndarray, mesh, sigma_y: float, p: int,
-                    normalized: bool = True) -> StressAggregate:
+def pnorm_aggregate(sigma: np.ndarray, mesh, sigma_y: float, p: int) -> StressAggregate:
     """Aggregate (M,3) Voigt stresses into the p-norm ratio and its gradient.
 
-    With normalized=True (default): sigma_pn = (sum_e w_e r_e^p)^(1/p),
-    w_e = A_e/|Omega|, r_e = sigma_e/sigma_y.  The unnormalized variant
-    drops the 1/|Omega| and carries units of mm^(2/p).
+    sigma_pn = (sum_e w_e r_e^p)^(1/p), w_e = A_e/|Omega|, r_e = sigma_e/sigma_y.
     """
     sigma_e = von_mises(sigma)
     r = sigma_e / sigma_y
-    w = mesh.element_areas / (mesh.area if normalized else 1.0)
+    w = mesh.element_areas / mesh.area
     rmax = float(r.max(initial=0.0))
     if rmax == 0.0:
         return StressAggregate(0.0, sigma_e, 1.0, np.zeros_like(sigma))

@@ -129,6 +129,10 @@ def test_sweep_table(tmp_path, capsys):
     rows = open(table).read().splitlines()
     assert rows[0] == "variant,compliance,m_chi,convergence"
     assert len(rows) == 4   # header + 2 sweep values + beta=1 reference
+    # every variant writes what run writes, so export-stl can read it
+    for variant in ("optimizer_kappa2_40", "optimizer_kappa2_4000", "beta_1"):
+        for name in ("history.csv", "fields.vtk", "fields.npz"):
+            assert os.path.exists(os.path.join(out, variant, name))
 
 
 def test_sweep_bad_spec(capsys):

@@ -80,6 +80,25 @@ def test_unknown_key_rejected():
         loads_config("[optimizer]\nwarp_factor = 9\n")
 
 
+# keys of deleted variants: the Jacobi-PCG solve, the printed-sign double-well
+# right-hand side, the unnormalized p-norm and the STL settings that
+# export-stl takes as flags
+REMOVED_KEYS = ["optimizer.solver=pcg", "optimizer.linear_tol=1e-8",
+                "optimizer.literal_rhs=true", "stress.normalized=false",
+                "output.chi_threshold=0.4", "output.extrude_height=5"]
+
+
+@pytest.mark.parametrize("item", REMOVED_KEYS)
+def test_removed_key_rejected(item):
+    lhs, value = item.split("=")
+    section, key = lhs.split(".")
+    message = rf"unknown key \[{section}\] {key}"
+    with pytest.raises(ConfigError, match=message):
+        apply_overrides(cantilever_config(), [item])
+    with pytest.raises(ConfigError, match=message):
+        loads_config(f"[{section}]\n{key} = {value}\n")
+
+
 def test_validate_ok_on_benchmark():
     assert validate(cantilever_config()) == []
 

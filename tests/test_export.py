@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -196,3 +198,44 @@ def test_stl_volume_sign_convention(tmp_path):
     tris = export.read_stl(path)
     assert export.stl_volume(tris) == pytest.approx(18.0, rel=1e-6)
     assert export.stl_volume(tris[:, ::-1, :]) == pytest.approx(-18.0, rel=1e-6)
+
+
+def test_contour_merges_points_within_float32_resolution(tmp_path):
+    """The STL stores float32, so crossings closer than its resolution are one
+    STL vertex; the contour must merge them too, or the STL gets edges used
+    4 or 6 times."""
+    mesh = make_mesh(20, 10)
+    # iso-line at x = 100 + 1e-7: every crossing lies 1e-7 mm from a node of
+    # the column x = 100, far below float32 resolution there (7.6e-6 mm)
+    chi = 0.5 + (mesh.nodes[:, 0] - (100.0 + 1e-7)) / 200.0
+    cps = export.threshold_contour(chi, mesh, 0.5)
+    for side, area in (("above", cps.area_above), ("below", cps.area_below)):
+        path = str(tmp_path / f"{side}.stl")
+        export.extrude_to_stl(cps, 5.0, path, side=side)
+        tris = export.read_stl(path)
+        check_watertight(tris)
+        assert export.stl_volume(tris) == pytest.approx(area * 5.0, rel=1e-6)
+        assert area == pytest.approx(100.0 * 100.0, rel=1e-6)
+
+
+def test_split_to_stl_parts(tmp_path):
+    mesh = make_mesh(20, 10)
+    x = mesh.nodes[:, 0]
+    phi = np.where(x <= 150.0, 1.0, 0.0)      # void beyond x = 150
+    chi = x / 200.0                           # chi = 0.5 at x = 100
+    written = export.split_to_stl(phi, chi, mesh, 0.5, 2.0, str(tmp_path))
+    assert [p for p, _ in written] == [str(tmp_path / "above.stl"),
+                                       str(tmp_path / "below.stl")]
+    volumes = []
+    for path, n in written:
+        tris = export.read_stl(path)
+        assert len(tris) == n
+        check_watertight(tris)
+        volumes.append(export.stl_volume(tris))
+    # above ends where min(phi - 0.5, chi - 0.5), linear from 0.25 at x = 150
+    # to -0.5 at x = 160, is zero: x = 150 + 10/3
+    assert volumes == pytest.approx([(50.0 + 10.0 / 3.0) * 100.0 * 2.0,
+                                     100.0 * 100.0 * 2.0], rel=1e-6)
+    # threshold <= 0: the whole material region in above.stl
+    whole = export.split_to_stl(phi, chi, mesh, 0.0, 2.0, str(tmp_path))
+    assert [os.path.basename(p) for p, _ in whole] == ["above.stl"]

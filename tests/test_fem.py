@@ -174,7 +174,7 @@ def test_laplacian_null_space_and_dirichlet_energy():
 
 def test_volume_row_exact_for_linear_fields():
     cfg, mesh, mat = setup(5, 4)
-    r = fem.assemble_volume_row(mesh)
+    r = fem.lumped_weights(mesh)
     x = mesh.nodes[:, 0]
     assert float(r.sum()) == pytest.approx(mesh.area, rel=1e-12)
     # int x over [0,200]x[0,100]
@@ -185,33 +185,6 @@ def test_volume_row_exact_for_linear_fields():
 
 
 # --- solvers ---------------------------------------------------------------
-
-def test_solve_spd_matches_dense():
-    rng = np.random.default_rng(42)
-    n = 40
-    Q = rng.standard_normal((n, n))
-    A = sp.csr_matrix(Q @ Q.T + n * np.eye(n))
-    b = rng.standard_normal(n)
-    x = fem.solve_spd(A, b, tol=1e-12)
-    assert np.allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-8)
-
-
-def test_solve_spd_zero_rhs():
-    A = sp.eye(5, format="csr")
-    assert np.all(fem.solve_spd(A, np.zeros(5)) == 0.0)
-
-
-def test_solve_spd_reports_failure():
-    A = sp.csr_matrix(np.diag([1.0, -1.0]))
-    with pytest.raises(fem.SolverError):
-        fem.solve_spd(A, np.ones(2))
-    # stagnation guard
-    rng = np.random.default_rng(1)
-    Q = rng.standard_normal((30, 30))
-    A = sp.csr_matrix(Q @ Q.T + 1e-8 * np.eye(30))
-    with pytest.raises(fem.SolverError, match="did not converge"):
-        fem.solve_spd(A, rng.standard_normal(30), tol=1e-14, maxiter=2)
-
 
 def test_solve_saddle_against_dense_kkt():
     rng = np.random.default_rng(7)
@@ -227,8 +200,8 @@ def test_solve_saddle_against_dense_kkt():
     KKT[:n, n] = r
     KKT[n, :n] = r
     sol = np.linalg.solve(KKT, np.append(rhs, target))
-    x, lam = fem.solve_saddle(sp.csr_matrix(A), r, rhs, target,
-                              solve=lambda b: np.linalg.solve(A, b))
+    x, lam = fem.solve_saddle(lambda b: np.linalg.solve(A, b), r, rhs, target,
+                              np.linalg.solve(A, r))
     assert np.allclose(x, sol[:n], atol=1e-9)
     assert lam == pytest.approx(sol[n], abs=1e-9)
     # the constraint holds exactly
@@ -236,10 +209,8 @@ def test_solve_saddle_against_dense_kkt():
 
 
 def test_solve_saddle_breakdown():
-    A = sp.eye(3, format="csr")
     with pytest.raises(fem.SolverError, match="saddle"):
-        fem.solve_saddle(A, np.zeros(3), np.ones(3), 1.0,
-                         solve=lambda b: b)
+        fem.solve_saddle(lambda b: b, np.zeros(3), np.ones(3), 1.0, np.zeros(3))
 
 
 # --- stress recovery and boundary conditions -------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from gradtopo import fem, stress
 from gradtopo.config import Box, cantilever_config
+from gradtopo.material import dW
 from gradtopo.optimizer import Optimizer, initialize_fields, rescale, run
 
 
@@ -135,14 +136,98 @@ def test_chi_driving_matches_compliance_sensitivity():
         assert float(q_sp @ d) == pytest.approx(-fd, rel=1e-4)
 
 
-def test_solvers_agree():
-    cfg_d = small_config(solver="direct")
-    cfg_p = small_config(solver="pcg", linear_tol=1e-12)
-    od, op = Optimizer(cfg_d), Optimizer(cfg_p)
-    phi, chi = interior_fields(od)
-    ud, _, _ = od.state_solve(phi, chi)
-    up, _, _ = op.state_solve(phi, chi)
-    assert np.allclose(ud, up, rtol=1e-7, atol=1e-10)
+# --- the optional schemes: obstacle chi step, stabilization, safeguard -----
+
+def test_obstacle_solve_satisfies_kkt():
+    """_solve_obstacle returns the solution of the bound-constrained QP."""
+    opt = Optimizer(small_config(mesh_nx=8, mesh_ny=4, chi_solver="obstacle"))
+    A_chi = opt._phase_ops(opt.config.tau)[0]
+    A = A_chi.toarray()
+    off = A - np.diag(np.diag(A))
+    assert np.all(off <= 0.0) and np.all(A.sum(axis=1) > 0.0)   # an M-matrix
+    rng = np.random.default_rng(17)
+    n = opt.mesh.node_count
+    lower = np.zeros(n)
+    upper = 0.3 + 0.6 * rng.random(n)
+    rhs = A @ (1.6 * rng.random(n) - 0.3)      # unconstrained solution in (-0.3, 1.3)
+    x0 = np.full(n, 0.5)
+    x = opt._solve_obstacle(A_chi, rhs, lower, upper, x0)
+    g = A @ x - rhs
+    tol = 1e-9 * np.abs(rhs).max()
+    at_lo, at_hi = x == lower, x == upper
+    free = ~(at_lo | at_hi)
+    assert at_lo.any() and at_hi.any() and free.any()
+    assert np.all((lower <= x) & (x <= upper))
+    assert np.all(g[at_lo] >= -tol)
+    assert np.all(g[at_hi] <= tol)
+    assert np.abs(g[free]).max() <= tol
+    # an active set that has not settled is an error, not a clipped guess
+    with pytest.raises(fem.SolverError, match="did not settle"):
+        opt._solve_obstacle(A_chi, rhs, lower, upper, x0, max_cycles=1)
+
+
+def test_obstacle_run_keeps_chi_between_bounds():
+    cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=5, chi_solver="obstacle")
+    state, history = run(cfg)
+    assert len(history) == 5
+    assert np.all((state.chi >= 0.0) & (state.chi <= state.phi))
+
+
+def test_stabilization_keeps_fixed_points(monkeypatch):
+    """With the elastic fields held fixed, a fixed point of the plain phase
+    step is a fixed point of the convex-concave stabilized step."""
+    cfg = small_config(mesh_nx=8, mesh_ny=4)
+    plain = Optimizer(cfg)
+    stabilized = Optimizer(small_config(mesh_nx=8, mesh_ny=4, stabilization=2.0))
+    phi, chi = interior_fields(plain, seed=5)
+    phi *= plain.volume_target / float(plain.weights @ phi)
+    gp, k1 = cfg.gamma_phi, cfg.kappa1
+    # the driving load that makes phi stationary with multiplier lam:
+    # k1 gp K phi + lam w = q_s - (k1 / gp) w W'(phi)
+    lam = 3.0
+    q_s = k1 * gp * (plain.K_raw @ phi) + lam * plain.weights \
+        + (k1 / gp) * plain.weights * dW(phi)
+    driving = lambda phi_, chi_, u, U, aggregate: (q_s, np.zeros_like(q_s))
+    for opt in (plain, stabilized):
+        monkeypatch.setattr(opt, "_mechanical_driving", driving)
+        phi_new, _, lam_new = opt.phase_field_step(phi, chi, None, None, None)
+        assert np.abs(phi_new - phi).max() <= 1e-10
+        assert lam_new == pytest.approx(lam, rel=1e-8)
+    # away from the fixed point the stabilization does change the step
+    other = phi + 0.05 * np.sin(plain.mesh.nodes[:, 0])
+    step = [opt.phase_field_step(other, chi, None, None, None)[0]
+            for opt in (plain, stabilized)]
+    assert np.abs(step[0] - step[1]).max() > 1e-6
+
+
+def safeguard_taus(monkeypatch, objectives):
+    """tau of every phase step in a 2-iteration safeguarded run, with
+    objective_of replaced by successive values of `objectives`."""
+    opt = Optimizer(small_config(safeguard=True, max_iter=2))
+    taus = []
+    step = opt.phase_field_step
+
+    def recording_step(phi, chi, u, U, aggregate, tau=None):
+        taus.append(tau)
+        return step(phi, chi, u, U, aggregate, tau=tau)
+
+    values = iter(objectives)
+    monkeypatch.setattr(opt, "phase_field_step", recording_step)
+    monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
+    opt.run()
+    return opt.config.tau, taus
+
+
+def test_safeguard_halves_tau_until_sixth_attempt(monkeypatch):
+    # every trial objective rises: tau is halved five times and the sixth
+    # attempt is accepted
+    tau, taus = safeguard_taus(monkeypatch, (2.0 ** k for k in range(100)))
+    assert taus == [tau] + [tau / 2 ** k for k in range(6)]
+
+
+def test_safeguard_accepts_a_descending_step(monkeypatch):
+    tau, taus = safeguard_taus(monkeypatch, (2.0 ** -k for k in range(100)))
+    assert taus == [tau, tau]
 
 
 # --- the loop ---------------------------------------------------------------

@@ -82,14 +82,6 @@ def test_pnorm_zero_field():
     assert np.all(agg.dF_dsigma == 0.0)
 
 
-def test_pnorm_unnormalized_scales_with_area():
-    cfg, mesh, mat = setup()
-    sigma = np.tile([45.0, 0.0, 0.0], (mesh.element_count, 1))
-    agg = stress.pnorm_aggregate(sigma, mesh, 45.0, 8, normalized=False)
-    # sum w r^p = |Omega| for unit ratio
-    assert agg.sigma_pn == pytest.approx(mesh.area ** (1.0 / 8.0), rel=1e-12)
-
-
 def test_dF_dsigma_finite_difference():
     cfg, mesh, mat = setup(6, 3)
     rng = np.random.default_rng(5)
