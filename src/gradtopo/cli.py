@@ -15,7 +15,7 @@ import numpy as np
 
 from gradtopo import export, stress
 from gradtopo.config import (ConfigError, apply_overrides, benchmark_config,
-                             cantilever_config, load_config, serialize, validate)
+                             cantilever_config, load_config, serialize)
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
 
@@ -86,15 +86,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _load(args)
-    violations = validate(config)
-    for v in violations:
-        print(f"violation: {v}")
-    if not violations:
-        print("config ok")
-        if args.dump:
-            sys.stdout.write(serialize(config))
-    return EXIT_OK if not violations else EXIT_ERROR
+    config = _load(args)        # raises ConfigError on any violation
+    print("config ok")
+    if args.dump:
+        sys.stdout.write(serialize(config))
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -136,7 +132,7 @@ def cmd_sweep(args) -> int:
             fh.write(",".join(header) + "\n")
             for r in rows:
                 fh.write(",".join(r) + "\n")
-    return EXIT_OK
+    return EXIT_ERROR if any(r[3] == "ERROR" for r in rows) else EXIT_OK
 
 
 def cmd_export_stl(args) -> int:
@@ -161,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
+    def common(p):
         p.add_argument("--config", help="configuration file path")
         p.add_argument("--set", action="append", default=[],
                        metavar="section.key=value", help="override a config key")

@@ -1,9 +1,10 @@
 """Field snapshots, iso-contour extraction, and print-ready STL geometry.
 
-The final chi distribution is split at a threshold into two regions; each
-region's boundary is extracted as closed polygons (marching triangles on the
-P1 field, open chains closed along the domain boundary) and extruded into a
-watertight binary STL prism.
+The final chi distribution is split at a threshold into two regions.
+Marching triangles clips every mesh element against the iso-line of the P1
+field: a region's clipped elements are its cap triangles, and its
+iso-segments and boundary pieces link into closed polygons.  The caps and
+walls along the polygons form a closed binary STL prism.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ __all__ = [
 
 
 class GeometryError(ValueError):
-    """Invalid polygon input (self-intersection, bad orientation, ...)."""
+    """Geometry that cannot be written as a closed solid (an extrusion with
+    an edge not used by exactly two triangles, a contour that does not link)."""
 
 
 # --------------------------------------------------------------------------
@@ -135,15 +137,19 @@ def write_run(config, state, history: list, mesh) -> None:
 
 @dataclass(frozen=True)
 class ContourPolygonSet:
-    """Closed polygons of the two threshold regions.
+    """Closed polygons and cap triangles of the two threshold regions.
 
     Orientation convention: outer boundaries counter-clockwise, holes
     clockwise (signed areas of each region's loops sum to the region area).
+    The caps are (T,3,2) arrays of counter-clockwise triangles that tile a
+    region: its mesh elements clipped against the iso-line.
     """
 
     threshold: float
     loops_above: tuple
     loops_below: tuple
+    caps_above: np.ndarray
+    caps_below: np.ndarray
 
     @property
     def area_above(self) -> float:
@@ -159,356 +165,218 @@ def _signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _directed_boundary(mesh):
-    """Boundary edges directed so the domain interior lies on their left."""
-    directed = set()
-    for (a, b, c) in mesh.elements:
-        directed.update(((a, b), (b, c), (c, a)))
-    out = []
-    for (a, b, _tag) in mesh.boundary_edges:
-        out.append((a, b) if (a, b) in directed else (b, a))
-    return out
+def _snap(p: np.ndarray) -> np.ndarray:
+    # the binary STL stores float32: snapping every point to it makes the
+    # linker merge exactly the points the STL merges, and collapses
+    # eps-offset crossings onto their mesh nodes
+    return np.asarray(p, dtype=np.float32).astype(float)
+
+
+def _directed_boundary(mesh) -> np.ndarray:
+    """Boundary edges (B,2) directed so the domain interior lies on their left."""
+    n = mesh.node_count
+    el = mesh.elements.astype(np.int64)
+    ab = np.array([(a, b) for (a, b, _tag) in mesh.boundary_edges], dtype=np.int64)
+    forward = np.isin(ab[:, 0] * n + ab[:, 1], el * n + np.roll(el, -1, axis=1))
+    return np.where(forward[:, None], ab, ab[:, ::-1])
+
+
+# Marching-triangles case table.  An element's points are its corners 0-2 and
+# the crossings 3-5 on its edges (0,1), (1,2), (2,0); the case is the bitmask
+# of the corners inside the region.  With the odd corner first on the
+# counter-clockwise element, one inside corner i gives the cap
+# (p_i, x_{i,i+1}, x_{i+2,i}) and the iso-segment x_{i,i+1} -> x_{i+2,i}; one
+# outside corner o gives the caps (x_{o,o+1}, p_{o+1}, p_{o+2}) and
+# (x_{o,o+1}, p_{o+2}, x_{o+2,o}) and the iso-segment x_{o+2,o} -> x_{o,o+1}.
+# Caps are counter-clockwise and segments have the region on their left.
+# -1 pads a missing cap or segment.
+_CAP_TABLE = np.array([
+    [[-1, -1, -1], [-1, -1, -1]],      # no corner inside
+    [[0, 3, 5], [-1, -1, -1]],         # corner 0 inside
+    [[1, 4, 3], [-1, -1, -1]],         # corner 1 inside
+    [[5, 0, 1], [5, 1, 4]],            # corner 2 outside
+    [[2, 5, 4], [-1, -1, -1]],         # corner 2 inside
+    [[4, 2, 0], [4, 0, 3]],            # corner 1 outside
+    [[3, 1, 2], [3, 2, 5]],            # corner 0 outside
+    [[0, 1, 2], [-1, -1, -1]],         # all corners inside
+])
+_SEGMENT_TABLE = np.array([[-1, -1], [3, 5], [4, 3], [4, 5],
+                           [5, 4], [3, 4], [5, 3], [-1, -1]])
+
+
+def _gather(points: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """points[e, index[e]] for every element e whose index row is not -1."""
+    rows = np.flatnonzero(index[:, 0] >= 0)
+    return points[rows[:, None], index[rows]]
+
+
+def _element_clip(points: np.ndarray, inside: np.ndarray):
+    """Cap triangles (T,3,2) and oriented iso-segments (S,2,2) of a region.
+
+    `points` (M,6,2) holds each element's corners and the crossings on its
+    cut edges (see _CAP_TABLE); `inside` (M,3) flags the corners in the
+    region.  Caps with a repeated vertex are dropped; they have no area, and
+    their edges would be used twice more than the solid needs.
+    """
+    case = inside.astype(int) @ np.array([1, 2, 4])
+    caps = np.concatenate([_gather(points, _CAP_TABLE[case, k]) for k in range(2)])
+    a, b, c = caps[:, 0], caps[:, 1], caps[:, 2]
+    caps = caps[~((a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1))]
+    return caps, _gather(points, _SEGMENT_TABLE[case])
+
+
+def _link(segs: list) -> tuple:
+    """Link directed segments ((x,y),(x,y)) into closed loops."""
+    # opposite directed pairs bound a zero-area sliver: cancel them
+    counts: dict = {}
+    for s in segs:
+        counts[s] = counts.get(s, 0) + 1
+    cleaned = []
+    for s in segs:
+        rev = (s[1], s[0])
+        if counts.get(rev, 0) > 0 and counts[s] > 0:
+            counts[rev] -= 1
+            counts[s] -= 1
+            continue
+        if counts[s] > 0:
+            cleaned.append(s)
+    segs = cleaned
+    start_map: dict = {}
+    for idx, (p, q) in enumerate(segs):
+        start_map.setdefault(p, []).append(idx)
+    used = [False] * len(segs)
+    loops = []
+    order = sorted(range(len(segs)), key=lambda i: segs[i][0])
+    for first in order:
+        if used[first]:
+            continue
+        loop = [segs[first][0]]
+        cur = first
+        used[first] = True
+        guard = 0
+        while True:
+            candidates = [i for i in start_map.get(segs[cur][1], []) if not used[i]]
+            if not candidates:
+                break  # loop closed (end meets the first start) or defect
+            loop.append(segs[cur][1])
+            cur = candidates[0]
+            used[cur] = True
+            guard += 1
+            if guard > len(segs) + 1:
+                raise GeometryError("contour linking did not terminate")
+        if len(loop) >= 3:
+            loops.append(np.array(loop))
+    return tuple(loops)
 
 
 def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygonSet:
-    """Marching-triangles iso-contour of the P1 field, linked into closed loops.
+    """Marching-triangles iso-contour of the P1 field.
 
-    Nodes exactly on the threshold are nudged infinitesimally above it, which
-    keeps the topology deterministic and the crossing points well defined.
+    Each region's caps are its mesh elements clipped against the iso-line;
+    its loops link the clipped iso-segments and the boundary pieces inside
+    it.  Nodes exactly on the threshold are nudged infinitesimally above it,
+    which keeps the topology deterministic and the crossing points well
+    defined.  Every point is snapped to float32.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
     v = np.asarray(chi, dtype=float).copy()
     eps = 1e-12 * max(1.0, abs(threshold))
     v[v == threshold] = threshold + eps
+    above = v > threshold
 
-    nodes = mesh.nodes
+    el = mesh.elements.astype(np.int64)
+    n = mesh.node_count
+    nxt = np.roll(el, -1, axis=1)               # edge k joins corners k, k+1
+    lo, hi = np.minimum(el, nxt), np.maximum(el, nxt)
+    cut = above[lo] != above[hi]
+    # each cut edge's crossing once, in canonical low->high node order, so
+    # every element and boundary piece on the edge gets the same point
+    edges, which = np.unique(lo[cut] * n + hi[cut], return_inverse=True)
+    a, b = edges // n, edges % n
+    s = (threshold - v[a]) / (v[b] - v[a])
+    crossings = _snap(mesh.nodes[a] + s[:, None] * (mesh.nodes[b] - mesh.nodes[a]))
+    nodes = _snap(mesh.nodes)
+    points = np.full((len(el), 6, 2), np.nan)
+    points[:, :3] = nodes[el]
+    points[:, 3:][cut] = crossings[which]
 
-    def snap(p) -> tuple[float, float]:
-        # the binary STL stores float32: snapping every point to it here makes
-        # the linker merge exactly the points the STL merges, and collapses
-        # eps-offset crossings onto their mesh nodes
-        return (float(np.float32(p[0])), float(np.float32(p[1])))
+    ba, bb = _directed_boundary(mesh).T
+    bcross = np.full((len(ba), 2), np.nan)
+    bcut = above[ba] != above[bb]
+    key = np.minimum(ba, bb) * n + np.maximum(ba, bb)
+    bcross[bcut] = crossings[np.searchsorted(edges, key[bcut])]
 
-    def crossing(n1: int, n2: int) -> tuple[float, float]:
-        # canonical order makes shared-edge points bit-identical across elements
-        if n1 > n2:
-            n1, n2 = n2, n1
-        s = (threshold - v[n1]) / (v[n2] - v[n1])
-        return snap(nodes[n1] + s * (nodes[n2] - nodes[n1]))
-
-    boundary = _directed_boundary(mesh)
-
-    def segments(above: bool):
-        sign = 1.0 if above else -1.0
-        segs = []
-        # interior iso segments, oriented with the selected region on the left
-        for (a, b, c) in mesh.elements:
-            sa, sb, sc = v[a] > threshold, v[b] > threshold, v[c] > threshold
-            if sa == sb == sc:
-                continue
-            if sa != sb and sb != sc:
-                iso = (crossing(a, b), crossing(b, c))
-            elif sb != sc and sc != sa:
-                iso = (crossing(b, c), crossing(c, a))
-            else:
-                iso = (crossing(c, a), crossing(a, b))
-            p, q = np.array(iso[0]), np.array(iso[1])
-            # gradient of the linear field on the element
-            g = v[a] * np.array([-(nodes[c] - nodes[b])[1], (nodes[c] - nodes[b])[0]]) \
-                + v[b] * np.array([-(nodes[a] - nodes[c])[1], (nodes[a] - nodes[c])[0]]) \
-                + v[c] * np.array([-(nodes[b] - nodes[a])[1], (nodes[b] - nodes[a])[0]])
-            d = sign * np.array([g[1], -g[0]])
-            if iso[0] == iso[1]:
-                continue    # crossing pair collapsed onto one point
-            if float((q - p) @ d) >= 0.0:
-                segs.append((iso[0], iso[1]))
-            else:
-                segs.append((iso[1], iso[0]))
+    def region(inside):
+        caps, iso = _element_clip(points, inside[el])
+        ina, inb = inside[ba], inside[bb]
         # boundary pieces where the field is on the selected side
-        for (a, b) in boundary:
-            ina = (v[a] > threshold) == above
-            inb = (v[b] > threshold) == above
-            pa, pb = snap(nodes[a]), snap(nodes[b])
-            if ina and inb:
-                segs.append((pa, pb))
-            elif ina and not inb:
-                segs.append((pa, crossing(a, b)))
-            elif inb and not ina:
-                segs.append((crossing(a, b), pb))
-        return [s for s in segs if s[0] != s[1]]
+        pieces = np.stack([np.where(ina[:, None], nodes[ba], bcross),
+                           np.where(inb[:, None], nodes[bb], bcross)], axis=1)
+        segs = np.concatenate([iso, pieces[ina | inb]])
+        segs = segs[(segs[:, 0] != segs[:, 1]).any(axis=1)]
+        return caps, _link([((x0, y0), (x1, y1))
+                            for x0, y0, x1, y1 in segs.reshape(-1, 4).tolist()])
 
-    def link(segs):
-        # opposite directed pairs bound a zero-area sliver: cancel them
-        counts: dict = {}
-        for s in segs:
-            counts[s] = counts.get(s, 0) + 1
-        cleaned = []
-        for s in segs:
-            rev = (s[1], s[0])
-            if counts.get(rev, 0) > 0 and counts[s] > 0:
-                counts[rev] -= 1
-                counts[s] -= 1
-                continue
-            if counts[s] > 0:
-                cleaned.append(s)
-        segs = cleaned
-        start_map: dict = {}
-        for idx, (p, q) in enumerate(segs):
-            start_map.setdefault(p, []).append(idx)
-        used = [False] * len(segs)
-        loops = []
-        order = sorted(range(len(segs)), key=lambda i: segs[i][0])
-        for first in order:
-            if used[first]:
-                continue
-            loop = [segs[first][0]]
-            cur = first
-            used[first] = True
-            guard = 0
-            while True:
-                candidates = [i for i in start_map.get(segs[cur][1], []) if not used[i]]
-                if not candidates:
-                    break  # loop closed (end meets the first start) or defect
-                loop.append(segs[cur][1])
-                cur = candidates[0]
-                used[cur] = True
-                guard += 1
-                if guard > len(segs) + 1:
-                    raise GeometryError("contour linking did not terminate")
-            if len(loop) >= 3:
-                loops.append(np.array(loop))
-        return tuple(loops)
-
+    caps_above, loops_above = region(above)
+    caps_below, loops_below = region(~above)
     return ContourPolygonSet(threshold=threshold,
-                             loops_above=link(segments(True)),
-                             loops_below=link(segments(False)))
-
-
-# --------------------------------------------------------------------------
-# polygon triangulation (ear clipping with hole bridging)
-# --------------------------------------------------------------------------
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _point_in_triangle_strict(p, a, b, c, eps=1e-12) -> bool:
-    d1 = _cross(a, b, p)
-    d2 = _cross(b, c, p)
-    d3 = _cross(c, a, p)
-    return (d1 > eps and d2 > eps and d3 > eps) or (d1 < -eps and d2 < -eps and d3 < -eps)
-
-
-def _is_simple(poly: np.ndarray) -> bool:
-    n = len(poly)
-    if n < 3:
-        return False
-    p = poly
-    q = np.roll(poly, -1, axis=0)
-    for i in range(n):
-        a, b = p[i], q[i]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = p[j], q[j]
-            d1 = _cross(a, b, c)
-            d2 = _cross(a, b, d)
-            d3 = _cross(c, d, a)
-            d4 = _cross(c, d, b)
-            # proper crossings only: touching at a point (pinched, weakly
-            # simple loops from the contour tracer) is acceptable
-            if d1 * d2 < 0 and d3 * d4 < 0:
-                return False
-    return True
-
-
-def _point_in_polygon(p, poly: np.ndarray) -> bool:
-    x, y = p
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xi = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
-            if x < xi:
-                inside = not inside
-    return inside
-
-
-def _bridge_hole(outer: list, hole: list) -> list:
-    """Merge one CW hole into the CCW outer loop via a mutually visible pair."""
-    # hole vertex of maximum x
-    mi = max(range(len(hole)), key=lambda i: (hole[i][0], hole[i][1]))
-    M = hole[mi]
-    # closest intersection of the +x ray from M with outer edges
-    best_t, best_edge = None, None
-    for i in range(len(outer)):
-        a, b = outer[i], outer[(i + 1) % len(outer)]
-        if (a[1] > M[1]) == (b[1] > M[1]):
-            continue
-        t = a[0] + (M[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-        if t >= M[0] - 1e-12 and (best_t is None or t < best_t):
-            best_t, best_edge = t, i
-    if best_edge is None:
-        raise GeometryError("hole is not inside its outer polygon")
-    I = (best_t, M[1])
-    a, b = outer[best_edge], outer[(best_edge + 1) % len(outer)]
-    pi = best_edge if a[0] > b[0] else (best_edge + 1) % len(outer)
-    P = outer[pi]
-    # prefer a reflex outer vertex inside triangle (M, I, P), closest in angle
-    candidate, best_metric = pi, None
-    for i in range(len(outer)):
-        if i == pi:
-            continue
-        prev, cur, nxt = outer[i - 1], outer[i], outer[(i + 1) % len(outer)]
-        if _cross(prev, cur, nxt) >= 0:
-            continue  # convex
-        if _point_in_triangle_strict(cur, M, I, P) or \
-           _point_in_triangle_strict(cur, M, P, I):
-            dx, dy = cur[0] - M[0], cur[1] - M[1]
-            metric = (abs(dy) / max(np.hypot(dx, dy), 1e-300), dx * dx + dy * dy)
-            if best_metric is None or metric < best_metric:
-                candidate, best_metric = i, metric
-    pi = candidate
-    rotated = hole[mi:] + hole[:mi]
-    return outer[:pi + 1] + [hole[mi]] + rotated[1:] + [hole[mi], outer[pi]] + outer[pi + 1:]
-
-
-def _ear_clip(poly: list) -> list:
-    """Triangulate a (weakly) simple CCW polygon; collinear ears are allowed."""
-    idx = list(range(len(poly)))
-    tris = []
-    stall = 0
-    while len(idx) > 3:
-        n = len(idx)
-        clipped = False
-        for k in range(n):
-            i0, i1, i2 = idx[(k - 1) % n], idx[k], idx[(k + 1) % n]
-            a, b, c = poly[i0], poly[i1], poly[i2]
-            if _cross(a, b, c) < -1e-12:
-                continue  # reflex
-            blocked = False
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                p = poly[j]
-                if (p[0] == a[0] and p[1] == a[1]) or \
-                   (p[0] == b[0] and p[1] == b[1]) or \
-                   (p[0] == c[0] and p[1] == c[1]):
-                    continue  # duplicated bridge vertex
-                if _point_in_triangle_strict(p, a, b, c):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            tris.append((a, b, c))
-            del idx[k]
-            clipped = True
-            break
-        if not clipped:
-            # numerical stall: clip the least-reflex vertex to guarantee progress
-            stall += 1
-            if stall > 2 * len(poly):
-                raise GeometryError("ear clipping failed on degenerate polygon")
-            k = max(range(len(idx)),
-                    key=lambda k: _cross(poly[idx[(k - 1) % len(idx)]],
-                                         poly[idx[k]],
-                                         poly[idx[(k + 1) % len(idx)]]))
-            i0, i1, i2 = idx[(k - 1) % len(idx)], idx[k], idx[(k + 1) % len(idx)]
-            tris.append((poly[i0], poly[i1], poly[i2]))
-            del idx[k]
-    tris.append((poly[idx[0]], poly[idx[1]], poly[idx[2]]))
-    return tris
-
-
-def _triangulate_region(loops) -> list:
-    """Cap triangulation of a region given as CCW outers and CW holes."""
-    outers = []
-    holes = []
-    for loop in loops:
-        pts = [tuple(p) for p in np.asarray(loop, dtype=float)]
-        # drop consecutive duplicates and a duplicated closing point
-        clean = [p for i, p in enumerate(pts) if p != pts[i - 1]]
-        if len(clean) < 3:
-            continue
-        area = _signed_area(np.array(clean))
-        if area > 0:
-            outers.append((area, clean))
-        else:
-            holes.append(clean)
-    tris = []
-    assigned: dict[int, list] = {i: [] for i in range(len(outers))}
-    for hole in holes:
-        inside = [i for i, (area, outer) in enumerate(outers)
-                  if _point_in_polygon(hole[0], np.array(outer))]
-        if not inside:
-            raise GeometryError("hole polygon lies outside every outer polygon")
-        host = min(inside, key=lambda i: outers[i][0])
-        assigned[host].append(hole)
-    for i, (_area, outer) in enumerate(outers):
-        merged = outer
-        for hole in sorted(assigned[i], key=lambda h: -max(p[0] for p in h)):
-            merged = _bridge_hole(merged, hole)
-        tris.extend(_ear_clip(merged))
-    return tris
+                             loops_above=loops_above, loops_below=loops_below,
+                             caps_above=caps_above, caps_below=caps_below)
 
 
 # --------------------------------------------------------------------------
 # STL
 # --------------------------------------------------------------------------
 
-def _loops_of(polygons, side: str):
-    if isinstance(polygons, ContourPolygonSet):
-        return polygons.loops_above if side == "above" else polygons.loops_below
-    return tuple(np.asarray(p, dtype=float) for p in polygons)
+_STL_RECORD = np.dtype([("normal", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
 
 
-def extrude_to_stl(polygons, height: float, path: str, side: str = "above") -> int:
-    """Extrude a polygon set into a watertight binary STL prism.
+def _lift(p: np.ndarray, z: float) -> np.ndarray:
+    return np.concatenate([p, np.full(p.shape[:-1] + (1,), z)], axis=-1)
 
-    `polygons` is a ContourPolygonSet (choose the region via `side`) or a
-    plain list of loops (outers counter-clockwise, holes clockwise).
-    Returns the number of triangles written.
+
+def extrude_to_stl(loops, height: float, path: str, caps) -> int:
+    """Extrude a planar region into a closed binary STL prism.
+
+    `loops` are the region's closed boundary loops, with the region on their
+    left (outers counter-clockwise, holes clockwise); `caps` is a (T,3,2)
+    array of counter-clockwise triangles that tile the region and meet the
+    loops at their vertices.  The caps are written at z = 0 and z = height,
+    the walls along the loops.  Raises GeometryError, before writing, if any
+    edge (keyed by its float32 vertices, as stored) is not used by exactly
+    two triangles.  Returns the number of triangles written.
     """
     if height <= 0:
         raise ValueError(f"extrusion height must be > 0, got {height}")
-    loops = _loops_of(polygons, side)
-    if not loops:
+    if not len(loops):
         raise GeometryError("no polygons to extrude")
+    caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
+    starts = []
     for loop in loops:
-        arr = np.asarray(loop, dtype=float)
-        dedup = arr[np.any(arr != np.roll(arr, 1, axis=0), axis=1)]
-        if len(dedup) >= 3 and not _is_simple(dedup):
-            raise GeometryError("self-intersecting polygon")
-
-    caps = _triangulate_region(loops)
-    tris = []
-    for (a, b, c) in caps:
-        # top cap (z = height, normal +z) and mirrored bottom cap (normal -z)
-        tris.append(((a[0], a[1], height), (b[0], b[1], height), (c[0], c[1], height)))
-        tris.append(((a[0], a[1], 0.0), (c[0], c[1], 0.0), (b[0], b[1], 0.0)))
-    for loop in loops:
-        pts = [tuple(p) for p in np.asarray(loop, dtype=float)]
-        pts = [p for i, p in enumerate(pts) if p != pts[i - 1]]
-        for i in range(len(pts)):
-            a = pts[i]
-            b = pts[(i + 1) % len(pts)]
-            a0, b0 = (a[0], a[1], 0.0), (b[0], b[1], 0.0)
-            a1, b1 = (a[0], a[1], height), (b[0], b[1], height)
-            # region lies left of a->b, so these wind outward
-            tris.append((a0, b0, b1))
-            tris.append((a0, b1, a1))
-
+        p = np.asarray(loop, dtype=float)
+        starts.append(p[(p != np.roll(p, 1, axis=0)).any(axis=1)])
+    a = np.concatenate(starts)
+    b = np.concatenate([np.roll(p, -1, axis=0) for p in starts])
+    a0, a1, b0, b1 = _lift(a, 0.0), _lift(a, height), _lift(b, 0.0), _lift(b, height)
+    # top cap (normal +z), mirrored bottom cap (normal -z); the region lies
+    # left of each wall edge a -> b, so the walls wind outward
+    tris = np.concatenate([_lift(caps, height), _lift(caps[:, ::-1], 0.0),
+                           np.stack([a0, b0, b1], axis=1),
+                           np.stack([a0, b1, a1], axis=1)])
+    records = np.zeros(len(tris), dtype=_STL_RECORD)
+    records["v"] = tris
+    uses = _edge_uses(records["v"])[2]
+    if np.any(uses != 2):
+        raise GeometryError(f"extruded solid is not closed: {np.count_nonzero(uses != 2)} "
+                            f"of {len(uses)} edges are not used by exactly two triangles")
+    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    norm = np.linalg.norm(normals, axis=1, keepdims=True)
+    records["normal"] = np.divide(normals, norm, out=np.zeros_like(normals),
+                                  where=norm > 0)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<80s", b"gradtopo extruded design"))
-        fh.write(struct.pack("<I", len(tris)))
-        for (p0, p1, p2) in tris:
-            n = np.cross(np.subtract(p1, p0), np.subtract(p2, p0))
-            norm = np.linalg.norm(n)
-            n = n / norm if norm > 0 else np.zeros(3)
-            fh.write(struct.pack("<12fH", *n, *p0, *p1, *p2, 0))
+        fh.write(struct.pack("<80sI", b"gradtopo extruded design", len(tris)))
+        fh.write(records.tobytes())
     return len(tris)
 
 
@@ -530,34 +398,44 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
         # about 0.5 so the split is one threshold_contour at 0.5
         g = np.minimum(phi - 0.5, level)
         field = 0.5 + g / (4.0 * max(float(np.abs(g).max()), 1e-30))
-        loops = threshold_contour(field, mesh, 0.5).loops_above
-        if loops:
+        contour = threshold_contour(field, mesh, 0.5)
+        if contour.loops_above:
             path = os.path.join(outdir, f"{name}.stl")
-            written.append((path, extrude_to_stl(loops, height, path)))
+            written.append((path, extrude_to_stl(contour.loops_above, height, path,
+                                                 contour.caps_above)))
     return written
 
 
 def read_stl(path: str) -> np.ndarray:
     """Read a binary STL into an (N,3,3) float array of triangles."""
     with open(path, "rb") as fh:
-        fh.read(80)
-        (count,) = struct.unpack("<I", fh.read(4))
-        tris = np.empty((count, 3, 3))
-        for i in range(count):
-            rec = struct.unpack("<12fH", fh.read(50))
-            tris[i] = np.array(rec[3:12]).reshape(3, 3)
-    return tris
+        data = fh.read()
+    count = struct.unpack_from("<I", data, 80)[0] if len(data) >= 84 else -1
+    if len(data) != 84 + _STL_RECORD.itemsize * count:
+        raise ValueError(f"{path}: not a binary STL ({len(data)} bytes)")
+    return np.frombuffer(data, _STL_RECORD, count, 84)["v"].astype(float)
+
+
+def _edge_uses(tris: np.ndarray):
+    """Vertices, undirected edges (vertex index pairs) and edge use counts of
+    a triangle soup, with vertices keyed by their float32 coordinates, as a
+    binary STL stores them."""
+    v = np.asarray(tris, dtype=np.float32).reshape(-1, 3) + np.float32(0.0)  # -0 -> +0
+    verts, ids = np.unique(v.view(np.dtype((np.void, 12))).ravel(), return_inverse=True)
+    ids = ids.reshape(-1, 3)
+    nxt = np.roll(ids, -1, axis=1)
+    keys, uses = np.unique(np.minimum(ids, nxt) * len(verts) + np.maximum(ids, nxt),
+                           return_counts=True)
+    edges = np.stack(np.divmod(keys, len(verts)), axis=1)
+    return verts.view(np.float32).reshape(-1, 3), edges, uses
 
 
 def stl_edge_use_counts(tris: np.ndarray) -> dict:
-    """Undirected edge -> use count (2 everywhere for a watertight mesh)."""
-    counts: dict = {}
-    for tri in tris:
-        verts = [tuple(v) for v in tri]
-        for i in range(3):
-            e = tuple(sorted((verts[i], verts[(i + 1) % 3])))
-            counts[e] = counts.get(e, 0) + 1
-    return counts
+    """Undirected edge (its two end vertices) -> use count (2 everywhere for a
+    closed mesh)."""
+    verts, edges, uses = _edge_uses(np.asarray(tris))
+    verts = [tuple(p) for p in verts.tolist()]
+    return {(verts[i], verts[j]): u for (i, j), u in zip(edges.tolist(), uses.tolist())}
 
 
 def stl_volume(tris: np.ndarray) -> float:

@@ -154,7 +154,11 @@ class Optimizer:
             else:
                 A_chi = (gc / tau_c) * self.M_raw + cfg.kappa2 * gc * self.K_raw
             solve_phi = fem.factor_spd(A_phi).solve
-            solve_chi = fem.factor_spd(A_chi).solve
+            # only the clamp update of a two-material run solves with A_chi;
+            # the obstacle solver works on its sub-blocks
+            solve_chi = None
+            if cfg.chi_solver == "clamp" and not self.single_material:
+                solve_chi = fem.factor_spd(A_chi).solve
             # A_phi^-1 of the volume row, reused by every saddle solve
             self._phase_factor_cache[tau] = (A_chi, solve_phi, solve_chi,
                                              solve_phi(self.weights))

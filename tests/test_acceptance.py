@@ -247,7 +247,7 @@ def test_final_design_stl_watertight(bench, tmp_path):
     contour = export.threshold_contour(state.phi, opt.mesh, 0.5)
     assert contour.loops_above
     path = str(tmp_path / "design.stl")
-    export.extrude_to_stl(contour.loops_above, 10.0, path)
+    export.extrude_to_stl(contour.loops_above, 10.0, path, contour.caps_above)
     tris = export.read_stl(path)
     counts = export.stl_edge_use_counts(tris)
     assert counts and all(c == 2 for c in counts.values())
@@ -259,7 +259,12 @@ def test_prism_volume_analytic(tmp_path):
     hole = np.array([[2.0, 2.0], [2.0, 6.0], [6.0, 6.0], [6.0, 2.0]])  # CW
     height = 3.0
     path = str(tmp_path / "plate.stl")
-    export.extrude_to_stl([outer, hole], height, path)
+    # the frame between the outer square and the hole, as CCW triangles
+    caps = [((0, 0), (10, 0), (6, 2)), ((0, 0), (6, 2), (2, 2)),
+            ((10, 0), (10, 10), (6, 6)), ((10, 0), (6, 6), (6, 2)),
+            ((10, 10), (0, 10), (2, 6)), ((10, 10), (2, 6), (6, 6)),
+            ((0, 10), (0, 0), (2, 2)), ((0, 10), (2, 2), (2, 6))]
+    export.extrude_to_stl([outer, hole], height, path, caps)
     tris = export.read_stl(path)
     counts = export.stl_edge_use_counts(tris)
     assert all(c == 2 for c in counts.values())

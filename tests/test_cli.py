@@ -135,6 +135,17 @@ def test_sweep_table(tmp_path, capsys):
             assert os.path.exists(os.path.join(out, variant, name))
 
 
+def test_sweep_exit_code_on_failed_variant(tmp_path, capsys):
+    table = str(tmp_path / "table.csv")
+    code = main(["sweep", "optimizer.kappa2=-1,-2", *TINY,
+                 "--out", str(tmp_path / "sweep"), "--table", table])
+    assert code == EXIT_ERROR
+    # the whole table is still printed and written
+    assert capsys.readouterr().out.count("ERROR") == 2
+    rows = open(table).read().splitlines()
+    assert len(rows) == 3 and all(r.endswith(",ERROR") for r in rows[1:])
+
+
 def test_sweep_bad_spec(capsys):
     assert main(["sweep", "kappa2"]) == EXIT_ERROR
     assert "sweep spec" in capsys.readouterr().err

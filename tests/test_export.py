@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradtopo import export
 from gradtopo.config import cantilever_config
@@ -78,6 +80,14 @@ def test_contour_areas_partition_domain():
     assert cps.area_above > 0 and cps.area_below > 0
 
 
+def test_contour_areas_cover_mesh_with_nodes_on_threshold():
+    # two nodes sit exactly on the threshold, so crossings collapse onto them
+    mesh = make_mesh(2, 2)
+    chi = np.array([0.5, 0.75, 1.0, 0.75, 0.0, 0.0, 0.5, 0.0, 0.75])
+    cps = export.threshold_contour(chi, mesh, 0.5)
+    assert cps.area_above + cps.area_below == pytest.approx(mesh.area, rel=1e-12)
+
+
 def test_contour_island_and_hole():
     mesh = make_mesh(30, 15)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -133,7 +143,8 @@ def check_watertight(tris):
 def test_extrude_rectangle(tmp_path):
     loop = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
     path = str(tmp_path / "box.stl")
-    n = export.extrude_to_stl([loop], 3.0, path)
+    caps = [loop[[0, 1, 2]], loop[[0, 2, 3]]]
+    n = export.extrude_to_stl([loop], 3.0, path, caps)
     tris = export.read_stl(path)
     assert len(tris) == n == 12     # 2+2 caps, 4 sides x 2
     check_watertight(tris)
@@ -144,7 +155,13 @@ def test_extrude_with_hole(tmp_path):
     outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
     hole = np.array([[4.0, 4.0], [4.0, 6.0], [6.0, 6.0], [6.0, 4.0]])  # CW
     path = str(tmp_path / "frame.stl")
-    export.extrude_to_stl([outer, hole], 2.0, path)
+    # the frame as CCW triangles, two per trapezoid between an outer edge
+    # and the hole edge facing it
+    caps = [((0, 0), (10, 0), (6, 4)), ((0, 0), (6, 4), (4, 4)),
+            ((10, 0), (10, 10), (6, 6)), ((10, 0), (6, 6), (6, 4)),
+            ((10, 10), (0, 10), (4, 6)), ((10, 10), (4, 6), (6, 6)),
+            ((0, 10), (0, 0), (4, 4)), ((0, 10), (4, 4), (4, 6))]
+    export.extrude_to_stl([outer, hole], 2.0, path, caps)
     tris = export.read_stl(path)
     check_watertight(tris)
     assert export.stl_volume(tris) == pytest.approx((100.0 - 4.0) * 2.0, rel=1e-6)
@@ -155,8 +172,8 @@ def test_extrude_contour_polygon_set(tmp_path):
     chi = mesh.nodes[:, 0] / 200.0
     cps = export.threshold_contour(chi, mesh, 0.5)
     pa, pb = str(tmp_path / "above.stl"), str(tmp_path / "below.stl")
-    export.extrude_to_stl(cps, 5.0, pa, side="above")
-    export.extrude_to_stl(cps, 5.0, pb, side="below")
+    export.extrude_to_stl(cps.loops_above, 5.0, pa, cps.caps_above)
+    export.extrude_to_stl(cps.loops_below, 5.0, pb, cps.caps_below)
     ta, tb = export.read_stl(pa), export.read_stl(pb)
     check_watertight(ta)
     check_watertight(tb)
@@ -170,31 +187,34 @@ def test_extrude_nontrivial_contour_watertight(tmp_path):
     chi = 0.5 + 0.45 * np.sin(x / 23.0) * np.cos(y / 11.0)
     cps = export.threshold_contour(chi, mesh, 0.5)
     path = str(tmp_path / "blob.stl")
-    export.extrude_to_stl(cps, 7.5, path, side="above")
+    export.extrude_to_stl(cps.loops_above, 7.5, path, cps.caps_above)
     tris = export.read_stl(path)
     check_watertight(tris)
     assert export.stl_volume(tris) == pytest.approx(cps.area_above * 7.5, rel=1e-6)
 
 
-def test_extrude_rejects_self_intersection(tmp_path):
-    bowtie = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(export.GeometryError, match="self-intersecting"):
-        export.extrude_to_stl([bowtie], 1.0, str(tmp_path / "x.stl"))
+def test_extrude_rejects_open_solid(tmp_path):
+    # one cap triangle of two leaves the prism open along the diagonal
+    loop = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
+    path = tmp_path / "x.stl"
+    with pytest.raises(export.GeometryError, match="not closed"):
+        export.extrude_to_stl([loop], 1.0, str(path), [loop[[0, 1, 2]]])
+    assert not path.exists()
 
 
 def test_extrude_rejects_bad_height_and_empty(tmp_path):
     loop = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="height"):
-        export.extrude_to_stl([loop], 0.0, str(tmp_path / "x.stl"))
+        export.extrude_to_stl([loop], 0.0, str(tmp_path / "x.stl"), [loop])
     with pytest.raises(export.GeometryError, match="no polygons"):
-        export.extrude_to_stl([], 1.0, str(tmp_path / "x.stl"))
+        export.extrude_to_stl([], 1.0, str(tmp_path / "x.stl"), [])
 
 
 def test_stl_volume_sign_convention(tmp_path):
     # inverted (CW) loop would self-report as a hole; a lone triangle prism
     loop = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
     path = str(tmp_path / "tri.stl")
-    export.extrude_to_stl([loop], 1.0, path)
+    export.extrude_to_stl([loop], 1.0, path, [loop])
     tris = export.read_stl(path)
     assert export.stl_volume(tris) == pytest.approx(18.0, rel=1e-6)
     assert export.stl_volume(tris[:, ::-1, :]) == pytest.approx(-18.0, rel=1e-6)
@@ -211,7 +231,8 @@ def test_contour_merges_points_within_float32_resolution(tmp_path):
     cps = export.threshold_contour(chi, mesh, 0.5)
     for side, area in (("above", cps.area_above), ("below", cps.area_below)):
         path = str(tmp_path / f"{side}.stl")
-        export.extrude_to_stl(cps, 5.0, path, side=side)
+        export.extrude_to_stl(getattr(cps, f"loops_{side}"), 5.0, path,
+                              getattr(cps, f"caps_{side}"))
         tris = export.read_stl(path)
         check_watertight(tris)
         assert export.stl_volume(tris) == pytest.approx(area * 5.0, rel=1e-6)
@@ -239,3 +260,29 @@ def test_split_to_stl_parts(tmp_path):
     # threshold <= 0: the whole material region in above.stl
     whole = export.split_to_stl(phi, chi, mesh, 0.0, 2.0, str(tmp_path))
     assert [os.path.basename(p) for p, _ in whole] == ["above.stl"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(nx=st.integers(3, 24), ny=st.integers(2, 14), seed=st.integers(0, 2**32 - 1))
+def test_contour_stls_closed_on_random_fields(tmp_path_factory, nx, ny, seed):
+    mesh = make_mesh(nx, ny)
+    chi = np.random.default_rng(seed).random(mesh.node_count)
+    cps = export.threshold_contour(chi, mesh, 0.5)
+    assert cps.area_above + cps.area_below == pytest.approx(mesh.area, rel=1e-9)
+    tmp = tmp_path_factory.mktemp("stl")
+    for side in ("above", "below"):
+        loops = getattr(cps, f"loops_{side}")
+        if not loops:
+            continue
+        caps = getattr(cps, f"caps_{side}")
+        area = getattr(cps, f"area_{side}")
+        # the caps tile the region: none is clockwise, and they add up to it
+        d1, d2 = caps[:, 1] - caps[:, 0], caps[:, 2] - caps[:, 0]
+        cap_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        assert np.all(cap_areas >= 0.0)
+        assert cap_areas.sum() == pytest.approx(area, rel=1e-9)
+        path = str(tmp / f"{side}.stl")
+        export.extrude_to_stl(loops, 3.0, path, caps)
+        tris = export.read_stl(path)
+        check_watertight(tris)
+        assert export.stl_volume(tris) == pytest.approx(area * 3.0, rel=1e-6)

@@ -166,6 +166,20 @@ def test_obstacle_solve_satisfies_kkt():
         opt._solve_obstacle(A_chi, rhs, lower, upper, x0, max_cycles=1)
 
 
+@pytest.mark.parametrize("kw, factorizations", [
+    ({}, 2),                            # A_phi and A_chi
+    (dict(chi_solver="obstacle"), 1),   # solves its own sub-blocks
+    (dict(beta=1.0), 1),                # chi never updates
+])
+def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
+                                                       factorizations):
+    calls = []
+    factor = fem.factor_spd
+    monkeypatch.setattr(fem, "factor_spd", lambda A: calls.append(A) or factor(A))
+    Optimizer(small_config(**kw))
+    assert len(calls) == factorizations
+
+
 def test_obstacle_run_keeps_chi_between_bounds():
     cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=5, chi_solver="obstacle")
     state, history = run(cfg)
