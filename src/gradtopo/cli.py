@@ -10,6 +10,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -54,6 +55,7 @@ def _apply_overrides(config, args):
 
 
 def _execute(config) -> int:
+    t0 = time.perf_counter()
     os.makedirs(config.output_dir, exist_ok=True)
     opt = Optimizer(config)
 
@@ -66,10 +68,13 @@ def _execute(config) -> int:
     state, history = opt.run(callback=progress)
     export.write_run(config, state, history, opt.mesh)
     vm_max = float(stress.von_mises(state.sigma).max(initial=0.0))
+    # iterations over the loop's wall time (set-up and export excluded)
+    iters_per_s = state.iter / history[-1].wall_time
     print(f"converged={'yes' if state.converged else 'no'} "
           f"iterations={state.iter} compliance={state.compliance:.6g} "
           f"m_chi={state.m_chi:.6g} objective={state.objective:.6g} "
-          f"max_von_mises={vm_max:.6g}")
+          f"max_von_mises={vm_max:.6g} wall_s={time.perf_counter() - t0:.3f} "
+          f"iters_per_s={iters_per_s:.3g}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
 
 

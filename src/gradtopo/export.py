@@ -57,20 +57,23 @@ def write_fields(state, mesh, path: str) -> None:
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.node_count} double\n")
-        for x, y in mesh.nodes:
-            fh.write(f"{x:.9g} {y:.9g} 0\n")
+        fh.write(_rows("%.9g %.9g 0\n", mesh.nodes))
         fh.write(f"CELLS {mesh.element_count} {4 * mesh.element_count}\n")
-        for a, b, c in mesh.elements:
-            fh.write(f"3 {a} {b} {c}\n")
+        fh.write(_rows("3 %d %d %d\n", mesh.elements))
         fh.write(f"CELL_TYPES {mesh.element_count}\n")
         fh.write("5\n" * mesh.element_count)
         fh.write(f"POINT_DATA {mesh.node_count}\n")
         for name, data in (("phi", phi), ("chi", chi), ("u_mag", u_mag)):
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(f"{v:.9g}" for v in data) + "\n")
+            fh.write(_rows("%.9g\n", data))
         fh.write(f"CELL_DATA {mesh.element_count}\n")
         fh.write("SCALARS von_mises double 1\nLOOKUP_TABLE default\n")
-        fh.write("\n".join(f"{v:.9g}" for v in vm) + "\n")
+        fh.write(_rows("%.9g\n", vm))
+
+
+def _rows(fmt: str, a: np.ndarray) -> str:
+    """One `fmt` line per row of `a`, formatted in one % operation."""
+    return (fmt * len(a)) % tuple(a.ravel().tolist())
 
 
 def read_vtk_fields(path: str) -> dict:

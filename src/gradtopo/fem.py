@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 __all__ = [
     "SolverError",
@@ -19,13 +19,15 @@ __all__ = [
     "element_stiffness_factor",
     "strain_operator",
     "assemble_elastic_stiffness",
+    "band_order",
     "ElasticOperator",
     "assemble_load",
     "assemble_body_coupling",
     "assemble_scalar_mass",
     "assemble_scalar_stiffness",
     "lumped_weights",
-    "factor_spd",
+    "lower_band",
+    "BandCholesky",
     "solve_saddle",
     "compute_element_stress",
     "DirichletSystem",
@@ -125,15 +127,24 @@ def assemble_elastic_stiffness(mesh, material, phi: np.ndarray,
     return K
 
 
+def band_order(mesh) -> np.ndarray:
+    """Node indices along the mesh's short side first (x-major when nx >= ny),
+    so two nodes of one element are at most min(nx, ny) + 2 positions apart."""
+    x, y = mesh.nodes.T
+    if len(np.unique(x)) >= len(np.unique(y)):
+        return np.lexsort((y, x))
+    return np.lexsort((x, y))
+
+
 class ElasticOperator:
     """The elastic system in scalar-factor form, built once per mesh.
 
     K(phi,chi) = s(phi_e,chi_e) K_A on every element, so the reduced stiffness
-    is sum_e s_e K_e^A on the free dofs.  Its CSR pattern (2x2 dof blocks of
-    free node pairs that share an element) and the scatter from the element
-    factors s to the stored entries are fixed: each iterate assembles with one
-    sparse matvec, data = scatter @ s.
+    is sum_e s_e K_e^A on the free dofs.  Numbered in band_order, it has a
+    fixed half-bandwidth kd and a fixed scatter from the element factors s to
+    its lower band: each iterate assembles with one sparse matvec.
 
+    order           : band row k holds the reduced dof order[k] (bc.free order)
     strain_matrix   : (3M x 2N) strain operator (see strain_operator)
     node_incidence  : (N x M) element->node incidence; node_incidence @ x sums
                       the element values x_e onto the element's three nodes
@@ -146,49 +157,31 @@ class ElasticOperator:
         self.node_incidence = sp.csc_matrix(
             (np.ones(3 * M), el.ravel(), np.arange(0, 3 * M + 1, 3)), shape=(N, M))
 
-        # DirichletSystem clamps whole nodes, so the free dofs are the pairs
-        # (2n, 2n+1) of the free nodes; rank numbers the free nodes in order
-        free_nodes = bc.free[0::2] // 2
-        nf = len(free_nodes)
-        rank = np.full(N, -1)
-        rank[free_nodes] = np.arange(nf)
-        r = rank[el]
-        a = np.repeat(r, 3, axis=1).ravel()          # element node pairs (e,i,j)
-        b = np.tile(r, (1, 3)).ravel()
-        keep = (a >= 0) & (b >= 0)
-        keys, block = np.unique(a[keep] * nf + b[keep], return_inverse=True)
-        block_row, block_col = np.divmod(keys, nf)
-        degree = np.bincount(block_row, minlength=nf)
-        first = np.concatenate([[0], np.cumsum(degree)])    # first block of a row
-        # the entry (2r+c, 2s+d) of block k = (r,s) is stored at
-        # 4*first[r] + 2*c*degree[r] + 2*(k - first[r]) + d
-        row_start = 4 * first[block_row] + 2 * (np.arange(len(keys)) - first[block_row])
-        c = np.array([0, 0, 1, 1])
-        d = np.array([0, 1, 0, 1])
-        pos = row_start[:, None] + 2 * c * degree[block_row][:, None] + d
-        self.n = 2 * nf
-        self.indptr = np.empty(self.n + 1, dtype=np.int32)
-        self.indptr[0::2] = 4 * first
-        self.indptr[1::2] = 4 * first[:-1] + 2 * degree
-        self.indices = np.empty(4 * len(keys), dtype=np.int32)
-        self.indices[pos] = 2 * block_col[:, None] + d
+        # the free dofs in band order; dof_rank is each one's band row
+        dofs = (2 * band_order(mesh)[:, None] + [0, 1]).ravel()
+        dofs = dofs[np.isin(dofs, bc.free)]
+        self.n = len(dofs)
+        self.order = np.searchsorted(bc.free, dofs)
+        dof_rank = np.full(2 * N, -1)
+        dof_rank[dofs] = np.arange(self.n)
 
-        # local entries (2i+c, 2j+d) of every kept pair (e,i,j) -> stored entry
-        Ke = _unit_element_stiffness(mesh, K_A).reshape(9 * M, 4)
-        # built as its (M x nnz) transpose, whose rows are the elements in order
-        per_element = 4 * keep.reshape(M, 9).sum(axis=1)
+        # local entry (k, l) of element e is band entry (p, q) = ranks of its dofs
+        r = dof_rank[_element_dofs(mesh)]
+        p, q = np.repeat(r, 6, axis=1).ravel(), np.tile(r, (1, 6)).ravel()
+        free_pair = (p >= 0) & (q >= 0)
+        self.kd = int((p - q)[free_pair].max())
+        keep = free_pair & (p >= q)
+        Ke = _unit_element_stiffness(mesh, K_A).transpose(0, 1, 3, 2, 4).ravel()
+        # built as its (M x band size) transpose, whose rows are the elements
         self.scatter = sp.csr_matrix(
-            (Ke[keep].ravel(), pos[block].ravel(),
-             np.concatenate([[0], np.cumsum(per_element)])),
-            shape=(M, len(self.indices))).T
+            (Ke[keep], (p - q + (self.kd + 1) * q)[keep],
+             np.concatenate([[0], np.cumsum(keep.reshape(M, 36).sum(axis=1))])),
+            shape=(M, (self.kd + 1) * self.n)).T
 
-    def stiffness(self, s: np.ndarray) -> sp.csc_matrix:
-        """Reduced stiffness sum_e s_e K_e^A on the free dofs.
-
-        The matrix is symmetric, so its CSR arrays are also its CSC arrays.
-        """
-        return sp.csc_matrix((self.scatter @ s, self.indices, self.indptr),
-                             shape=(self.n, self.n))
+    def stiffness(self, s: np.ndarray) -> np.ndarray:
+        """Lower band ab[i - j, j] = K_red[order[i], order[j]] of the reduced
+        stiffness sum_e s_e K_e^A, a fresh (kd+1, n) array for BandCholesky."""
+        return (self.scatter @ s).reshape(self.n, self.kd + 1).T
 
     def strains(self, u: np.ndarray) -> np.ndarray:
         """(M,3) Voigt strains B_e u_e."""
@@ -198,56 +191,45 @@ class ElasticOperator:
 def _traction_edge_contributions(mesh, config):
     """Exact integration of the traction over the clipped Neumann edges.
 
-    Yields (node, weight) pairs such that the load at a node is weight * g;
-    sum of weights equals the covered segment length.
+    Returns (nodes, weights) such that the load at nodes[k] is weights[k] * g;
+    the weights sum to the covered segment length.
     """
     half = config.traction_length_eff / 2.0
     lo = config.traction_center_eff - half
     hi = config.traction_center_eff + half
-    out = []
-    for n1, n2 in mesh.neumann_edges():
-        p1, p2 = mesh.nodes[n1], mesh.nodes[n2]
-        L = float(np.hypot(*(p2 - p1)))
-        # right-edge edges are vertical; clip by y, expressed in the edge parameter
-        y1, y2 = p1[1], p2[1]
-        ylo, yhi = min(y1, y2), max(y1, y2)
-        c0 = max(ylo, lo)
-        c1 = min(yhi, hi)
-        if c1 <= c0:
-            continue
-        if y2 >= y1:
-            s0, s1 = (c0 - y1) / (y2 - y1), (c1 - y1) / (y2 - y1)
-        else:
-            s0, s1 = (c1 - y1) / (y2 - y1), (c0 - y1) / (y2 - y1)
-            s0, s1 = min(s0, s1), max(s0, s1)
-        # int of (1-s) and s over [s0,s1], scaled by edge length
-        w1 = L * ((s1 - s0) - 0.5 * (s1 ** 2 - s0 ** 2))
-        w2 = L * 0.5 * (s1 ** 2 - s0 ** 2)
-        out.append((n1, w1))
-        out.append((n2, w2))
-    return out
+    edges = np.array(mesh.neumann_edges(), dtype=int).reshape(-1, 2)
+    p1, p2 = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
+    L = np.hypot(*(p2 - p1).T)
+    # right-edge edges are vertical; clip by y, expressed in the edge parameter
+    y1, y2 = p1[:, 1], p2[:, 1]
+    c0 = np.maximum(np.minimum(y1, y2), lo)
+    c1 = np.minimum(np.maximum(y1, y2), hi)
+    cut = c1 > c0
+    sa, sb = (c0 - y1) / (y2 - y1), (c1 - y1) / (y2 - y1)
+    s0, s1 = np.minimum(sa, sb)[cut], np.maximum(sa, sb)[cut]
+    # int of (1-s) and s over [s0,s1], scaled by edge length
+    w1 = L[cut] * ((s1 - s0) - 0.5 * (s1 ** 2 - s0 ** 2))
+    w2 = L[cut] * 0.5 * (s1 ** 2 - s0 ** 2)
+    return edges[cut].ravel(), np.column_stack([w1, w2]).ravel()
 
 
 def assemble_load(mesh, config, phi: np.ndarray) -> np.ndarray:
     """Traction plus phi-weighted body-force load vector [N]."""
-    contributions = _traction_edge_contributions(mesh, config)
-    if config.traction_length_eff <= 0 or (not contributions and any(config.traction)):
+    nodes, w = _traction_edge_contributions(mesh, config)
+    if config.traction_length_eff <= 0 or (len(nodes) == 0 and any(config.traction)):
         raise ValueError("traction segment has zero length or covers no boundary edge")
-    f = np.zeros(2 * mesh.node_count)
-    gx, gy = config.traction
-    for node, w in contributions:
-        f[2 * node] += w * gx
-        f[2 * node + 1] += w * gy
+    # every traction pair, then every element corner in order: one bincount
+    # adds each dof's terms in that order
+    dofs, loads = [2 * nodes, 2 * nodes + 1], [w * config.traction[0],
+                                               w * config.traction[1]]
     bx, by = config.body_force
     if bx != 0.0 or by != 0.0:
-        body = np.array([bx, by])
-        phi_e = element_averages(mesh, phi)
-        share = (mesh.element_areas * phi_e) / 3.0     # one-point rule
-        for i in range(3):
-            nodes = mesh.elements[:, i]
-            np.add.at(f, 2 * nodes, share * body[0])
-            np.add.at(f, 2 * nodes + 1, share * body[1])
-    return f
+        corners = mesh.elements.T.ravel()
+        share = np.tile(mesh.element_areas * element_averages(mesh, phi) / 3.0, 3)
+        dofs += [2 * corners, 2 * corners + 1]      # one-point rule
+        loads += [share * bx, share * by]
+    return np.bincount(np.concatenate(dofs), np.concatenate(loads),
+                       minlength=2 * mesh.node_count)
 
 
 def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
@@ -298,26 +280,43 @@ def assemble_scalar_stiffness(mesh, coeff: float = 1.0) -> sp.csr_matrix:
 
 def lumped_weights(mesh) -> np.ndarray:
     """Nodal quadrature weights w_i = int N_i = third of the adjacent areas."""
-    w = np.zeros(mesh.node_count)
-    share = mesh.element_areas / 3.0
-    for i in range(3):
-        np.add.at(w, mesh.elements[:, i], share)
-    return w
+    return np.bincount(mesh.elements.T.ravel(),
+                       np.tile(mesh.element_areas / 3.0, 3), mesh.node_count)
 
 
-def factor_spd(A) -> spla.SuperLU:
-    """Sparse LU factor of an SPD matrix; `.solve` applies A^-1.
+def lower_band(A, order: np.ndarray) -> np.ndarray:
+    """Lower band ab[i - j, j] = A[order[i], order[j]] of a symmetric sparse
+    matrix, (kd+1, n) in Fortran order for its half-bandwidth kd."""
+    A = sp.coo_matrix(A)
+    A.sum_duplicates()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    i, j = rank[A.row], rank[A.col]
+    low = i >= j
+    ab = np.zeros((int((i - j).max()) + 1, A.shape[0]), order="F")
+    ab[i[low] - j[low], j[low]] = A.data[low]
+    return ab
 
-    An SPD matrix needs no pivoting, so SuperLU runs in symmetric mode:
-    minimum-degree ordering of A^T + A and diagonal pivots, which gives
-    about half the fill of the default unsymmetric COLAMD ordering.
+
+class BandCholesky:
+    """LAPACK banded Cholesky factor of an SPD matrix A; `.solve` applies A^-1.
+
+    `ab` is the lower band of A in the row order `order` (see lower_band), and
+    is factored in place.  A matrix that is not positive definite raises.
     """
-    try:
-        return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+
+    def __init__(self, ab: np.ndarray, order: np.ndarray):
+        self._factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"banded Cholesky factorization failed: "
+                              f"info={info} (not positive definite)")
+        self._order = order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y, _ = lapack.dpbtrs(self._factor, b[self._order], lower=1)
+        x = np.empty_like(y)
+        x[self._order] = y
+        return x
 
 
 def solve_saddle(solve, r: np.ndarray, rhs: np.ndarray, target: float,

@@ -98,7 +98,7 @@ class Optimizer:
         self.material = MaterialModel.from_config(config)
         self.bc = fem.DirichletSystem(self.mesh, self.mesh.dirichlet_nodes())
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A, self.bc)
-        self._factors = None        # element stiffness factors of the last iterate
+        self._iterate = None        # (phi, chi, results) of the last iterate
         self.weights = fem.lumped_weights(self.mesh)           # volume row
         self.M_raw = fem.assemble_scalar_mass(self.mesh)
         self.K_raw = fem.assemble_scalar_stiffness(self.mesh)
@@ -153,35 +153,44 @@ class Optimizer:
                     + cfg.kappa2 * gc * self.K_raw
             else:
                 A_chi = (gc / tau_c) * self.M_raw + cfg.kappa2 * gc * self.K_raw
-            solve_phi = fem.factor_spd(A_phi).solve
+            order = fem.band_order(self.mesh)
+
+            def factor(A):
+                return fem.BandCholesky(fem.lower_band(A, order), order).solve
+
+            solve_phi = factor(A_phi)
             # only the clamp update of a two-material run solves with A_chi;
             # the obstacle solver works on its sub-blocks
             solve_chi = None
             if cfg.chi_solver == "clamp" and not self.single_material:
-                solve_chi = fem.factor_spd(A_chi).solve
+                solve_chi = factor(A_chi)
             # A_phi^-1 of the volume row, reused by every saddle solve
             self._phase_factor_cache[tau] = (A_chi, solve_phi, solve_chi,
                                              solve_phi(self.weights))
         return self._phase_factor_cache[tau]
 
-    def _element_factors(self, phi, chi):
-        """(s, ds/dphi, ds/dchi) of K = s K_A at the element centroids.
+    def _results(self, phi, chi) -> dict:
+        """Results computed for the fields (phi, chi), kept while they are
+        unchanged: the state, adjoint and sensitivity steps of one iterate
+        share them, and the safeguard's accepted trial state solve is the
+        next iterate's state solve."""
+        last = self._iterate
+        if last is None or not (np.array_equal(last[0], phi)
+                                and np.array_equal(last[1], chi)):
+            last = self._iterate = (phi.copy(), chi.copy(), {})
+        return last[2]
 
-        The state, adjoint and sensitivity steps of one iterate all need them,
-        so the last iterate's factors are kept while phi and chi are unchanged.
-        """
-        last = self._factors
-        if last is not None and np.array_equal(last[0], phi) \
-                and np.array_equal(last[1], chi):
-            return last[2]
-        mat = self.material
-        phi_e = fem.element_averages(self.mesh, phi)
-        chi_e = fem.element_averages(self.mesh, chi)
-        factors = (mat.stiffness_factor(phi_e, chi_e),
-                   mat.stiffness_factor_dphi(phi_e, chi_e),
-                   mat.stiffness_factor_dchi(phi_e, chi_e))
-        self._factors = (phi.copy(), chi.copy(), factors)
-        return factors
+    def _element_factors(self, phi, chi):
+        """(s, ds/dphi, ds/dchi) of K = s K_A at the element centroids."""
+        results = self._results(phi, chi)
+        if "factors" not in results:
+            mat = self.material
+            phi_e = fem.element_averages(self.mesh, phi)
+            chi_e = fem.element_averages(self.mesh, chi)
+            results["factors"] = (mat.stiffness_factor(phi_e, chi_e),
+                                  mat.stiffness_factor_dphi(phi_e, chi_e),
+                                  mat.stiffness_factor_dchi(phi_e, chi_e))
+        return results["factors"]
 
     def _load(self, phi) -> np.ndarray:
         f = self.traction_load.copy()
@@ -193,11 +202,15 @@ class Optimizer:
 
     def state_solve(self, phi, chi):
         """Elastic solve; returns (u, sigma, reusable reduced-system solver)."""
-        s = self._element_factors(phi, chi)[0]
-        solve = fem.factor_spd(self.elastic.stiffness(s)).solve
-        u = self.bc.expand(solve(self._load(phi)[self.bc.free]))
-        sigma = s[:, None] * (self.elastic.strains(u) @ self.material.K_A)
-        return u, sigma, solve
+        results = self._results(phi, chi)
+        if "state" not in results:
+            s = self._element_factors(phi, chi)[0]
+            el = self.elastic
+            solve = fem.BandCholesky(el.stiffness(s), el.order).solve
+            u = self.bc.expand(solve(self._load(phi)[self.bc.free]))
+            sigma = s[:, None] * (el.strains(u) @ self.material.K_A)
+            results["state"] = (u, sigma, solve)
+        return results["state"]
 
     def adjoint_solve(self, phi, chi, aggregate, solve):
         """Adjoint solve reusing the state factorization (same operator)."""

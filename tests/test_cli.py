@@ -56,6 +56,15 @@ def test_run_not_converged_exit_code(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name))
 
 
+def test_summary_reports_wall_time_and_iteration_rate(tmp_path, capsys):
+    main(["run", "--builtin", *TINY, "--out", str(tmp_path)])
+    summary = dict(item.split("=") for item in capsys.readouterr().out.split())
+    wall_s, rate = float(summary["wall_s"]), float(summary["iters_per_s"])
+    assert wall_s > 0.0 and rate > 0.0
+    # the rate is over the loop alone, which is part of the wall time
+    assert int(summary["iterations"]) / rate <= 1.01 * wall_s
+
+
 def test_run_converged_exit_code(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main(["run", "--builtin", *TINY, "--set", "optimizer.tol=1e9",

@@ -1,11 +1,12 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradtopo import export
+from gradtopo import export, stress
 from gradtopo.config import cantilever_config
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import IterationRecord, run
@@ -29,6 +30,35 @@ def test_vtk_round_trip(tmp_path):
     assert np.allclose(data["phi"], state.phi, rtol=1e-8)
     assert np.allclose(data["chi"], state.chi, rtol=1e-8)
     assert len(data["von_mises"]) == mesh.element_count
+
+
+def test_write_fields_matches_per_row_formatting(tmp_path):
+    """The block formatting writes the bytes of the per-row f-string loop."""
+    mesh = make_mesh(6, 3)
+    rng = np.random.default_rng(3)
+    n = mesh.node_count
+    phi = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    phi[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    state = SimpleNamespace(phi=phi, chi=rng.random(n),
+                            u=rng.standard_normal(2 * n),
+                            sigma=rng.standard_normal((mesh.element_count, 3)))
+    path = str(tmp_path / "fields.vtk")
+    export.write_fields(state, mesh, path)
+    M = mesh.element_count
+    ref = (f"# vtk DataFile Version 3.0\ngradtopo fields\nASCII\n"
+           f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
+    ref += "".join(f"{x:.9g} {y:.9g} 0\n" for x, y in mesh.nodes)
+    ref += f"CELLS {M} {4 * M}\n"
+    ref += "".join(f"3 {a} {b} {c}\n" for a, b, c in mesh.elements)
+    ref += f"CELL_TYPES {M}\n" + "5\n" * M + f"POINT_DATA {n}\n"
+    for name, data in (("phi", state.phi), ("chi", state.chi),
+                       ("u_mag", np.hypot(state.u[0::2], state.u[1::2]))):
+        ref += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
+        ref += "\n".join(f"{v:.9g}" for v in data) + "\n"
+    ref += f"CELL_DATA {M}\nSCALARS von_mises double 1\nLOOKUP_TABLE default\n"
+    ref += "\n".join(f"{v:.9g}" for v in stress.von_mises(state.sigma)) + "\n"
+    with open(path, encoding="ascii") as fh:
+        assert fh.read() == ref
 
 
 def test_write_fields_empty_path():

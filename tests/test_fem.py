@@ -184,6 +184,26 @@ def test_volume_row_exact_for_linear_fields():
     assert np.allclose(r, np.asarray(M.sum(axis=1)).ravel())
 
 
+def test_bincount_sums_match_add_at_bitwise():
+    """lumped_weights and assemble_load add each dof's terms in the order of
+    the np.add.at loops they replace, so the sums are bitwise equal."""
+    cfg, mesh, mat = setup(9, 5, traction_length=30.0, body_force=(0.3, -0.1))
+    w = np.zeros(mesh.node_count)
+    for i in range(3):
+        np.add.at(w, mesh.elements[:, i], mesh.element_areas / 3.0)
+    assert np.array_equal(fem.lumped_weights(mesh), w)
+    phi = np.random.default_rng(2).random(mesh.node_count)
+    f = np.zeros(2 * mesh.node_count)
+    for node, wk in zip(*fem._traction_edge_contributions(mesh, cfg)):
+        f[2 * node] += wk * cfg.traction[0]
+        f[2 * node + 1] += wk * cfg.traction[1]
+    share = (mesh.element_areas * fem.element_averages(mesh, phi)) / 3.0
+    for i in range(3):
+        np.add.at(f, 2 * mesh.elements[:, i], share * 0.3)
+        np.add.at(f, 2 * mesh.elements[:, i] + 1, share * -0.1)
+    assert np.array_equal(fem.assemble_load(mesh, cfg, phi), f)
+
+
 # --- solvers ---------------------------------------------------------------
 
 def test_solve_saddle_against_dense_kkt():
@@ -257,29 +277,51 @@ def interior_fields(mesh, seed):
     return phi, chi
 
 
+def band_matrix(ab, order):
+    """Dense symmetric matrix whose lower band in the row order `order` is ab."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        j = np.arange(n - d)
+        A[order[j + d], order[j]] = A[order[j], order[j + d]] = ab[d, j]
+    return A
+
+
 @pytest.mark.parametrize("nx, ny", [(7, 3), (20, 10)])
 def test_fixed_pattern_matches_reduced_assembly(nx, ny):
     cfg, mesh, mat = setup(nx, ny)
     bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
     op = fem.ElasticOperator(mesh, mat.K_A, bc)
+    rank = np.empty_like(op.order)
+    rank[op.order] = np.arange(op.n)
     for seed in range(3):
         phi, chi = interior_fields(mesh, seed)
-        K_red = op.stiffness(fem.element_stiffness_factor(mesh, mat, phi, chi))
+        ab = op.stiffness(fem.element_stiffness_factor(mesh, mat, phi, chi))
         ref, _ = bc.reduce(fem.assemble_elastic_stiffness(mesh, mat, phi, chi),
                            np.zeros(bc.n))
-        # every stored entry of the reference lies in the fixed pattern,
-        # which stores each entry once
-        cols = np.repeat(np.arange(K_red.shape[1]), np.diff(K_red.indptr))
-        stored = set(zip(K_red.indices.tolist(), cols.tolist()))
-        assert len(stored) == K_red.nnz
+        # every stored entry of the reference lies inside the band
+        assert ab.shape == (op.kd + 1, op.n)
         ref_coo = ref.tocoo()
-        assert set(zip(ref_coo.row.tolist(), ref_coo.col.tolist())) <= stored
-        A, R = K_red.toarray(), ref.toarray()
+        assert np.abs(rank[ref_coo.row] - rank[ref_coo.col]).max() <= op.kd
+        A, R = band_matrix(ab, op.order), ref.toarray()
         # entry scale sqrt(K_ii K_jj) bounds |K_ij| of an SPD matrix; entries
         # that are sums of cancelling element terms are small against it
         scale = np.sqrt(np.outer(np.diag(R), np.diag(R)))
         assert np.all(np.abs(A - R) <= 1e-12 * scale)
         assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("nx, ny, elastic_kd", [
+    (20, 10, 2 * (10 + 2) + 1),     # wide: x-major, ny + 1 free nodes a column
+    (6, 14, 2 * (6 + 1) + 1),       # tall: y-major, the clamped x = 0 node
+])                                  # leaves nx free nodes a row
+def test_band_half_bandwidth(nx, ny, elastic_kd):
+    cfg, mesh, mat = setup(nx, ny)
+    bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
+    assert fem.ElasticOperator(mesh, mat.K_A, bc).kd == elastic_kd
+    assert elastic_kd <= 2 * (min(nx, ny) + 2) + 1
+    ab = fem.lower_band(fem.assemble_scalar_stiffness(mesh), fem.band_order(mesh))
+    assert ab.shape == (min(nx, ny) + 3, mesh.node_count)
 
 
 def test_element_stress_matches_reference_formula():
@@ -302,16 +344,29 @@ def test_factor_spd_residual(which):
     if which == "elastic":
         bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
         phi, chi = interior_fields(mesh, 8)
-        A = fem.ElasticOperator(mesh, mat.K_A, bc).stiffness(
+        op = fem.ElasticOperator(mesh, mat.K_A, bc)
+        order, ab = op.order, op.stiffness(
             fem.element_stiffness_factor(mesh, mat, phi, chi))
+        A = band_matrix(ab, order)
     else:
         A = 1e3 * fem.assemble_scalar_mass(mesh) + fem.assemble_scalar_stiffness(mesh)
+        order = fem.band_order(mesh)
+        ab = fem.lower_band(A, order)
     b = np.random.default_rng(9).standard_normal(A.shape[0])
-    x = fem.factor_spd(A).solve(b)
+    x = fem.BandCholesky(ab, order).solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_factor_spd_singular_is_a_solver_error():
     A = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(fem.SolverError, match="factorization"):
-        fem.factor_spd(A)
+        fem.BandCholesky(fem.lower_band(A, np.arange(2)), np.arange(2))
+
+
+def test_band_cholesky_rejects_an_indefinite_stiffness():
+    cfg, mesh, mat = setup(7, 3)
+    op = fem.ElasticOperator(mesh, mat.K_A, fem.DirichletSystem(mesh, mesh.dirichlet_nodes()))
+    s = np.ones(mesh.element_count)
+    s[5] = -50.0
+    with pytest.raises(fem.SolverError, match="factorization"):
+        fem.BandCholesky(op.stiffness(s), op.order)

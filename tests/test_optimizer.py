@@ -174,8 +174,9 @@ def test_obstacle_solve_satisfies_kkt():
 def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
                                                        factorizations):
     calls = []
-    factor = fem.factor_spd
-    monkeypatch.setattr(fem, "factor_spd", lambda A: calls.append(A) or factor(A))
+    factor = fem.BandCholesky
+    monkeypatch.setattr(fem, "BandCholesky",
+                        lambda ab, order: calls.append(ab) or factor(ab, order))
     Optimizer(small_config(**kw))
     assert len(calls) == factorizations
 
@@ -242,6 +243,21 @@ def test_safeguard_halves_tau_until_sixth_attempt(monkeypatch):
 def test_safeguard_accepts_a_descending_step(monkeypatch):
     tau, taus = safeguard_taus(monkeypatch, (2.0 ** -k for k in range(100)))
     assert taus == [tau, tau]
+
+
+def test_safeguard_reuses_the_accepted_trial_state_solve(monkeypatch):
+    # every trial is accepted, so each iterate's state is solved once: the
+    # initial field, then one trial per iteration after the first, each
+    # reused by the next iteration (or the final analysis)
+    opt = Optimizer(small_config(safeguard=True, max_iter=4))
+    elastic = []
+    factor = fem.BandCholesky
+    monkeypatch.setattr(fem, "BandCholesky", lambda ab, order: elastic.append(
+        order is opt.elastic.order) or factor(ab, order))
+    values = (2.0 ** -k for k in range(100))
+    monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
+    opt.run()
+    assert elastic == [True] * (1 + 4)
 
 
 # --- the loop ---------------------------------------------------------------
