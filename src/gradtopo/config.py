@@ -75,7 +75,6 @@ class RunConfig:
     gamma_phi: float = 0.01
     gamma_chi: float | None = None       # default: gamma_phi
     ersatz: float | None = None          # void stiffness floor sqrt; default: gamma_phi
-    literal_km: bool = False             # 1/beta interpolation variant
 
     # [optimizer]
     volume_fraction: float = 0.8         # m
@@ -233,7 +232,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("material", "gamma_phi"): ("gamma_phi", float),
     ("material", "gamma_chi"): ("gamma_chi", float),
     ("material", "ersatz"): ("ersatz", float),
-    ("material", "literal_km"): ("literal_km", _parse_bool),
     ("optimizer", "volume_fraction"): ("volume_fraction", float),
     ("optimizer", "kappa1"): ("kappa1", float),
     ("optimizer", "kappa2"): ("kappa2", float),

@@ -23,7 +23,6 @@ __all__ = [
     "GeometryError",
     "ContourPolygonSet",
     "write_fields",
-    "read_vtk_fields",
     "write_history_csv",
     "write_run",
     "threshold_contour",
@@ -74,41 +73,6 @@ def write_fields(state, mesh, path: str) -> None:
 def _rows(fmt: str, a: np.ndarray) -> str:
     """One `fmt` line per row of `a`, formatted in one % operation."""
     return (fmt * len(a)) % tuple(a.ravel().tolist())
-
-
-def read_vtk_fields(path: str) -> dict:
-    """Parse files produced by write_fields (round-trip support)."""
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    out: dict = {}
-    i = 0
-    npoints = ncells = 0
-    while i < len(tokens):
-        line = tokens[i].split()
-        if not line:
-            i += 1
-            continue
-        if line[0] == "POINTS":
-            npoints = int(line[1])
-            pts = [tuple(float(v) for v in tokens[i + 1 + k].split()[:2])
-                   for k in range(npoints)]
-            out["points"] = np.array(pts)
-            i += npoints + 1
-        elif line[0] == "CELLS":
-            ncells = int(line[1])
-            cells = [tuple(int(v) for v in tokens[i + 1 + k].split()[1:])
-                     for k in range(ncells)]
-            out["cells"] = np.array(cells)
-            i += ncells + 1
-        elif line[0] == "SCALARS":
-            name = line[1]
-            count = ncells if name == "von_mises" else npoints
-            data = [float(tokens[i + 2 + k]) for k in range(count)]
-            out[name] = np.array(data)
-            i += count + 2
-        else:
-            i += 1
-    return out
 
 
 def write_history_csv(history: list, path: str) -> None:

@@ -16,9 +16,7 @@ __all__ = [
     "SolverError",
     "strain_displacement",
     "element_averages",
-    "element_stiffness_factor",
     "strain_operator",
-    "assemble_elastic_stiffness",
     "band_order",
     "ElasticOperator",
     "assemble_load",
@@ -29,8 +27,6 @@ __all__ = [
     "lower_band",
     "BandCholesky",
     "solve_saddle",
-    "compute_element_stress",
-    "DirichletSystem",
 ]
 
 
@@ -68,13 +64,6 @@ def _element_dofs(mesh) -> np.ndarray:
     return dofs
 
 
-def element_stiffness_factor(mesh, material, phi: np.ndarray,
-                             chi: np.ndarray) -> np.ndarray:
-    """s_e with K(phi,chi) = s_e K_A at each element centroid."""
-    return material.stiffness_factor(element_averages(mesh, phi),
-                                     element_averages(mesh, chi))
-
-
 # B_i = g_ix E_x + g_iy E_y: the strain-displacement block of node i in terms
 # of its shape-function gradient g_i (Voigt rows e11, e22, 2*e12)
 _UNIT_STRAINS = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
@@ -96,35 +85,18 @@ def _unit_element_stiffness(mesh, K_A: np.ndarray) -> np.ndarray:
     return 0.5 * (Ke + Ke.transpose(0, 2, 1, 4, 3))
 
 
-def strain_operator(mesh, B: np.ndarray | None = None) -> sp.csr_matrix:
+def strain_operator(mesh) -> sp.csr_matrix:
     """Sparse (3M x 2N) map from nodal displacements to element Voigt strains.
 
     Row 3e+i of (S u) is (B_e u_e)_i; the transpose scatters per-element
     strain-space vectors q_e to the nodal load sum_e B_e^T q_e.
     """
-    if B is None:
-        B = strain_displacement(mesh)
     M = mesh.element_count
     cols = np.repeat(_element_dofs(mesh), 3, axis=0).ravel()
-    S = sp.csr_matrix((B.ravel(), cols, np.arange(0, 18 * M + 1, 6)),
-                      shape=(3 * M, 2 * mesh.node_count), copy=True)
+    S = sp.csr_matrix((strain_displacement(mesh).ravel(), cols,
+                       np.arange(0, 18 * M + 1, 6)), shape=(3 * M, 2 * mesh.node_count))
     S.eliminate_zeros()
     return S
-
-
-def assemble_elastic_stiffness(mesh, material, phi: np.ndarray,
-                               chi: np.ndarray) -> sp.csr_matrix:
-    """Global elasticity stiffness sum_e s_e K_e^A (2N x 2N, no boundary
-    conditions applied), with s_e the stiffness factor at the centroid."""
-    s = element_stiffness_factor(mesh, material, phi, chi)
-    Ke = _unit_element_stiffness(mesh, material.K_A).transpose(0, 1, 3, 2, 4)
-    Ke = s[:, None, None] * Ke.reshape(-1, 6, 6)
-    dofs = _element_dofs(mesh)
-    rows = np.repeat(dofs, 6, axis=1).ravel()
-    cols = np.tile(dofs, (1, 6)).ravel()
-    n = 2 * mesh.node_count
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K
 
 
 def band_order(mesh) -> np.ndarray:
@@ -139,18 +111,23 @@ def band_order(mesh) -> np.ndarray:
 class ElasticOperator:
     """The elastic system in scalar-factor form, built once per mesh.
 
-    K(phi,chi) = s(phi_e,chi_e) K_A on every element, so the reduced stiffness
-    is sum_e s_e K_e^A on the free dofs.  Numbered in band_order, it has a
-    fixed half-bandwidth kd and a fixed scatter from the element factors s to
-    its lower band: each iterate assembles with one sparse matvec.
+    K(phi,chi) = s(phi_e,chi_e) K_A on every element, so the stiffness is
+    sum_e s_e K_e^A on the free dofs; the dofs of mesh.dirichlet_nodes() are
+    clamped at zero and left out.  Numbered in band_order, it has a fixed
+    half-bandwidth kd and a fixed scatter from the element factors s to its
+    lower band: each iterate assembles with one sparse matvec.
 
-    order           : band row k holds the reduced dof order[k] (bc.free order)
+    dofs            : band row k is the dof dofs[k] (0 to 2N-1); every dof
+                      not in dofs is clamped
     strain_matrix   : (3M x 2N) strain operator (see strain_operator)
     node_incidence  : (N x M) element->node incidence; node_incidence @ x sums
                       the element values x_e onto the element's three nodes
     """
 
-    def __init__(self, mesh, K_A: np.ndarray, bc: "DirichletSystem"):
+    def __init__(self, mesh, K_A: np.ndarray):
+        clamped = mesh.dirichlet_nodes()
+        if len(clamped) == 0:
+            raise ValueError("Dirichlet node set must be non-empty")
         M, N = mesh.element_count, mesh.node_count
         el = mesh.elements
         self.strain_matrix = strain_operator(mesh)
@@ -158,12 +135,12 @@ class ElasticOperator:
             (np.ones(3 * M), el.ravel(), np.arange(0, 3 * M + 1, 3)), shape=(N, M))
 
         # the free dofs in band order; dof_rank is each one's band row
-        dofs = (2 * band_order(mesh)[:, None] + [0, 1]).ravel()
-        dofs = dofs[np.isin(dofs, bc.free)]
-        self.n = len(dofs)
-        self.order = np.searchsorted(bc.free, dofs)
+        nodes = band_order(mesh)
+        nodes = nodes[~np.isin(nodes, clamped)]
+        self.dofs = (2 * nodes[:, None] + [0, 1]).ravel()
+        self.n = len(self.dofs)
         dof_rank = np.full(2 * N, -1)
-        dof_rank[dofs] = np.arange(self.n)
+        dof_rank[self.dofs] = np.arange(self.n)
 
         # local entry (k, l) of element e is band entry (p, q) = ranks of its dofs
         r = dof_rank[_element_dofs(mesh)]
@@ -179,8 +156,8 @@ class ElasticOperator:
             shape=(M, (self.kd + 1) * self.n)).T
 
     def stiffness(self, s: np.ndarray) -> np.ndarray:
-        """Lower band ab[i - j, j] = K_red[order[i], order[j]] of the reduced
-        stiffness sum_e s_e K_e^A, a fresh (kd+1, n) array for BandCholesky."""
+        """Lower band ab[i - j, j] = K[dofs[i], dofs[j]] of the stiffness
+        sum_e s_e K_e^A, a fresh (kd+1, n) array for BandCholesky(ab, dofs)."""
         return (self.scatter @ s).reshape(self.n, self.kd + 1).T
 
     def strains(self, u: np.ndarray) -> np.ndarray:
@@ -301,21 +278,23 @@ def lower_band(A, order: np.ndarray) -> np.ndarray:
 class BandCholesky:
     """LAPACK banded Cholesky factor of an SPD matrix A; `.solve` applies A^-1.
 
-    `ab` is the lower band of A in the row order `order` (see lower_band), and
-    is factored in place.  A matrix that is not positive definite raises.
+    `ab` is the lower band of A whose row k is the unknown rows[k] (see
+    lower_band and ElasticOperator.stiffness), and is factored in place.  A
+    matrix that is not positive definite raises.
     """
 
-    def __init__(self, ab: np.ndarray, order: np.ndarray):
+    def __init__(self, ab: np.ndarray, rows: np.ndarray):
         self._factor, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
         if info != 0:
             raise SolverError(f"banded Cholesky factorization failed: "
                               f"info={info} (not positive definite)")
-        self._order = order
+        self._rows = rows
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y, _ = lapack.dpbtrs(self._factor, b[self._order], lower=1)
-        x = np.empty_like(y)
-        x[self._order] = y
+        """x with x[rows] = A^-1 b[rows], and zero at every other entry of b."""
+        y, _ = lapack.dpbtrs(self._factor, b[self._rows], lower=1)
+        x = np.zeros_like(b)
+        x[self._rows] = y
         return x
 
 
@@ -332,37 +311,3 @@ def solve_saddle(solve, r: np.ndarray, rhs: np.ndarray, target: float,
         raise SolverError("saddle-point breakdown: r A^-1 r^T is singular")
     lam = (float(r @ s1) - target) / denom
     return s1 - lam * r_solved, lam
-
-
-def compute_element_stress(mesh, material, phi: np.ndarray, chi: np.ndarray,
-                           u: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
-    """Constant per-element Voigt stress sigma = s_e K_A B_e u_e [MPa]."""
-    s = element_stiffness_factor(mesh, material, phi, chi)
-    eps = (strain_operator(mesh, B) @ u).reshape(-1, 3)
-    return s[:, None] * (eps @ material.K_A)
-
-
-class DirichletSystem:
-    """Row/column elimination of clamped dofs, preserving symmetry.
-
-    Reduces K x = f to the free-dof block; fixed dofs are held at zero
-    (homogeneous clamping), so no right-hand-side correction is needed.
-    """
-
-    def __init__(self, mesh, fixed_nodes: np.ndarray):
-        if len(fixed_nodes) == 0:
-            raise ValueError("Dirichlet node set must be non-empty")
-        n = 2 * mesh.node_count
-        fixed = np.zeros(n, dtype=bool)
-        fixed[2 * fixed_nodes] = True
-        fixed[2 * fixed_nodes + 1] = True
-        self.free = np.flatnonzero(~fixed)
-        self.n = n
-
-    def reduce(self, K: sp.csr_matrix, f: np.ndarray):
-        return K[self.free][:, self.free], f[self.free]
-
-    def expand(self, x_free: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n)
-        x[self.free] = x_free
-        return x

@@ -37,42 +37,32 @@ def dW(phi):
 
 
 class MaterialModel:
-    """Interpolated elasticity K(phi,chi), its partial derivatives, and K_A.
+    """Scalar stiffness factor s(phi,chi) with K(phi,chi) = s K_A, its partial
+    derivatives, and K_A.
 
     Pure functions over immutable parameters; all evaluators accept scalars
     or same-shape arrays and clamp (phi, chi) to [0,1] first.
-
-    With literal_km=True the soft phase uses the 1/beta weighting
-    k_m(chi) = chi + (1-chi)/beta instead (chi=0 then being the stiffer
-    phase); the default keeps chi=1 as the full material so beta=1
-    degenerates to a single material.
     """
 
-    def __init__(self, E: float, nu: float, beta: float, gamma_phi: float,
-                 literal_km: bool = False):
+    def __init__(self, E: float, nu: float, beta: float, gamma_phi: float):
         self.E = float(E)
         self.nu = float(nu)
         self.beta = float(beta)
         self.gamma = float(gamma_phi)
-        self.literal_km = bool(literal_km)
         self.K_A = plane_stress_matrix(E, nu)
 
     @classmethod
     def from_config(cls, config) -> "MaterialModel":
         return cls(config.youngs_modulus, config.poisson, config.beta,
-                   config.ersatz_eff, literal_km=config.literal_km)
+                   config.ersatz_eff)
 
     # scalar stiffness factors ------------------------------------------------
 
     def km(self, chi):
         chi = np.clip(chi, 0.0, 1.0)
-        if self.literal_km:
-            return chi + (1.0 - chi) / self.beta
         return chi + self.beta * (1.0 - chi)
 
     def dkm(self, chi):
-        if self.literal_km:
-            return (1.0 - 1.0 / self.beta) * np.ones_like(np.asarray(chi, dtype=float))
         return (1.0 - self.beta) * np.ones_like(np.asarray(chi, dtype=float))
 
     def stiffness_factor(self, phi, chi):
@@ -90,18 +80,3 @@ class MaterialModel:
         phi = np.clip(phi, 0.0, 1.0)
         g2 = self.gamma ** 2
         return self.dkm(chi) * (phi ** 3 + g2 * (1.0 - phi) ** 3)
-
-    # Voigt matrices ----------------------------------------------------------
-
-    def K_of(self, phi, chi) -> np.ndarray:
-        """Interpolated 3x3 Voigt matrix (or (...,3,3) for array input)."""
-        s = np.asarray(self.stiffness_factor(phi, chi))
-        return s[..., None, None] * self.K_A
-
-    def dK_dphi(self, phi, chi) -> np.ndarray:
-        s = np.asarray(self.stiffness_factor_dphi(phi, chi))
-        return s[..., None, None] * self.K_A
-
-    def dK_dchi(self, phi, chi) -> np.ndarray:
-        s = np.asarray(self.stiffness_factor_dchi(phi, chi))
-        return s[..., None, None] * self.K_A

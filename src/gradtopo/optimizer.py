@@ -82,7 +82,7 @@ def initialize_fields(config: RunConfig, mesh) -> tuple[np.ndarray, np.ndarray]:
         phi[locate_region_nodes(mesh, box)] = 1.0
     if config.beta != 1.0:
         chi = np.minimum(chi, phi)
-    # beta = 1: chi is inert (dK_dchi = 0) and stays at the uniform fraction m
+    # beta = 1: chi is inert (dK/dchi = 0) and stays at the uniform fraction m
     return phi, chi
 
 
@@ -96,15 +96,14 @@ class Optimizer:
         self.config = config
         self.mesh = build_rect_mesh(config)
         self.material = MaterialModel.from_config(config)
-        self.bc = fem.DirichletSystem(self.mesh, self.mesh.dirichlet_nodes())
-        self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A, self.bc)
+        self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
         self._iterate = None        # (phi, chi, results) of the last iterate
         self.weights = fem.lumped_weights(self.mesh)           # volume row
         self.M_raw = fem.assemble_scalar_mass(self.mesh)
         self.K_raw = fem.assemble_scalar_stiffness(self.mesh)
         self.area = self.mesh.area
         self.volume_target = config.volume_fraction * self.area
-        # beta = 1: chi never enters the physics (dK_dchi = 0), so the
+        # beta = 1: chi never enters the physics (dK/dchi = 0), so the
         # two-scale field degenerates and chi stays at the uniform fraction m
         self.single_material = config.beta == 1.0
 
@@ -201,13 +200,13 @@ class Optimizer:
     # --- staggered sub-steps ------------------------------------------------
 
     def state_solve(self, phi, chi):
-        """Elastic solve; returns (u, sigma, reusable reduced-system solver)."""
+        """Elastic solve; returns (u, sigma, reusable solver of the same system)."""
         results = self._results(phi, chi)
         if "state" not in results:
             s = self._element_factors(phi, chi)[0]
             el = self.elastic
-            solve = fem.BandCholesky(el.stiffness(s), el.order).solve
-            u = self.bc.expand(solve(self._load(phi)[self.bc.free]))
+            solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
+            u = solve(self._load(phi))
             sigma = s[:, None] * (el.strains(u) @ self.material.K_A)
             results["state"] = (u, sigma, solve)
         return results["state"]
@@ -223,7 +222,7 @@ class Optimizer:
             q = stress.element_stress_load(aggregate, self.mesh, s,
                                            self.material.K_A, cfg.kappa5)
             rhs += self.elastic.strain_matrix.T @ q.ravel()
-        return self.bc.expand(solve(rhs[self.bc.free]))
+        return solve(rhs)
 
     def _mechanical_driving(self, phi, chi, u, U, aggregate):
         """Nodal sensitivity loads from the elastic interpolation.

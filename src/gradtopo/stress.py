@@ -12,10 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradtopo import fem
-
 __all__ = ["StressAggregate", "von_mises", "von_mises_gradient",
-           "pnorm_aggregate", "element_stress_load", "adjoint_stress_load"]
+           "pnorm_aggregate", "element_stress_load"]
 
 
 @dataclass(frozen=True)
@@ -87,18 +85,3 @@ def element_stress_load(aggregate: StressAggregate, mesh, s: np.ndarray,
     nodal load is sum_e B_e^T of these rows (fem.strain_operator transposed).
     """
     return (kappa5 * mesh.area) * s[:, None] * (aggregate.dF_dsigma @ K_A)
-
-
-def adjoint_stress_load(aggregate: StressAggregate, mesh, material,
-                        phi: np.ndarray, chi: np.ndarray, kappa5: float,
-                        B: np.ndarray | None = None) -> np.ndarray:
-    """Assemble the stress-penalty right-hand side of the adjoint system.
-
-    Element-wise kappa5 * K(phi,chi) F_sigma contracted with the P1 strain
-    test functions; zero for kappa5 = 0 or an on-constraint stress field.
-    """
-    if kappa5 == 0.0:
-        return np.zeros(2 * mesh.node_count)
-    s = fem.element_stiffness_factor(mesh, material, phi, chi)
-    q = element_stress_load(aggregate, mesh, s, material.K_A, kappa5)
-    return fem.strain_operator(mesh, B).T @ q.ravel()

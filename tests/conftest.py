@@ -1,0 +1,9 @@
+"""Test-session set-up."""
+
+import os
+
+# One BLAS thread, as under the gradtopo command.  gradtopo sets these only
+# when it is imported before numpy, and the test modules import numpy first;
+# pytest has not loaded numpy yet when this file runs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

@@ -1,0 +1,135 @@
+"""Reference elastic path for the tests: an oracle for the band operator.
+
+Everything here is the textbook per-element loop.  For each triangle the 3x6
+strain-displacement matrix B_e is built by hand from the shape-function
+gradients, the element factor s_e is the stiffness factor at the centroid,
+and K_e = A_e B_e^T (s_e K_A) B_e is added into a sparse 2N x 2N matrix.  It
+shares no code with gradtopo's band scatter, strain operator or stress load,
+so agreement between the two checks both.  Only the mesh and material
+objects passed in are used: their geometry, K_A and the stiffness factor.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def element_B(mesh, e: int) -> np.ndarray:
+    """3x6 Voigt strain-displacement matrix of element e: rows (e11, e22,
+    2*e12), columns (u1x, u1y, u2x, u2y, u3x, u3y)."""
+    B = np.zeros((3, 6))
+    for i, (gx, gy) in enumerate(mesh.grads[e]):
+        B[0, 2 * i] = gx
+        B[1, 2 * i + 1] = gy
+        B[2, 2 * i] = gy
+        B[2, 2 * i + 1] = gx
+    return B
+
+
+def element_dofs(mesh, e: int) -> list:
+    return [d for n in mesh.elements[e] for d in (2 * n, 2 * n + 1)]
+
+
+def stiffness_factors(mesh, material, phi, chi) -> np.ndarray:
+    """s_e with K(phi, chi) = s_e K_A at each element centroid."""
+    return np.array([material.stiffness_factor(phi[el].mean(), chi[el].mean())
+                     for el in mesh.elements])
+
+
+def K_of(material, phi, chi) -> np.ndarray:
+    """Interpolated Voigt matrix s(phi, chi) K_A, (..., 3, 3) for arrays."""
+    s = np.asarray(material.stiffness_factor(phi, chi))
+    return s[..., None, None] * material.K_A
+
+
+def dK_dphi(material, phi, chi) -> np.ndarray:
+    s = np.asarray(material.stiffness_factor_dphi(phi, chi))
+    return s[..., None, None] * material.K_A
+
+
+def dK_dchi(material, phi, chi) -> np.ndarray:
+    s = np.asarray(material.stiffness_factor_dchi(phi, chi))
+    return s[..., None, None] * material.K_A
+
+
+def assemble_elastic_stiffness(mesh, material, phi, chi) -> sp.csr_matrix:
+    """Global stiffness sum_e A_e B_e^T (s_e K_A) B_e (2N x 2N, no boundary
+    conditions applied)."""
+    s = stiffness_factors(mesh, material, phi, chi)
+    rows, cols, vals = [], [], []
+    for e in range(mesh.element_count):
+        B = element_B(mesh, e)
+        Ke = mesh.element_areas[e] * (B.T @ (s[e] * material.K_A) @ B)
+        dofs = element_dofs(mesh, e)
+        for k in range(6):
+            for l in range(6):
+                rows.append(dofs[k])
+                cols.append(dofs[l])
+                vals.append(Ke[k, l])
+    n = 2 * mesh.node_count
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def free_dofs(mesh) -> np.ndarray:
+    """Ascending dofs of every node off mesh.dirichlet_nodes()."""
+    clamped = set(mesh.dirichlet_nodes().tolist())
+    return np.array([d for n in range(mesh.node_count) if n not in clamped
+                     for d in (2 * n, 2 * n + 1)])
+
+
+def reduce(mesh, K, f):
+    """Free-dof block (K_red, f_red) of K x = f.  The clamped dofs are held at
+    zero, so the right-hand side needs no correction."""
+    free = free_dofs(mesh)
+    return K[free][:, free], f[free]
+
+
+def element_stress(mesh, material, phi, chi, u) -> np.ndarray:
+    """(M,3) constant per-element Voigt stress s_e K_A B_e u_e [MPa]."""
+    s = stiffness_factors(mesh, material, phi, chi)
+    return np.array([(s[e] * material.K_A) @ (element_B(mesh, e) @ u[element_dofs(mesh, e)])
+                     for e in range(mesh.element_count)])
+
+
+def adjoint_stress_load(aggregate, mesh, material, phi, chi, kappa5) -> np.ndarray:
+    """Stress-penalty right-hand side of the adjoint system:
+    sum_e kappa5 A_e B_e^T (s_e K_A) F_sigma_e, where the pointwise gradient
+    F_sigma_e is dF/dsigma_e over the element's area weight A_e/|Omega|."""
+    s = stiffness_factors(mesh, material, phi, chi)
+    q = np.zeros(2 * mesh.node_count)
+    for e in range(mesh.element_count):
+        F_sigma = aggregate.dF_dsigma[e] * mesh.area / mesh.element_areas[e]
+        q[element_dofs(mesh, e)] += kappa5 * mesh.element_areas[e] * (
+            element_B(mesh, e).T @ ((s[e] * material.K_A) @ F_sigma))
+    return q
+
+
+def read_vtk_fields(path: str) -> dict:
+    """Points, cells and the scalar fields of a legacy-VTK file written by
+    gradtopo.export.write_fields."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    out: dict = {}
+    i = 0
+    npoints = ncells = 0
+    while i < len(lines):
+        line = lines[i].split()
+        if not line:
+            i += 1
+            continue
+        if line[0] == "POINTS":
+            npoints = int(line[1])
+            out["points"] = np.array([[float(v) for v in lines[i + 1 + k].split()[:2]]
+                                      for k in range(npoints)])
+            i += npoints + 1
+        elif line[0] == "CELLS":
+            ncells = int(line[1])
+            out["cells"] = np.array([[int(v) for v in lines[i + 1 + k].split()[1:]]
+                                     for k in range(ncells)])
+            i += ncells + 1
+        elif line[0] == "SCALARS":
+            count = ncells if line[1] == "von_mises" else npoints
+            out[line[1]] = np.array([float(lines[i + 2 + k]) for k in range(count)])
+            i += count + 2
+        else:
+            i += 1
+    return out

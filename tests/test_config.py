@@ -85,7 +85,8 @@ def test_unknown_key_rejected():
 # export-stl takes as flags
 REMOVED_KEYS = ["optimizer.solver=pcg", "optimizer.linear_tol=1e-8",
                 "optimizer.literal_rhs=true", "stress.normalized=false",
-                "output.chi_threshold=0.4", "output.extrude_height=5"]
+                "output.chi_threshold=0.4", "output.extrude_height=5",
+                "material.literal_km=true"]
 
 
 @pytest.mark.parametrize("item", REMOVED_KEYS)
@@ -125,7 +126,7 @@ def test_disjoint_fixed_regions_ok():
 def test_round_trip_identity():
     cfg = cantilever_config(mesh_nx=17, mesh_ny=9, kappa2=40.0,
                             fixed_solid=(Box(0, 0, 5, 100),),
-                            literal_km=True, perturb=0.01, seed=3)
+                            safeguard=True, perturb=0.01, seed=3)
     again = loads_config(serialize(cfg))
     assert again == cfg
     assert loads_config(serialize(again)) == again

