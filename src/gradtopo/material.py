@@ -60,7 +60,9 @@ class MaterialModel:
 
     def km(self, chi):
         chi = np.clip(chi, 0.0, 1.0)
-        return chi + self.beta * (1.0 - chi)
+        # rounding can put the blend one ulp below beta when beta is within
+        # a few ulps of 1; the soft phase is the floor of k_m
+        return np.maximum(chi + self.beta * (1.0 - chi), self.beta)
 
     def dkm(self, chi):
         return (1.0 - self.beta) * np.ones_like(np.asarray(chi, dtype=float))

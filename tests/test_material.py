@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -106,9 +106,13 @@ def test_array_broadcasting():
 @settings(max_examples=50, deadline=None)
 @given(phi=st.floats(0, 1), chi=st.floats(0, 1),
        beta=st.floats(0.05, 1.0))
+@example(phi=7.39679429243114e-13, chi=0.0, beta=0.375)
+@example(phi=1e-13, chi=0.3, beta=0.9999999999999999)
 def test_stiffness_factor_bounds_property(phi, chi, beta):
     m = model(beta=beta)
     s = m.stiffness_factor(phi, chi)
     # always positive, never exceeds the solid bulk value
     assert 0 < s <= 1.0 + 1e-12
-    assert s >= beta * m.gamma ** 2 * (1 - phi) ** 3
+    # the ersatz floor, grouped as in s = k_m * (phi^3 + gamma^2 (1-phi)^3)
+    # so that both sides round the same products
+    assert s >= beta * (m.gamma ** 2 * (1 - phi) ** 3)
