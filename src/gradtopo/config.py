@@ -21,6 +21,7 @@ __all__ = [
     "loads_config",
     "serialize",
     "validate",
+    "validated",
     "apply_overrides",
     "cantilever_config",
     "benchmark_config",
@@ -43,9 +44,6 @@ class Box:
     def overlaps(self, other: "Box") -> bool:
         return (self.x0 < other.x1 and other.x0 < self.x1
                 and self.y0 < other.y1 and other.y0 < self.y1)
-
-    def contains(self, x, y) -> bool:
-        return (self.x0 <= x <= self.x1) and (self.y0 <= y <= self.y1)
 
 
 @dataclass(frozen=True)
@@ -183,6 +181,15 @@ def validate(config: RunConfig) -> list[str]:
     return v
 
 
+def validated(config: RunConfig) -> RunConfig:
+    """The config itself if it is valid; otherwise raise ConfigError listing
+    every violation."""
+    violations = validate(config)
+    if violations:
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
+    return config
+
+
 # --- file format -----------------------------------------------------------
 
 # (section, key) -> (field name, parser)
@@ -285,11 +292,7 @@ def loads_config(text: str) -> RunConfig:
     for section in parser.sections():
         for key, raw in parser.items(section):
             _apply_entry(values, section, key, raw)
-    config = RunConfig(**values)
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
-    return config
+    return validated(RunConfig(**values))
 
 
 def load_config(path: str) -> RunConfig:
@@ -338,13 +341,7 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
         lhs, raw = item.split("=", 1)
         section, key = lhs.split(".", 1)
         _apply_entry(values, section.strip(), key.strip(), raw.strip())
-    merged = replace(config, **{})
-    for name, value in values.items():
-        merged = replace(merged, **{name: value})
-    violations = validate(merged)
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
-    return merged
+    return validated(replace(config, **values))
 
 
 def cantilever_config(**overrides) -> RunConfig:
@@ -352,11 +349,7 @@ def cantilever_config(**overrides) -> RunConfig:
 
     Keyword overrides are applied on top and the result is validated.
     """
-    config = replace(RunConfig(), **overrides)
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
-    return config
+    return validated(replace(RunConfig(), **overrides))
 
 
 # Calibrated settings for the reference cantilever benchmark on the

@@ -28,9 +28,6 @@ __all__ = [
     "threshold_contour",
     "extrude_to_stl",
     "split_to_stl",
-    "read_stl",
-    "stl_edge_use_counts",
-    "stl_volume",
 ]
 
 
@@ -333,7 +330,7 @@ def extrude_to_stl(loops, height: float, path: str, caps) -> int:
                            np.stack([a0, b1, a1], axis=1)])
     records = np.zeros(len(tris), dtype=_STL_RECORD)
     records["v"] = tris
-    uses = _edge_uses(records["v"])[2]
+    uses = _edge_uses(records["v"])
     if np.any(uses != 2):
         raise GeometryError(f"extruded solid is not closed: {np.count_nonzero(uses != 2)} "
                             f"of {len(uses)} edges are not used by exactly two triangles")
@@ -373,39 +370,12 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
     return written
 
 
-def read_stl(path: str) -> np.ndarray:
-    """Read a binary STL into an (N,3,3) float array of triangles."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    count = struct.unpack_from("<I", data, 80)[0] if len(data) >= 84 else -1
-    if len(data) != 84 + _STL_RECORD.itemsize * count:
-        raise ValueError(f"{path}: not a binary STL ({len(data)} bytes)")
-    return np.frombuffer(data, _STL_RECORD, count, 84)["v"].astype(float)
-
-
-def _edge_uses(tris: np.ndarray):
-    """Vertices, undirected edges (vertex index pairs) and edge use counts of
-    a triangle soup, with vertices keyed by their float32 coordinates, as a
-    binary STL stores them."""
+def _edge_uses(tris: np.ndarray) -> np.ndarray:
+    """Use count of every undirected edge of a triangle soup, with vertices
+    keyed by their float32 coordinates, as a binary STL stores them."""
     v = np.asarray(tris, dtype=np.float32).reshape(-1, 3) + np.float32(0.0)  # -0 -> +0
     verts, ids = np.unique(v.view(np.dtype((np.void, 12))).ravel(), return_inverse=True)
     ids = ids.reshape(-1, 3)
     nxt = np.roll(ids, -1, axis=1)
-    keys, uses = np.unique(np.minimum(ids, nxt) * len(verts) + np.maximum(ids, nxt),
-                           return_counts=True)
-    edges = np.stack(np.divmod(keys, len(verts)), axis=1)
-    return verts.view(np.float32).reshape(-1, 3), edges, uses
-
-
-def stl_edge_use_counts(tris: np.ndarray) -> dict:
-    """Undirected edge (its two end vertices) -> use count (2 everywhere for a
-    closed mesh)."""
-    verts, edges, uses = _edge_uses(np.asarray(tris))
-    verts = [tuple(p) for p in verts.tolist()]
-    return {(verts[i], verts[j]): u for (i, j), u in zip(edges.tolist(), uses.tolist())}
-
-
-def stl_volume(tris: np.ndarray) -> float:
-    """Signed enclosed volume (positive for outward orientation)."""
-    return float(np.einsum("ij,ij->", tris[:, 0],
-                           np.cross(tris[:, 1], tris[:, 2])) / 6.0)
+    return np.unique(np.minimum(ids, nxt) * len(verts) + np.maximum(ids, nxt),
+                     return_counts=True)[1]

@@ -17,6 +17,7 @@ __all__ = [
     "strain_displacement",
     "element_averages",
     "strain_operator",
+    "node_incidence",
     "band_order",
     "ElasticOperator",
     "assemble_load",
@@ -35,20 +36,21 @@ class SolverError(RuntimeError):
     set that does not settle, or a non-finite iterate."""
 
 
+# B_i = g_ix E_x + g_iy E_y: the strain-displacement block of node i in terms
+# of its shape-function gradient g_i (Voigt rows e11, e22, 2*e12)
+_UNIT_STRAINS = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+                          [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
+
+
 def strain_displacement(mesh) -> np.ndarray:
     """Per-element 3x6 Voigt strain-displacement matrices B with eps = B u_e.
 
     Element dof order (u1x,u1y,u2x,u2y,u3x,u3y); Voigt (e11, e22, 2*e12).
     """
-    M = mesh.element_count
-    B = np.zeros((M, 3, 6))
-    g = mesh.grads  # (M,3,2)
-    for i in range(3):
-        B[:, 0, 2 * i] = g[:, i, 0]
-        B[:, 1, 2 * i + 1] = g[:, i, 1]
-        B[:, 2, 2 * i] = g[:, i, 1]
-        B[:, 2, 2 * i + 1] = g[:, i, 0]
-    return B
+    # B_e is linear in the element's gradients g_ip: one (M x 6) @ (6 x 18)
+    # product with the map (i, p) -> B_i = E_p in node i's two columns
+    T = np.einsum("ij,pvc->ipvjc", np.eye(3), _UNIT_STRAINS).reshape(6, 18)
+    return (mesh.grads.reshape(-1, 6) @ T).reshape(-1, 3, 6)
 
 
 def element_averages(mesh, nodal: np.ndarray) -> np.ndarray:
@@ -62,12 +64,6 @@ def _element_dofs(mesh) -> np.ndarray:
     dofs[:, 0::2] = 2 * el
     dofs[:, 1::2] = 2 * el + 1
     return dofs
-
-
-# B_i = g_ix E_x + g_iy E_y: the strain-displacement block of node i in terms
-# of its shape-function gradient g_i (Voigt rows e11, e22, 2*e12)
-_UNIT_STRAINS = np.array([[[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
-                          [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]])
 
 
 def _unit_element_stiffness(mesh, K_A: np.ndarray) -> np.ndarray:
@@ -99,6 +95,14 @@ def strain_operator(mesh) -> sp.csr_matrix:
     return S
 
 
+def node_incidence(mesh) -> sp.csc_matrix:
+    """(N x M) element-to-node incidence P: P @ x sums the element values x_e
+    onto each element's three nodes."""
+    M = mesh.element_count
+    return sp.csc_matrix((np.ones(3 * M), mesh.elements.ravel(),
+                          np.arange(0, 3 * M + 1, 3)), shape=(mesh.node_count, M))
+
+
 def band_order(mesh) -> np.ndarray:
     """Node indices along the mesh's short side first (x-major when nx >= ny),
     so two nodes of one element are at most min(nx, ny) + 2 positions apart."""
@@ -120,8 +124,7 @@ class ElasticOperator:
     dofs            : band row k is the dof dofs[k] (0 to 2N-1); every dof
                       not in dofs is clamped
     strain_matrix   : (3M x 2N) strain operator (see strain_operator)
-    node_incidence  : (N x M) element->node incidence; node_incidence @ x sums
-                      the element values x_e onto the element's three nodes
+    node_incidence  : (N x M) element->node incidence (see node_incidence)
     """
 
     def __init__(self, mesh, K_A: np.ndarray):
@@ -129,10 +132,8 @@ class ElasticOperator:
         if len(clamped) == 0:
             raise ValueError("Dirichlet node set must be non-empty")
         M, N = mesh.element_count, mesh.node_count
-        el = mesh.elements
         self.strain_matrix = strain_operator(mesh)
-        self.node_incidence = sp.csc_matrix(
-            (np.ones(3 * M), el.ravel(), np.arange(0, 3 * M + 1, 3)), shape=(N, M))
+        self.node_incidence = node_incidence(mesh)
 
         # the free dofs in band order; dof_rank is each one's band row
         nodes = band_order(mesh)
@@ -190,69 +191,49 @@ def _traction_edge_contributions(mesh, config):
     return edges[cut].ravel(), np.column_stack([w1, w2]).ravel()
 
 
-def assemble_load(mesh, config, phi: np.ndarray) -> np.ndarray:
-    """Traction plus phi-weighted body-force load vector [N]."""
+def assemble_load(mesh, config) -> np.ndarray:
+    """Traction load vector [2N] of the line load g on the Neumann segment."""
     nodes, w = _traction_edge_contributions(mesh, config)
     if config.traction_length_eff <= 0 or (len(nodes) == 0 and any(config.traction)):
         raise ValueError("traction segment has zero length or covers no boundary edge")
-    # every traction pair, then every element corner in order: one bincount
-    # adds each dof's terms in that order
-    dofs, loads = [2 * nodes, 2 * nodes + 1], [w * config.traction[0],
-                                               w * config.traction[1]]
-    bx, by = config.body_force
-    if bx != 0.0 or by != 0.0:
-        corners = mesh.elements.T.ravel()
-        share = np.tile(mesh.element_areas * element_averages(mesh, phi) / 3.0, 3)
-        dofs += [2 * corners, 2 * corners + 1]      # one-point rule
-        loads += [share * bx, share * by]
-    return np.bincount(np.concatenate(dofs), np.concatenate(loads),
-                       minlength=2 * mesh.node_count)
+    gx, gy = config.traction
+    return np.bincount(np.concatenate([2 * nodes, 2 * nodes + 1]),
+                       np.concatenate([w * gx, w * gy]), minlength=2 * mesh.node_count)
 
 
 def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
     """Matrix C (N x 2N) with phi^T C u = integral of phi f.u (one-point rule).
 
-    C^T phi is the body-force part of the load; C u is its phi-sensitivity.
+    C^T phi is the phi-weighted body-force load; C u is its phi-sensitivity.
+    C = kron(P diag(A_e/9) P^T, f) for the incidence P: phi_bar_e takes 1/3
+    of each node's phi, and A_e/3 of the element's load goes to each node.
+    A zero body force gives an empty C.
     """
-    bx, by = config.body_force
-    N = mesh.node_count
-    rows, cols, vals = [], [], []
-    share = mesh.element_areas / 9.0       # d(phi_bar)/d(phi_i) = 1/3, times A/3 per u node
-    for i in range(3):
-        ni = mesh.elements[:, i]
-        for j in range(3):
-            nj = mesh.elements[:, j]
-            rows.append(ni)
-            cols.append(2 * nj)
-            vals.append(share * bx)
-            rows.append(ni)
-            cols.append(2 * nj + 1)
-            vals.append(share * by)
-    return sp.coo_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N, 2 * N)).tocsr()
+    P = node_incidence(mesh)
+    share = P.multiply(mesh.element_areas / 9.0) @ P.T
+    return sp.kron(share, np.array([config.body_force], dtype=float), format="csr")
 
 
-def assemble_scalar_mass(mesh, coeff: float = 1.0) -> sp.csr_matrix:
-    """Consistent P1 mass matrix scaled by coeff; entries sum to coeff*|Omega|."""
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    Me = coeff * mesh.element_areas[:, None, None] * local
-    el = mesh.elements
-    rows = np.repeat(el, 3, axis=1).ravel()
-    cols = np.tile(el, (1, 3)).ravel()
-    N = mesh.node_count
-    return sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(N, N)).tocsr()
-
-
-def assemble_scalar_stiffness(mesh, coeff: float = 1.0) -> sp.csr_matrix:
-    """P1 Laplacian scaled by coeff; constant fields lie in its null space."""
-    g = mesh.grads
-    Ke = coeff * mesh.element_areas[:, None, None] * np.einsum("eid,ejd->eij", g, g)
+def _assemble_scalar(mesh, Ke: np.ndarray) -> sp.csr_matrix:
+    """N x N matrix of the per-element 3x3 blocks Ke, (M,3,3)."""
     el = mesh.elements
     rows = np.repeat(el, 3, axis=1).ravel()
     cols = np.tile(el, (1, 3)).ravel()
     N = mesh.node_count
     return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+
+
+def assemble_scalar_mass(mesh, coeff: float = 1.0) -> sp.csr_matrix:
+    """Consistent P1 mass matrix scaled by coeff; entries sum to coeff*|Omega|."""
+    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    return _assemble_scalar(mesh, coeff * mesh.element_areas[:, None, None] * local)
+
+
+def assemble_scalar_stiffness(mesh, coeff: float = 1.0) -> sp.csr_matrix:
+    """P1 Laplacian scaled by coeff; constant fields lie in its null space."""
+    g = mesh.grads
+    return _assemble_scalar(mesh, coeff * mesh.element_areas[:, None, None]
+                            * np.einsum("eid,ejd->eij", g, g))
 
 
 def lumped_weights(mesh) -> np.ndarray:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gradtopo import fem, stress
-from gradtopo.config import RunConfig, validate
+from gradtopo.config import RunConfig, validated
 from gradtopo.material import MaterialModel, W, dW
 from gradtopo.mesh import build_rect_mesh, locate_region_nodes
 
@@ -90,10 +90,7 @@ class Optimizer:
     """Holds the mesh, material, and prefactorized constant operators."""
 
     def __init__(self, config: RunConfig):
-        violations = validate(config)
-        if violations:
-            raise ValueError("invalid configuration:\n  " + "\n  ".join(violations))
-        self.config = config
+        self.config = validated(config)
         self.mesh = build_rect_mesh(config)
         self.material = MaterialModel.from_config(config)
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
@@ -110,19 +107,10 @@ class Optimizer:
         self._phase_factor_cache: dict[float, tuple] = {}
         self._phase_ops(config.tau)
 
-        self.traction_load = fem.assemble_load(self.mesh, config,
-                                               np.ones(self.mesh.node_count))
-        self.has_body = any(config.body_force)
-        if self.has_body:
-            self.C = fem.assemble_body_coupling(self.mesh, config)
-            # strip the phi=1 body part so traction_load is pure traction
-            self.traction_load = self.traction_load - self.C.T @ np.ones(self.mesh.node_count)
-        else:
-            self.C = None
-        if config.thickness != 1.0:
-            # line load g [N/mm] acts on the thickness-t edge: the plane-stress
-            # solve sees the per-thickness traction g / t
-            self.traction_load = self.traction_load / config.thickness
+        # line load g [N/mm] acts on the thickness-t edge: the plane-stress
+        # solve sees the per-thickness traction g / t
+        self.traction_load = fem.assemble_load(self.mesh, config) / config.thickness
+        self.C = fem.assemble_body_coupling(self.mesh, config)
 
         # bounds honoring the frozen regions
         N = self.mesh.node_count
@@ -191,12 +179,6 @@ class Optimizer:
                                   mat.stiffness_factor_dchi(phi_e, chi_e))
         return results["factors"]
 
-    def _load(self, phi) -> np.ndarray:
-        f = self.traction_load.copy()
-        if self.has_body:
-            f += self.C.T @ phi
-        return f
-
     # --- staggered sub-steps ------------------------------------------------
 
     def state_solve(self, phi, chi):
@@ -206,7 +188,7 @@ class Optimizer:
             s = self._element_factors(phi, chi)[0]
             el = self.elastic
             solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
-            u = solve(self._load(phi))
+            u = solve(self.traction_load + self.C.T @ phi)
             sigma = s[:, None] * (el.strains(u) @ self.material.K_A)
             results["state"] = (u, sigma, solve)
         return results["state"]
@@ -214,9 +196,7 @@ class Optimizer:
     def adjoint_solve(self, phi, chi, aggregate, solve):
         """Adjoint solve reusing the state factorization (same operator)."""
         cfg = self.config
-        rhs = cfg.kappa4 * self.traction_load
-        if self.has_body:
-            rhs += cfg.kappa3 * (self.C.T @ phi)
+        rhs = cfg.kappa4 * self.traction_load + cfg.kappa3 * (self.C.T @ phi)
         if cfg.kappa5 != 0.0:
             s = self._element_factors(phi, chi)[0]
             q = stress.element_stress_load(aggregate, self.mesh, s,
@@ -256,15 +236,14 @@ class Optimizer:
 
         q_s, q_sp = self._mechanical_driving(phi, chi, u, U, aggregate)
         rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
-            - (cfg.kappa1 / gp) * (self.weights * dW(phi))
+            - (cfg.kappa1 / gp) * (self.weights * dW(phi)) \
+            - (cfg.kappa3 * (self.C @ u) + (self.C @ U))
         if cfg.stabilization > 0.0:
             # convex-concave splitting: the extra L*(phi' - phi) term
             # cancels at stationarity, so steady states are unchanged while
             # the explicit double-well update becomes stable for large tau
             rhs_phi += (cfg.kappa1 / gp) * cfg.stabilization \
                 * (self.weights * phi)
-        if self.has_body:
-            rhs_phi -= cfg.kappa3 * (self.C @ u) + (self.C @ U)
 
         phi_new, lam = fem.solve_saddle(solve_phi, self.weights, rhs_phi,
                                         self.volume_target, weights_solved)
@@ -327,9 +306,7 @@ class Optimizer:
 
     def compliance_of(self, phi, u) -> float:
         """Load work over the whole plate: thickness x per-thickness work."""
-        c = float(self.traction_load @ u)
-        if self.has_body:
-            c += self.config.kappa3 * float(phi @ (self.C @ u))
+        c = float(self.traction_load @ u) + self.config.kappa3 * float(phi @ (self.C @ u))
         return c * self.config.thickness
 
     def m_chi_of(self, chi) -> float:
@@ -346,9 +323,8 @@ class Optimizer:
         gl = cfg.kappa1 * (float(self.weights @ W(phi)) / gp
                            + 0.5 * gp * float(phi @ (self.K_raw @ phi)))
         grad_chi = 0.5 * cfg.kappa2 * gc * float(chi @ (self.K_raw @ chi))
-        work = cfg.kappa4 * float(self.traction_load @ u)
-        if self.has_body:
-            work += cfg.kappa3 * float(phi @ (self.C @ u))
+        work = cfg.kappa4 * float(self.traction_load @ u) \
+            + cfg.kappa3 * float(phi @ (self.C @ u))
         stress_term = cfg.kappa5 * self.area * aggregate.F_value
         return gl + grad_chi + work + stress_term
 
@@ -369,9 +345,8 @@ class Optimizer:
         U = self.adjoint_solve(phi, chi, aggregate, solve)
         q_s, _ = self._mechanical_driving(phi, chi, u, U, aggregate)
         g = (cfg.kappa1 / cfg.gamma_phi) * (self.weights * dW(phi)) \
-            + cfg.kappa1 * cfg.gamma_phi * (self.K_raw @ phi) - q_s
-        if self.has_body:
-            g += cfg.kappa3 * (self.C @ u) + (self.C @ U)
+            + cfg.kappa1 * cfg.gamma_phi * (self.K_raw @ phi) - q_s \
+            + (cfg.kappa3 * (self.C @ u) + (self.C @ U))
         return g
 
     # --- main loop ----------------------------------------------------------

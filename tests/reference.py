@@ -7,7 +7,14 @@ and K_e = A_e B_e^T (s_e K_A) B_e is added into a sparse 2N x 2N matrix.  It
 shares no code with gradtopo's band scatter, strain operator or stress load,
 so agreement between the two checks both.  Only the mesh and material
 objects passed in are used: their geometry, K_A and the stiffness factor.
+The per-element body-force load is the oracle for fem's body coupling C.
+
+The STL and VTK readers parse gradtopo's output files on their own, and
+the STL edge counts and volume are computed from the triangles as read.
 """
+
+import struct
+from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,6 +108,44 @@ def adjoint_stress_load(aggregate, mesh, material, phi, chi, kappa5) -> np.ndarr
         q[element_dofs(mesh, e)] += kappa5 * mesh.element_areas[e] * (
             element_B(mesh, e).T @ ((s[e] * material.K_A) @ F_sigma))
     return q
+
+
+def body_load(mesh, phi, body_force) -> np.ndarray:
+    """Load [2N] of the phi-weighted body force: each element puts
+    A_e phi_bar_e f / 3 on each of its three nodes (one-point rule)."""
+    f = np.zeros(2 * mesh.node_count)
+    for e, el in enumerate(mesh.elements):
+        share = mesh.element_areas[e] * phi[el].mean() / 3.0
+        for n in el:
+            f[2 * n] += share * body_force[0]
+            f[2 * n + 1] += share * body_force[1]
+    return f
+
+
+def read_stl(path: str) -> np.ndarray:
+    """Triangles (n,3,3) of a binary STL: 80-byte header, uint32 count, then
+    50-byte records (normal, three vertices, attribute)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    count = struct.unpack_from("<I", data, 80)[0] if len(data) >= 84 else -1
+    if len(data) != 84 + 50 * count:
+        raise ValueError(f"{path}: not a binary STL ({len(data)} bytes)")
+    record = np.dtype([("normal", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
+    return np.frombuffer(data, record, count, 84)["v"].astype(float)
+
+
+def stl_edge_use_counts(tris: np.ndarray) -> dict:
+    """Undirected edge (its two end vertices, as float32 coordinates) -> use
+    count (2 everywhere for a closed mesh)."""
+    verts = [[tuple(p) for p in tri] for tri in np.asarray(tris, np.float32).tolist()]
+    return dict(Counter(frozenset((tri[k], tri[(k + 1) % 3]))
+                        for tri in verts for k in range(3)))
+
+
+def stl_volume(tris: np.ndarray) -> float:
+    """Signed enclosed volume (positive for outward orientation)."""
+    return float(np.einsum("ij,ij->", tris[:, 0],
+                           np.cross(tris[:, 1], tris[:, 2])) / 6.0)
 
 
 def read_vtk_fields(path: str) -> dict:

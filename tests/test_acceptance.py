@@ -249,10 +249,10 @@ def test_final_design_stl_watertight(bench, tmp_path):
     assert contour.loops_above
     path = str(tmp_path / "design.stl")
     export.extrude_to_stl(contour.loops_above, 10.0, path, contour.caps_above)
-    tris = export.read_stl(path)
-    counts = export.stl_edge_use_counts(tris)
+    tris = reference.read_stl(path)
+    counts = reference.stl_edge_use_counts(tris)
     assert counts and all(c == 2 for c in counts.values())
-    assert export.stl_volume(tris) > 0.0
+    assert reference.stl_volume(tris) > 0.0
 
 
 def test_prism_volume_analytic(tmp_path):
@@ -266,11 +266,11 @@ def test_prism_volume_analytic(tmp_path):
             ((10, 10), (0, 10), (2, 6)), ((10, 10), (2, 6), (6, 6)),
             ((0, 10), (0, 0), (2, 2)), ((0, 10), (2, 2), (2, 6))]
     export.extrude_to_stl([outer, hole], height, path, caps)
-    tris = export.read_stl(path)
-    counts = export.stl_edge_use_counts(tris)
+    tris = reference.read_stl(path)
+    counts = reference.stl_edge_use_counts(tris)
     assert all(c == 2 for c in counts.values())
     expected = (100.0 - 16.0) * height
-    assert export.stl_volume(tris) == pytest.approx(expected, rel=1e-6)
+    assert reference.stl_volume(tris) == pytest.approx(expected, rel=1e-6)
 
 
 # --- determinism -------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gradtopo import export
+import reference
 from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
@@ -93,8 +93,8 @@ def test_export_stl_from_snapshot(tmp_path, capsys):
                if l.startswith("wrote ")]
     assert written
     for path in written:
-        tris = export.read_stl(path)
-        counts = export.stl_edge_use_counts(tris)
+        tris = reference.read_stl(path)
+        counts = reference.stl_edge_use_counts(tris)
         assert all(c == 2 for c in counts.values())
 
 

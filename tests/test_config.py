@@ -5,6 +5,7 @@ import pytest
 from gradtopo.config import (Box, ConfigError, RunConfig, apply_overrides,
                              cantilever_config, load_config, loads_config,
                              serialize, validate)
+from gradtopo.optimizer import Optimizer
 
 CANTILEVER_CFG = textwrap.dedent("""\
     [domain]
@@ -144,6 +145,11 @@ def test_apply_overrides():
 def test_apply_overrides_rejects_bad_shape():
     with pytest.raises(ConfigError, match="section.key=value"):
         apply_overrides(cantilever_config(), ["kappa2:40"])
+
+
+def test_optimizer_rejects_an_invalid_config():
+    with pytest.raises(ConfigError, match="poisson"):
+        Optimizer(RunConfig(poisson=0.7))
 
 
 def test_apply_overrides_validates():

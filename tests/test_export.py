@@ -166,7 +166,7 @@ def test_contour_deterministic():
 # --- STL --------------------------------------------------------------------
 
 def check_watertight(tris):
-    counts = export.stl_edge_use_counts(tris)
+    counts = reference.stl_edge_use_counts(tris)
     assert counts, "empty STL"
     assert all(c == 2 for c in counts.values())
 
@@ -176,10 +176,10 @@ def test_extrude_rectangle(tmp_path):
     path = str(tmp_path / "box.stl")
     caps = [loop[[0, 1, 2]], loop[[0, 2, 3]]]
     n = export.extrude_to_stl([loop], 3.0, path, caps)
-    tris = export.read_stl(path)
+    tris = reference.read_stl(path)
     assert len(tris) == n == 12     # 2+2 caps, 4 sides x 2
     check_watertight(tris)
-    assert export.stl_volume(tris) == pytest.approx(4.0 * 2.0 * 3.0, rel=1e-6)
+    assert reference.stl_volume(tris) == pytest.approx(4.0 * 2.0 * 3.0, rel=1e-6)
 
 
 def test_extrude_with_hole(tmp_path):
@@ -193,9 +193,9 @@ def test_extrude_with_hole(tmp_path):
             ((10, 10), (0, 10), (4, 6)), ((10, 10), (4, 6), (6, 6)),
             ((0, 10), (0, 0), (4, 4)), ((0, 10), (4, 4), (4, 6))]
     export.extrude_to_stl([outer, hole], 2.0, path, caps)
-    tris = export.read_stl(path)
+    tris = reference.read_stl(path)
     check_watertight(tris)
-    assert export.stl_volume(tris) == pytest.approx((100.0 - 4.0) * 2.0, rel=1e-6)
+    assert reference.stl_volume(tris) == pytest.approx((100.0 - 4.0) * 2.0, rel=1e-6)
 
 
 def test_extrude_contour_polygon_set(tmp_path):
@@ -205,11 +205,11 @@ def test_extrude_contour_polygon_set(tmp_path):
     pa, pb = str(tmp_path / "above.stl"), str(tmp_path / "below.stl")
     export.extrude_to_stl(cps.loops_above, 5.0, pa, cps.caps_above)
     export.extrude_to_stl(cps.loops_below, 5.0, pb, cps.caps_below)
-    ta, tb = export.read_stl(pa), export.read_stl(pb)
+    ta, tb = reference.read_stl(pa), reference.read_stl(pb)
     check_watertight(ta)
     check_watertight(tb)
-    assert export.stl_volume(ta) == pytest.approx(cps.area_above * 5.0, rel=1e-6)
-    assert export.stl_volume(tb) == pytest.approx(cps.area_below * 5.0, rel=1e-6)
+    assert reference.stl_volume(ta) == pytest.approx(cps.area_above * 5.0, rel=1e-6)
+    assert reference.stl_volume(tb) == pytest.approx(cps.area_below * 5.0, rel=1e-6)
 
 
 def test_extrude_nontrivial_contour_watertight(tmp_path):
@@ -219,9 +219,9 @@ def test_extrude_nontrivial_contour_watertight(tmp_path):
     cps = export.threshold_contour(chi, mesh, 0.5)
     path = str(tmp_path / "blob.stl")
     export.extrude_to_stl(cps.loops_above, 7.5, path, cps.caps_above)
-    tris = export.read_stl(path)
+    tris = reference.read_stl(path)
     check_watertight(tris)
-    assert export.stl_volume(tris) == pytest.approx(cps.area_above * 7.5, rel=1e-6)
+    assert reference.stl_volume(tris) == pytest.approx(cps.area_above * 7.5, rel=1e-6)
 
 
 def test_extrude_rejects_open_solid(tmp_path):
@@ -246,9 +246,9 @@ def test_stl_volume_sign_convention(tmp_path):
     loop = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
     path = str(tmp_path / "tri.stl")
     export.extrude_to_stl([loop], 1.0, path, [loop])
-    tris = export.read_stl(path)
-    assert export.stl_volume(tris) == pytest.approx(18.0, rel=1e-6)
-    assert export.stl_volume(tris[:, ::-1, :]) == pytest.approx(-18.0, rel=1e-6)
+    tris = reference.read_stl(path)
+    assert reference.stl_volume(tris) == pytest.approx(18.0, rel=1e-6)
+    assert reference.stl_volume(tris[:, ::-1, :]) == pytest.approx(-18.0, rel=1e-6)
 
 
 def test_contour_merges_points_within_float32_resolution(tmp_path):
@@ -264,9 +264,9 @@ def test_contour_merges_points_within_float32_resolution(tmp_path):
         path = str(tmp_path / f"{side}.stl")
         export.extrude_to_stl(getattr(cps, f"loops_{side}"), 5.0, path,
                               getattr(cps, f"caps_{side}"))
-        tris = export.read_stl(path)
+        tris = reference.read_stl(path)
         check_watertight(tris)
-        assert export.stl_volume(tris) == pytest.approx(area * 5.0, rel=1e-6)
+        assert reference.stl_volume(tris) == pytest.approx(area * 5.0, rel=1e-6)
         assert area == pytest.approx(100.0 * 100.0, rel=1e-6)
 
 
@@ -280,10 +280,10 @@ def test_split_to_stl_parts(tmp_path):
                                        str(tmp_path / "below.stl")]
     volumes = []
     for path, n in written:
-        tris = export.read_stl(path)
+        tris = reference.read_stl(path)
         assert len(tris) == n
         check_watertight(tris)
-        volumes.append(export.stl_volume(tris))
+        volumes.append(reference.stl_volume(tris))
     # above ends where min(phi - 0.5, chi - 0.5), linear from 0.25 at x = 150
     # to -0.5 at x = 160, is zero: x = 150 + 10/3
     assert volumes == pytest.approx([(50.0 + 10.0 / 3.0) * 100.0 * 2.0,
@@ -314,6 +314,6 @@ def test_contour_stls_closed_on_random_fields(tmp_path_factory, nx, ny, seed):
         assert cap_areas.sum() == pytest.approx(area, rel=1e-9)
         path = str(tmp / f"{side}.stl")
         export.extrude_to_stl(loops, 3.0, path, caps)
-        tris = export.read_stl(path)
+        tris = reference.read_stl(path)
         check_watertight(tris)
-        assert export.stl_volume(tris) == pytest.approx(area * 3.0, rel=1e-6)
+        assert reference.stl_volume(tris) == pytest.approx(area * 3.0, rel=1e-6)

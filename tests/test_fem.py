@@ -104,7 +104,7 @@ def test_single_triangle_stiffness_hand_oracle():
 
 def test_traction_total_force():
     cfg, mesh, mat = setup(10, 10)
-    f = fem.assemble_load(mesh, cfg, np.ones(mesh.node_count))
+    f = fem.assemble_load(mesh, cfg)
     # total load = g * covered segment length (10 mm)
     assert f[0::2].sum() == pytest.approx(0.0, abs=1e-12)
     assert f[1::2].sum() == pytest.approx(-600.0 * 10.0, rel=1e-12)
@@ -113,7 +113,7 @@ def test_traction_total_force():
 def test_traction_partial_edge_clipping():
     # ny=4 -> 25mm edges; segment [40,60] covers parts of [25,50] and [50,75]
     cfg, mesh, mat = setup(4, 4, traction_length=20.0)
-    f = fem.assemble_load(mesh, cfg, np.ones(mesh.node_count))
+    f = fem.assemble_load(mesh, cfg)
     assert f[1::2].sum() == pytest.approx(-600.0 * 20.0, rel=1e-12)
     # symmetric about the segment center: node at y=50 takes the lion share
     nz = np.flatnonzero(f[1::2])
@@ -127,18 +127,20 @@ def test_traction_zero_when_no_overlap_raises():
     mesh = build_rect_mesh(bad)
     assert not mesh.neumann_edges()
     with pytest.raises(ValueError, match="traction segment"):
-        fem.assemble_load(mesh, bad, np.ones(mesh.node_count))
+        fem.assemble_load(mesh, bad)
 
 
 def test_body_force_load_and_coupling_consistency():
     cfg, mesh, mat = setup(5, 3, traction=(0.0, 0.0), body_force=(0.0, -0.1))
     phi = np.random.default_rng(0).random(mesh.node_count)
-    f = fem.assemble_load(mesh, cfg, phi)
     C = fem.assemble_body_coupling(mesh, cfg)
-    # C^T phi must equal the assembled phi-weighted body load
+    # C^T phi must equal the per-element phi-weighted body load
+    f = reference.body_load(mesh, phi, cfg.body_force)
     assert np.allclose(C.T @ phi, f, atol=1e-12)
+    # the traction load carries no body force
+    assert not fem.assemble_load(mesh, cfg).any()
     # with phi = 1, total weight = f_y * |Omega|
-    f1 = fem.assemble_load(mesh, cfg, np.ones(mesh.node_count))
+    f1 = C.T @ np.ones(mesh.node_count)
     assert f1[1::2].sum() == pytest.approx(-0.1 * mesh.area, rel=1e-12)
     # phi^T C u = integral phi f.u for constant u
     u = np.zeros(2 * mesh.node_count)
@@ -146,6 +148,9 @@ def test_body_force_load_and_coupling_consistency():
     phi_e = fem.element_averages(mesh, phi)
     exact = float((mesh.element_areas * phi_e).sum()) * (-0.1) * 2.0
     assert float(phi @ (C @ u)) == pytest.approx(exact, rel=1e-12)
+    # no body force, no coupling entries
+    no_body = dataclasses.replace(cfg, body_force=(0.0, 0.0))
+    assert fem.assemble_body_coupling(mesh, no_body).nnz == 0
 
 
 # --- scalar operators ------------------------------------------------------
@@ -195,16 +200,11 @@ def test_bincount_sums_match_add_at_bitwise():
     for i in range(3):
         np.add.at(w, mesh.elements[:, i], mesh.element_areas / 3.0)
     assert np.array_equal(fem.lumped_weights(mesh), w)
-    phi = np.random.default_rng(2).random(mesh.node_count)
     f = np.zeros(2 * mesh.node_count)
     for node, wk in zip(*fem._traction_edge_contributions(mesh, cfg)):
         f[2 * node] += wk * cfg.traction[0]
         f[2 * node + 1] += wk * cfg.traction[1]
-    share = (mesh.element_areas * fem.element_averages(mesh, phi)) / 3.0
-    for i in range(3):
-        np.add.at(f, 2 * mesh.elements[:, i], share * 0.3)
-        np.add.at(f, 2 * mesh.elements[:, i] + 1, share * -0.1)
-    assert np.array_equal(fem.assemble_load(mesh, cfg, phi), f)
+    assert np.array_equal(fem.assemble_load(mesh, cfg), f)
 
 
 # --- solvers ---------------------------------------------------------------

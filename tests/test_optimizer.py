@@ -118,6 +118,38 @@ def test_phi_gradient_with_body_force():
         assert float(g @ d) == pytest.approx(fd, rel=1e-4)
 
 
+def test_phase_step_solves_the_gradient_flow():
+    """The phi step is the semi-implicit flow of reduced_objective: with
+    g = phi_gradient(phi), the step phi* and its multiplier lam satisfy
+    (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lam w + g = 0."""
+    cfg = small_config(mesh_nx=8, mesh_ny=4, body_force=(0.0, -0.05))
+    assert cfg.kappa5 == 1.0
+    opt = Optimizer(cfg)
+    phi, chi = interior_fields(opt, seed=3)
+    u, sigma, solve = opt.state_solve(phi, chi)
+    agg = opt.aggregate_of(sigma)
+    U = opt.adjoint_solve(phi, chi, agg, solve)
+    phi_star, _, lam = opt.phase_field_step(phi, chi, u, U, agg)
+    g = opt.phi_gradient(phi, chi)
+    d = phi_star - phi
+    residual = (cfg.gamma_phi / cfg.tau) * (opt.M_raw @ d) \
+        + cfg.kappa1 * cfg.gamma_phi * (opt.K_raw @ d) + lam * opt.weights + g
+    assert np.abs(residual).max() <= 1e-10 * np.abs(g).max()
+
+
+def test_thickness_scales_the_traction():
+    """A line load g on a plate of thickness t: the plane-stress solve sees
+    g / t, so u is u(t=1) / t and the whole-plate compliance C(t=1) / t."""
+    thin = Optimizer(small_config())
+    thick = Optimizer(small_config(thickness=2.5))
+    phi, chi = interior_fields(thin, seed=4)
+    u1 = thin.state_solve(phi, chi)[0]
+    u = thick.state_solve(phi, chi)[0]
+    assert np.abs(u - u1 / 2.5).max() <= 1e-12 * np.abs(u1).max() / 2.5
+    assert thick.compliance_of(phi, u) == pytest.approx(
+        thin.compliance_of(phi, u1) / 2.5, rel=1e-12)
+
+
 def test_chi_driving_matches_compliance_sensitivity():
     """For kappa5 = 0 the chi-driving field is minus d(compliance)/d(chi)."""
     cfg = small_config(kappa5=0.0)
@@ -204,14 +236,15 @@ def test_stabilization_keeps_fixed_points(monkeypatch):
     q_s = k1 * gp * (plain.K_raw @ phi) + lam * plain.weights \
         + (k1 / gp) * plain.weights * dW(phi)
     driving = lambda phi_, chi_, u, U, aggregate: (q_s, np.zeros_like(q_s))
+    zero = np.zeros(2 * plain.mesh.node_count)      # the elastic fields
     for opt in (plain, stabilized):
         monkeypatch.setattr(opt, "_mechanical_driving", driving)
-        phi_new, _, lam_new = opt.phase_field_step(phi, chi, None, None, None)
+        phi_new, _, lam_new = opt.phase_field_step(phi, chi, zero, zero, None)
         assert np.abs(phi_new - phi).max() <= 1e-10
         assert lam_new == pytest.approx(lam, rel=1e-8)
     # away from the fixed point the stabilization does change the step
     other = phi + 0.05 * np.sin(plain.mesh.nodes[:, 0])
-    step = [opt.phase_field_step(other, chi, None, None, None)[0]
+    step = [opt.phase_field_step(other, chi, zero, zero, None)[0]
             for opt in (plain, stabilized)]
     assert np.abs(step[0] - step[1]).max() > 1e-6
 
