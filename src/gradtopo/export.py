@@ -141,7 +141,11 @@ def _directed_boundary(mesh) -> np.ndarray:
     n = mesh.node_count
     el = mesh.elements.astype(np.int64)
     ab = np.array([(a, b) for (a, b, _tag) in mesh.boundary_edges], dtype=np.int64)
-    forward = np.isin(ab[:, 0] * n + ab[:, 1], el * n + np.roll(el, -1, axis=1))
+    # a boundary edge is forward when some counter-clockwise element has it
+    # as a directed edge
+    keys = np.sort((el * n + np.roll(el, -1, axis=1)).ravel())
+    key = ab[:, 0] * n + ab[:, 1]
+    forward = keys[np.searchsorted(keys, key).clip(max=len(keys) - 1)] == key
     return np.where(forward[:, None], ab, ab[:, ::-1])
 
 
@@ -233,17 +237,13 @@ def _link(segs: list) -> tuple:
     return tuple(loops)
 
 
-def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygonSet:
-    """Marching-triangles iso-contour of the P1 field.
+def _region_clipper(chi: np.ndarray, mesh, threshold: float):
+    """(above, region) of the P1 field's iso-line at the threshold.
 
-    Each region's caps are its mesh elements clipped against the iso-line;
-    its loops link the clipped iso-segments and the boundary pieces inside
-    it.  Nodes exactly on the threshold are nudged infinitesimally above it,
-    which keeps the topology deterministic and the crossing points well
-    defined.  Every point is snapped to float32.
+    `above` flags the nodes above it; `region(inside)` returns the (caps,
+    loops) of the region of the nodes flagged by `inside` (`above` or its
+    complement).  Both regions share the crossings computed here.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
     v = np.asarray(chi, dtype=float).copy()
     eps = 1e-12 * max(1.0, abs(threshold))
     v[v == threshold] = threshold + eps
@@ -282,6 +282,21 @@ def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygon
         return caps, _link([((x0, y0), (x1, y1))
                             for x0, y0, x1, y1 in segs.reshape(-1, 4).tolist()])
 
+    return above, region
+
+
+def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygonSet:
+    """Marching-triangles iso-contour of the P1 field.
+
+    Each region's caps are its mesh elements clipped against the iso-line;
+    its loops link the clipped iso-segments and the boundary pieces inside
+    it.  Nodes exactly on the threshold are nudged infinitesimally above it,
+    which keeps the topology deterministic and the crossing points well
+    defined.  Every point is snapped to float32.
+    """
+    if not (0.0 < threshold < 1.0):
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+    above, region = _region_clipper(chi, mesh, threshold)
     caps_above, loops_above = region(above)
     caps_below, loops_below = region(~above)
     return ContourPolygonSet(threshold=threshold,
@@ -359,14 +374,15 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
     written = []
     for name, level in parts:
         # min(phi - 0.5, level) > 0 exactly on the part, scaled into (0,1)
-        # about 0.5 so the split is one threshold_contour at 0.5
+        # about 0.5: the part is threshold_contour(field, mesh, 0.5)'s region
+        # above, clipped and linked without the region below
         g = np.minimum(phi - 0.5, level)
         field = 0.5 + g / (4.0 * max(float(np.abs(g).max()), 1e-30))
-        contour = threshold_contour(field, mesh, 0.5)
-        if contour.loops_above:
+        above, region = _region_clipper(field, mesh, 0.5)
+        caps, loops = region(above)
+        if loops:
             path = os.path.join(outdir, f"{name}.stl")
-            written.append((path, extrude_to_stl(contour.loops_above, height, path,
-                                                 contour.caps_above)))
+            written.append((path, extrude_to_stl(loops, height, path, caps)))
     return written
 
 
@@ -374,8 +390,15 @@ def _edge_uses(tris: np.ndarray) -> np.ndarray:
     """Use count of every undirected edge of a triangle soup, with vertices
     keyed by their float32 coordinates, as a binary STL stores them."""
     v = np.asarray(tris, dtype=np.float32).reshape(-1, 3) + np.float32(0.0)  # -0 -> +0
-    verts, ids = np.unique(v.view(np.dtype((np.void, 12))).ravel(), return_inverse=True)
-    ids = ids.reshape(-1, 3)
+    # equal float32 values have equal bits: x and y pack into one int64 key,
+    # z is ranked apart, and each vertex id combines the two ranks
+    bits = v.view(np.uint32).astype(np.int64)
+    xy, xy_id = np.unique(bits[:, 0] << 32 | bits[:, 1], return_inverse=True)
+    z, z_id = np.unique(bits[:, 2], return_inverse=True)
+    ids = (xy_id * len(z) + z_id).reshape(-1, 3)
+    # the edge key fits an int64 while the id range len(xy) * len(z) stays
+    # under 3e9: an extrusion has two z levels
+    span = len(xy) * len(z)
     nxt = np.roll(ids, -1, axis=1)
-    return np.unique(np.minimum(ids, nxt) * len(verts) + np.maximum(ids, nxt),
+    return np.unique(np.minimum(ids, nxt) * span + np.maximum(ids, nxt),
                      return_counts=True)[1]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from gradtopo import fem, stress
 from gradtopo.config import RunConfig, validated
@@ -99,6 +98,7 @@ class Optimizer:
         self.M_raw = fem.assemble_scalar_mass(self.mesh)
         self.K_raw = fem.assemble_scalar_stiffness(self.mesh)
         self.area = self.mesh.area
+        self.band_order = fem.band_order(self.mesh)     # scalar-field band rows
         self.volume_target = config.volume_fraction * self.area
         # beta = 1: chi never enters the physics (dK/dchi = 0), so the
         # two-scale field degenerates and chi stays at the uniform fraction m
@@ -111,6 +111,7 @@ class Optimizer:
         # solve sees the per-thickness traction g / t
         self.traction_load = fem.assemble_load(self.mesh, config) / config.thickness
         self.C = fem.assemble_body_coupling(self.mesh, config)
+        self.C_T = self.C.T.tocsr()                     # C^T phi: the body load
 
         # bounds honoring the frozen regions
         N = self.mesh.node_count
@@ -140,7 +141,7 @@ class Optimizer:
                     + cfg.kappa2 * gc * self.K_raw
             else:
                 A_chi = (gc / tau_c) * self.M_raw + cfg.kappa2 * gc * self.K_raw
-            order = fem.band_order(self.mesh)
+            order = self.band_order
 
             def factor(A):
                 return fem.BandCholesky(fem.lower_band(A, order), order).solve
@@ -188,7 +189,7 @@ class Optimizer:
             s = self._element_factors(phi, chi)[0]
             el = self.elastic
             solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
-            u = solve(self.traction_load + self.C.T @ phi)
+            u = solve(self.traction_load + self.C_T @ phi)
             sigma = s[:, None] * (el.strains(u) @ self.material.K_A)
             results["state"] = (u, sigma, solve)
         return results["state"]
@@ -196,7 +197,7 @@ class Optimizer:
     def adjoint_solve(self, phi, chi, aggregate, solve):
         """Adjoint solve reusing the state factorization (same operator)."""
         cfg = self.config
-        rhs = cfg.kappa4 * self.traction_load + cfg.kappa3 * (self.C.T @ phi)
+        rhs = cfg.kappa4 * self.traction_load + cfg.kappa3 * (self.C_T @ phi)
         if cfg.kappa5 != 0.0:
             s = self._element_factors(phi, chi)[0]
             q = stress.element_stress_load(aggregate, self.mesh, s,
@@ -284,10 +285,10 @@ class Optimizer:
             free = ~(act_lo | act_hi)
             x = np.where(act_lo, lower, np.where(act_hi, upper, x))
             if np.any(free):
-                idx = np.flatnonzero(free)
-                A_ff = A[idx][:, idx]
-                b = rhs[idx] - A[idx] @ np.where(free, 0.0, x)
-                x[idx] = spla.spsolve(A_ff.tocsc(), b)
+                idx = self.band_order[free[self.band_order]]    # free, in band order
+                A_f, rows = A[idx], np.arange(len(idx))
+                b = rhs[idx] - A_f @ np.where(free, 0.0, x)
+                x[idx] = fem.BandCholesky(fem.lower_band(A_f[:, idx], rows), rows).solve(b)
             g = A @ x - rhs                     # gradient of the QP
             new_lo = g + d * (lower - x) > 0.0
             new_hi = -g + d * (x - upper) > 0.0

@@ -163,6 +163,22 @@ def test_contour_deterministic():
         assert np.array_equal(p, q)
 
 
+@pytest.mark.parametrize("nx, ny", [(24, 6), (5, 17)])
+def test_directed_boundary_has_interior_on_left(nx, ny):
+    mesh = make_mesh(nx, ny)
+    directed = export._directed_boundary(mesh)
+    assert len(directed) == len(mesh.boundary_edges)
+    # the third corner of the element on each edge lies left of it
+    on_edge = {frozenset(e): c for tri in mesh.elements.tolist()
+               for e, c in (((tri[0], tri[1]), tri[2]), ((tri[1], tri[2]), tri[0]),
+                            ((tri[2], tri[0]), tri[1]))}
+    for a, b in directed.tolist():
+        pa, pb = mesh.nodes[a], mesh.nodes[b]
+        pc = mesh.nodes[on_edge[frozenset((a, b))]]
+        d1, d2 = pb - pa, pc - pa
+        assert d1[0] * d2[1] - d1[1] * d2[0] > 0.0
+
+
 # --- STL --------------------------------------------------------------------
 
 def check_watertight(tris):
@@ -231,6 +247,36 @@ def test_extrude_rejects_open_solid(tmp_path):
     with pytest.raises(export.GeometryError, match="not closed"):
         export.extrude_to_stl([loop], 1.0, str(path), [loop[[0, 1, 2]]])
     assert not path.exists()
+    # a cap corner one float32 step off the loop's corner is another vertex
+    off = loop.copy()
+    off[2, 0] = np.nextafter(np.float32(4.0), np.float32(5.0))
+    with pytest.raises(export.GeometryError, match="not closed"):
+        export.extrude_to_stl([loop], 1.0, str(path), [off[[0, 1, 2]], loop[[0, 2, 3]]])
+    assert not path.exists()
+    # -0.0 and +0.0 are one vertex
+    signed = np.where(loop == 0.0, -0.0, loop)
+    assert export.extrude_to_stl([loop], 1.0, str(path), [signed[[0, 1, 2]], signed[[0, 2, 3]]]) == 12
+
+
+def random_soup(rng, count):
+    """Triangles drawn from a small vertex pool: shared vertices, vertices
+    that differ only in z, zeros of either sign, and coordinates that round
+    to the same float32."""
+    xy = rng.integers(-2, 3, size=(6, 2)).astype(float)
+    pool = np.concatenate([np.column_stack([xy, np.full(6, z)]) for z in (0.0, 1.5, -3.0)])
+    tris = pool[rng.integers(0, len(pool), size=(count, 3))]
+    nudge = rng.random(tris.shape) < 0.2
+    tris[nudge] += 1e-9 * (tris[nudge] != 0.0)
+    tris[(rng.random(tris.shape) < 0.5) & (tris == 0.0)] = -0.0
+    return tris
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_edge_uses_matches_reference_counts(seed):
+    rng = np.random.default_rng(seed)
+    tris = random_soup(rng, int(rng.integers(1, 60)))
+    expected = reference.stl_edge_use_counts(tris)
+    assert sorted(export._edge_uses(tris).tolist()) == sorted(expected.values())
 
 
 def test_extrude_rejects_bad_height_and_empty(tmp_path):
@@ -291,6 +337,37 @@ def test_split_to_stl_parts(tmp_path):
     # threshold <= 0: the whole material region in above.stl
     whole = export.split_to_stl(phi, chi, mesh, 0.0, 2.0, str(tmp_path))
     assert [os.path.basename(p) for p, _ in whole] == ["above.stl"]
+
+
+def seeded_design(mesh, seed):
+    """Graded design with a hole; chi crosses 0.5 along a wavy line."""
+    rng = np.random.default_rng(seed)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    r = np.hypot(x - rng.uniform(60.0, 140.0), y - rng.uniform(35.0, 65.0))
+    phi = 0.5 + 0.5 * np.tanh((r - rng.uniform(15.0, 25.0)) / 4.0)
+    chi = 0.5 + 0.3 * np.sin((x - 100.0) / 30.0 + rng.uniform(-0.5, 0.5) * np.sin(y / 20.0))
+    return phi, np.minimum(chi, phi)
+
+
+@pytest.mark.parametrize("threshold, links", [(0.5, 2), (0.0, 1)])
+def test_split_to_stl_links_each_written_region_once(tmp_path, monkeypatch,
+                                                     threshold, links):
+    mesh = make_mesh(30, 15)
+    phi, chi = seeded_design(mesh, seed=4)
+    calls = []
+    link = export._link
+    monkeypatch.setattr(export, "_link", lambda segs: calls.append(1) or link(segs))
+    written = export.split_to_stl(phi, chi, mesh, threshold, 3.0, str(tmp_path))
+    assert len(calls) == links == len(written)
+    monkeypatch.undo()
+    levels = (chi - threshold, threshold - chi) if threshold > 0 else (np.ones_like(chi),)
+    for (path, _), level in zip(written, levels):
+        g = np.minimum(phi - 0.5, level)
+        cps = export.threshold_contour(0.5 + g / (4.0 * np.abs(g).max()), mesh, 0.5)
+        expected = str(tmp_path / "expected.stl")
+        export.extrude_to_stl(cps.loops_above, 3.0, expected, cps.caps_above)
+        with open(path, "rb") as got, open(expected, "rb") as want:
+            assert got.read() == want.read()
 
 
 @settings(max_examples=40, deadline=None)
