@@ -88,8 +88,6 @@ class RunConfig:
     seed: int = 0
     perturb: float = 0.0                 # amplitude of seeded initial noise
     safeguard: bool = False              # tau-halving on objective increase
-    stabilization: float = 0.0           # convex-concave splitting constant L
-    chi_solver: str = "clamp"            # "clamp" | "obstacle"
 
     # [stress]
     pnorm_p: int = 8
@@ -159,8 +157,6 @@ def validate(config: RunConfig) -> list[str]:
     positive("tau", config.tau)
     if config.tau_chi is not None:
         positive("tau_chi", config.tau_chi)
-    if config.stabilization < 0:
-        v.append(f"stabilization: must be >= 0, got {config.stabilization}")
     positive("tol", config.tol)
     if config.pnorm_p < 2:
         v.append(f"pnorm_p: must be an integer >= 2, got {config.pnorm_p}")
@@ -169,8 +165,6 @@ def validate(config: RunConfig) -> list[str]:
         v.append(f"max_iter: must be >= 1, got {config.max_iter}")
     if config.traction_length is not None and config.traction_length <= 0:
         v.append(f"traction_length: must be > 0, got {config.traction_length}")
-    if config.chi_solver not in ("clamp", "obstacle"):
-        v.append(f"chi_solver: must be 'clamp' or 'obstacle', got {config.chi_solver!r}")
     for box in config.fixed_void + config.fixed_solid:
         if box.x1 < box.x0 or box.y1 < box.y0:
             v.append(f"fixed region {box}: empty box (x1 < x0 or y1 < y0)")
@@ -252,8 +246,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("optimizer", "seed"): ("seed", int),
     ("optimizer", "perturb"): ("perturb", float),
     ("optimizer", "safeguard"): ("safeguard", _parse_bool),
-    ("optimizer", "stabilization"): ("stabilization", float),
-    ("optimizer", "chi_solver"): ("chi_solver", str),
     ("stress", "pnorm_p"): ("pnorm_p", int),
     ("stress", "yield_stress"): ("yield_stress", float),
     ("output", "directory"): ("output_dir", str),

@@ -32,8 +32,8 @@ __all__ = [
 
 
 class SolverError(RuntimeError):
-    """A solve failed: a singular factor or saddle point, an obstacle active
-    set that does not settle, or a non-finite iterate."""
+    """A solve failed: a factor that is not positive definite, a singular
+    saddle point, or a non-finite iterate."""
 
 
 # B_i = g_ix E_x + g_iy E_y: the strain-displacement block of node i in terms

@@ -1,18 +1,18 @@
 """Staggered Allen-Cahn optimization loop.
 
-Each iteration solves, in order: the elastic state, the adjoint system
-(sharing the state factorization), and the coupled linear KKT step for the
-two phase fields under the exact volume constraint, followed by the nodal
-clamp onto the admissible set 0 <= chi <= phi <= 1.
+Each iteration solves, in order: the adjoint system (sharing the
+factorization of the current state), the coupled linear KKT step for the two
+phase fields under the exact volume constraint, the nodal clamp onto the
+admissible set 0 <= chi <= phi <= 1, and the elastic state of the new
+iterate, which is recorded and stepped from next.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from gradtopo import fem, stress
 from gradtopo.config import RunConfig, validated
@@ -31,8 +31,7 @@ class OptimizerState:
     phi: np.ndarray
     chi: np.ndarray
     lam: float
-    u: np.ndarray
-    U: np.ndarray
+    u: np.ndarray               # the state of (phi, chi)
     sigma: np.ndarray           # (M,3) Voigt per element
     delta_phi: float
     delta_chi: float
@@ -104,6 +103,10 @@ class Optimizer:
         # two-scale field degenerates and chi stays at the uniform fraction m
         self.single_material = config.beta == 1.0
 
+        # A_chi does not depend on tau, so the chi solve is factored once
+        gc = config.gamma_chi_eff
+        self.solve_chi = None if self.single_material else self._factor(
+            (gc / config.tau_chi_eff) * self.M_raw + config.kappa2 * gc * self.K_raw)
         self._phase_factor_cache: dict[float, tuple] = {}
         self._phase_ops(config.tau)
 
@@ -124,44 +127,27 @@ class Optimizer:
 
     # --- operators ---------------------------------------------------------
 
+    def _factor(self, A):
+        """Banded Cholesky solve of an SPD scalar-field operator."""
+        order = self.band_order
+        return fem.BandCholesky(fem.lower_band(A, order), order).solve
+
     def _phase_ops(self, tau: float):
-        """(Pre)factorized phase-field operators for a given pseudo-time step."""
+        """(solve_phi, A_phi^-1 w) for the pseudo-time step tau: the factored
+        phi operator and the solved volume row, reused by every saddle solve."""
         if tau not in self._phase_factor_cache:
-            cfg = self.config
-            gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
-            A_phi = (gp / tau) * self.M_raw + cfg.kappa1 * gp * self.K_raw
-            if cfg.stabilization > 0.0:
-                A_phi = A_phi + (cfg.kappa1 / gp) * cfg.stabilization \
-                    * sp.diags(self.weights)
-            tau_c = cfg.tau_chi_eff
-            if cfg.chi_solver == "obstacle":
-                # lumped inertia keeps A_chi an M-matrix on the right-triangle
-                # mesh, which the active-set bound solver needs to terminate
-                A_chi = (gc / tau_c) * sp.diags(self.weights) \
-                    + cfg.kappa2 * gc * self.K_raw
-            else:
-                A_chi = (gc / tau_c) * self.M_raw + cfg.kappa2 * gc * self.K_raw
-            order = self.band_order
-
-            def factor(A):
-                return fem.BandCholesky(fem.lower_band(A, order), order).solve
-
-            solve_phi = factor(A_phi)
-            # only the clamp update of a two-material run solves with A_chi;
-            # the obstacle solver works on its sub-blocks
-            solve_chi = None
-            if cfg.chi_solver == "clamp" and not self.single_material:
-                solve_chi = factor(A_chi)
-            # A_phi^-1 of the volume row, reused by every saddle solve
-            self._phase_factor_cache[tau] = (A_chi, solve_phi, solve_chi,
-                                             solve_phi(self.weights))
+            gp = self.config.gamma_phi
+            solve_phi = self._factor((gp / tau) * self.M_raw
+                                     + self.config.kappa1 * gp * self.K_raw)
+            self._phase_factor_cache[tau] = (solve_phi, solve_phi(self.weights))
         return self._phase_factor_cache[tau]
 
     def _results(self, phi, chi) -> dict:
         """Results computed for the fields (phi, chi), kept while they are
-        unchanged: the state, adjoint and sensitivity steps of one iterate
-        share them, and the safeguard's accepted trial state solve is the
-        next iterate's state solve."""
+        unchanged: the state solve and stress aggregate of an iterate are
+        computed once, when the iterate is recorded (or tried by the
+        safeguard), and the next iteration's adjoint and sensitivities
+        reuse them."""
         last = self._iterate
         if last is None or not (np.array_equal(last[0], phi)
                                 and np.array_equal(last[1], chi)):
@@ -183,16 +169,29 @@ class Optimizer:
     # --- staggered sub-steps ------------------------------------------------
 
     def state_solve(self, phi, chi):
-        """Elastic solve; returns (u, sigma, reusable solver of the same system)."""
+        """Elastic solve; returns (u, sigma, reusable solver of the same system).
+
+        The p-norm aggregate of sigma is computed with it (see aggregate_of).
+        """
         results = self._results(phi, chi)
         if "state" not in results:
+            cfg = self.config
             s = self._element_factors(phi, chi)[0]
             el = self.elastic
             solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
             u = solve(self.traction_load + self.C_T @ phi)
             sigma = s[:, None] * (el.strains(u) @ self.material.K_A)
             results["state"] = (u, sigma, solve)
+            results["aggregate"] = stress.pnorm_aggregate(
+                sigma, self.mesh, cfg.yield_stress, cfg.pnorm_p)
         return results["state"]
+
+    def aggregate_of(self, phi, chi) -> stress.StressAggregate:
+        """p-norm stress aggregate of the state of (phi, chi)."""
+        results = self._results(phi, chi)
+        if "aggregate" not in results:
+            self.state_solve(phi, chi)
+        return results["aggregate"]
 
     def adjoint_solve(self, phi, chi, aggregate, solve):
         """Adjoint solve reusing the state factorization (same operator)."""
@@ -232,78 +231,21 @@ class Optimizer:
         """
         cfg = self.config
         tau = cfg.tau if tau is None else tau
-        A_chi, solve_phi, solve_chi, weights_solved = self._phase_ops(tau)
-        gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
+        solve_phi, weights_solved = self._phase_ops(tau)
+        gp = cfg.gamma_phi
 
         q_s, q_sp = self._mechanical_driving(phi, chi, u, U, aggregate)
         rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
             - (cfg.kappa1 / gp) * (self.weights * dW(phi)) \
             - (cfg.kappa3 * (self.C @ u) + (self.C @ U))
-        if cfg.stabilization > 0.0:
-            # convex-concave splitting: the extra L*(phi' - phi) term
-            # cancels at stationarity, so steady states are unchanged while
-            # the explicit double-well update becomes stable for large tau
-            rhs_phi += (cfg.kappa1 / gp) * cfg.stabilization \
-                * (self.weights * phi)
-
         phi_new, lam = fem.solve_saddle(solve_phi, self.weights, rhs_phi,
                                         self.volume_target, weights_solved)
         if self.single_material:
-            chi_new = chi
-        else:
-            tau_c = cfg.tau_chi_eff
-            if cfg.chi_solver == "obstacle":
-                rhs_chi = (gc / tau_c) * (self.weights * chi) + q_sp
-                # bounds use the projected phi so the subsequent clamp is a no-op
-                phi_proj = rescale(phi_new, self.phi_lower, self.phi_upper)
-                chi_new = self._solve_obstacle(A_chi, rhs_chi,
-                                               np.zeros_like(phi_proj), phi_proj,
-                                               chi)
-            else:
-                rhs_chi = (gc / tau_c) * (self.M_raw @ chi) + q_sp
-                chi_new = solve_chi(rhs_chi)
-        return phi_new, chi_new, lam
-
-    def _solve_obstacle(self, A, rhs, lower, upper, x0, max_cycles=30):
-        """Solve the box-constrained SPD system: A x = rhs on the inactive set,
-        lower <= x <= upper, complementarity on the bounds.
-
-        Primal-dual active-set iteration; this respects the variational
-        inequality directly, so the gradient-penalty operator acts with the
-        bound constraints instead of being clipped after the fact.  The
-        multiplier estimate g is compared with diag(A) times the bound
-        violation, so both are in the units of the right-hand side (with a
-        unit constant, a node would jump between its two bounds whenever
-        diag(A) outweighs the bound gap, and the iteration cycles).
-        """
-        A = A.tocsr()
-        d = A.diagonal()
-        x = np.clip(x0, lower, upper)
-        act_lo = x <= lower
-        act_hi = x >= upper
-        for _ in range(max_cycles):
-            free = ~(act_lo | act_hi)
-            x = np.where(act_lo, lower, np.where(act_hi, upper, x))
-            if np.any(free):
-                idx = self.band_order[free[self.band_order]]    # free, in band order
-                A_f, rows = A[idx], np.arange(len(idx))
-                b = rhs[idx] - A_f @ np.where(free, 0.0, x)
-                x[idx] = fem.BandCholesky(fem.lower_band(A_f[:, idx], rows), rows).solve(b)
-            g = A @ x - rhs                     # gradient of the QP
-            new_lo = g + d * (lower - x) > 0.0
-            new_hi = -g + d * (x - upper) > 0.0
-            if np.array_equal(new_lo, act_lo) and np.array_equal(new_hi, act_hi):
-                return np.clip(x, lower, upper)
-            act_lo, act_hi = new_lo, new_hi
-        raise fem.SolverError(f"obstacle active-set iteration did not settle "
-                              f"in {max_cycles} cycles")
+            return phi_new, chi, lam
+        rhs_chi = (cfg.gamma_chi_eff / cfg.tau_chi_eff) * (self.M_raw @ chi) + q_sp
+        return phi_new, self.solve_chi(rhs_chi), lam
 
     # --- diagnostics --------------------------------------------------------
-
-    def aggregate_of(self, sigma):
-        cfg = self.config
-        return stress.pnorm_aggregate(sigma, self.mesh, cfg.yield_stress,
-                                      cfg.pnorm_p)
 
     def compliance_of(self, phi, u) -> float:
         """Load work over the whole plate: thickness x per-thickness work."""
@@ -335,14 +277,14 @@ class Optimizer:
     # --- adjoint-consistency helpers (used by the gradient oracle tests) ----
 
     def reduced_objective(self, phi, chi) -> float:
-        u, sigma, _ = self.state_solve(phi, chi)
-        return self.objective_of(phi, chi, u, self.aggregate_of(sigma))
+        u = self.state_solve(phi, chi)[0]
+        return self.objective_of(phi, chi, u, self.aggregate_of(phi, chi))
 
     def phi_gradient(self, phi, chi) -> np.ndarray:
         """Exact gradient of reduced_objective w.r.t. nodal phi (adjoint route)."""
         cfg = self.config
-        u, sigma, solve = self.state_solve(phi, chi)
-        aggregate = self.aggregate_of(sigma)
+        u, _, solve = self.state_solve(phi, chi)
+        aggregate = self.aggregate_of(phi, chi)
         U = self.adjoint_solve(phi, chi, aggregate, solve)
         q_s, _ = self._mechanical_driving(phi, chi, u, U, aggregate)
         g = (cfg.kappa1 / cfg.gamma_phi) * (self.weights * dW(phi)) \
@@ -353,17 +295,22 @@ class Optimizer:
     # --- main loop ----------------------------------------------------------
 
     def run(self, callback=None) -> tuple[OptimizerState, list[IterationRecord]]:
+        """Step until the increments fall below tol or max_iter is reached.
+
+        Row k of the history records the iterate (phi_k, chi_k) with its own
+        state solve, which iteration k+1 then steps from.
+        """
         cfg = self.config
         t0 = time.perf_counter()
         phi, chi = initialize_fields(cfg, self.mesh)
+        u, sigma, solve = self.state_solve(phi, chi)
+        aggregate = self.aggregate_of(phi, chi)
         history: list[IterationRecord] = []
         state = None
         prev_objective = None
 
         for it in range(1, cfg.max_iter + 1):
-            u, sigma, solve = self.state_solve(phi, chi)
             _require_finite(it, displacement=u)
-            aggregate = self.aggregate_of(sigma)
             U = self.adjoint_solve(phi, chi, aggregate, solve)
 
             tau = cfg.tau
@@ -375,10 +322,7 @@ class Optimizer:
                 chi_new = chi if self.single_material else rescale(chi_star, 0.0, phi_new)
                 if not cfg.safeguard or prev_objective is None or attempt == 5:
                     break
-                u_try, sigma_try, _ = self.state_solve(phi_new, chi_new)
-                obj_try = self.objective_of(phi_new, chi_new, u_try,
-                                            self.aggregate_of(sigma_try))
-                if obj_try <= prev_objective * 1.01:
+                if self.reduced_objective(phi_new, chi_new) <= prev_objective * 1.01:
                     break
                 tau *= 0.5
 
@@ -386,6 +330,8 @@ class Optimizer:
             delta_phi = self.l2_norm(phi_new - phi)
             delta_chi = self.l2_norm(chi_new - chi)
             phi, chi = phi_new, chi_new
+            u, sigma, solve = self.state_solve(phi, chi)
+            aggregate = self.aggregate_of(phi, chi)
 
             compliance = self.compliance_of(phi, u)
             m_chi = self.m_chi_of(chi)
@@ -394,7 +340,7 @@ class Optimizer:
             prev_objective = objective
             converged = delta_phi < cfg.tol and delta_chi < cfg.tol
             state = OptimizerState(
-                iter=it, phi=phi, chi=chi, lam=lam, u=u, U=U, sigma=sigma,
+                iter=it, phi=phi, chi=chi, lam=lam, u=u, sigma=sigma,
                 delta_phi=delta_phi, delta_chi=delta_chi,
                 compliance=compliance, m_chi=m_chi, objective=objective,
                 converged=converged, volume_presnap=volume_presnap)
@@ -408,14 +354,6 @@ class Optimizer:
                 callback(state, record)
             if converged:
                 break
-
-        # final analysis on the last projected fields
-        u, sigma, solve = self.state_solve(phi, chi)
-        aggregate = self.aggregate_of(sigma)
-        state.u = u
-        state.sigma = sigma
-        state.compliance = self.compliance_of(phi, u)
-        state.objective = self.objective_of(phi, chi, u, aggregate)
         return state, history
 
 

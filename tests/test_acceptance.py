@@ -126,8 +126,8 @@ def test_adjoint_identity_on_benchmark_mesh():
     cfg = benchmark_config(kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=3)
-    u, sigma, solve = opt.state_solve(phi, chi)
-    U = opt.adjoint_solve(phi, chi, opt.aggregate_of(sigma), solve)
+    u, _, solve = opt.state_solve(phi, chi)
+    U = opt.adjoint_solve(phi, chi, opt.aggregate_of(phi, chi), solve)
     assert np.linalg.norm(U - u) / np.linalg.norm(u) <= 1e-8
 
 

@@ -87,7 +87,8 @@ def test_unknown_key_rejected():
 REMOVED_KEYS = ["optimizer.solver=pcg", "optimizer.linear_tol=1e-8",
                 "optimizer.literal_rhs=true", "stress.normalized=false",
                 "output.chi_threshold=0.4", "output.extrude_height=5",
-                "material.literal_km=true"]
+                "material.literal_km=true", "optimizer.stabilization=0",
+                "optimizer.chi_solver=clamp"]
 
 
 @pytest.mark.parametrize("item", REMOVED_KEYS)

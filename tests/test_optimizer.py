@@ -4,7 +4,6 @@ import pytest
 import reference
 from gradtopo import fem
 from gradtopo.config import Box, cantilever_config
-from gradtopo.material import dW
 from gradtopo.optimizer import Optimizer, initialize_fields, rescale, run
 
 
@@ -71,8 +70,8 @@ def test_pre_projection_volume_exact():
     cfg = small_config()
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt)
-    u, sigma, solve = opt.state_solve(phi, chi)
-    agg = opt.aggregate_of(sigma)
+    u, _, solve = opt.state_solve(phi, chi)
+    agg = opt.aggregate_of(phi, chi)
     U = opt.adjoint_solve(phi, chi, agg, solve)
     phi_star, chi_star, lam = opt.phase_field_step(phi, chi, u, U, agg)
     vol = float(opt.weights @ phi_star)
@@ -84,8 +83,8 @@ def test_adjoint_identity_without_stress_or_body():
     cfg = small_config(mesh_nx=8, mesh_ny=4, kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=2)
-    u, sigma, solve = opt.state_solve(phi, chi)
-    U = opt.adjoint_solve(phi, chi, opt.aggregate_of(sigma), solve)
+    u, _, solve = opt.state_solve(phi, chi)
+    U = opt.adjoint_solve(phi, chi, opt.aggregate_of(phi, chi), solve)
     assert np.linalg.norm(U - u) / np.linalg.norm(u) <= 1e-8
 
 
@@ -126,8 +125,8 @@ def test_phase_step_solves_the_gradient_flow():
     assert cfg.kappa5 == 1.0
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=3)
-    u, sigma, solve = opt.state_solve(phi, chi)
-    agg = opt.aggregate_of(sigma)
+    u, _, solve = opt.state_solve(phi, chi)
+    agg = opt.aggregate_of(phi, chi)
     U = opt.adjoint_solve(phi, chi, agg, solve)
     phi_star, _, lam = opt.phase_field_step(phi, chi, u, U, agg)
     g = opt.phi_gradient(phi, chi)
@@ -155,8 +154,8 @@ def test_chi_driving_matches_compliance_sensitivity():
     cfg = small_config(kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=11)
-    u, sigma, solve = opt.state_solve(phi, chi)
-    agg = opt.aggregate_of(sigma)
+    u, _, solve = opt.state_solve(phi, chi)
+    agg = opt.aggregate_of(phi, chi)
     U = opt.adjoint_solve(phi, chi, agg, solve)
     _, q_sp = opt._mechanical_driving(phi, chi, u, U, agg)
     h = 1e-6
@@ -169,39 +168,11 @@ def test_chi_driving_matches_compliance_sensitivity():
         assert float(q_sp @ d) == pytest.approx(-fd, rel=1e-4)
 
 
-# --- the optional schemes: obstacle chi step, stabilization, safeguard -----
-
-def test_obstacle_solve_satisfies_kkt():
-    """_solve_obstacle returns the solution of the bound-constrained QP."""
-    opt = Optimizer(small_config(mesh_nx=8, mesh_ny=4, chi_solver="obstacle"))
-    A_chi = opt._phase_ops(opt.config.tau)[0]
-    A = A_chi.toarray()
-    off = A - np.diag(np.diag(A))
-    assert np.all(off <= 0.0) and np.all(A.sum(axis=1) > 0.0)   # an M-matrix
-    rng = np.random.default_rng(17)
-    n = opt.mesh.node_count
-    lower = np.zeros(n)
-    upper = 0.3 + 0.6 * rng.random(n)
-    rhs = A @ (1.6 * rng.random(n) - 0.3)      # unconstrained solution in (-0.3, 1.3)
-    x0 = np.full(n, 0.5)
-    x = opt._solve_obstacle(A_chi, rhs, lower, upper, x0)
-    g = A @ x - rhs
-    tol = 1e-9 * np.abs(rhs).max()
-    at_lo, at_hi = x == lower, x == upper
-    free = ~(at_lo | at_hi)
-    assert at_lo.any() and at_hi.any() and free.any()
-    assert np.all((lower <= x) & (x <= upper))
-    assert np.all(g[at_lo] >= -tol)
-    assert np.all(g[at_hi] <= tol)
-    assert np.abs(g[free]).max() <= tol
-    # an active set that has not settled is an error, not a clipped guess
-    with pytest.raises(fem.SolverError, match="did not settle"):
-        opt._solve_obstacle(A_chi, rhs, lower, upper, x0, max_cycles=1)
-
+# --- the phase-field operators and the safeguard ---------------------------
 
 @pytest.mark.parametrize("kw, factorizations", [
     ({}, 2),                            # A_phi and A_chi
-    (dict(chi_solver="obstacle"), 1),   # solves its own sub-blocks
+    (dict(beta=1.0, safeguard=True), 1),  # no trial tau factored up front
     (dict(beta=1.0), 1),                # chi never updates
 ])
 def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
@@ -214,45 +185,10 @@ def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
     assert len(calls) == factorizations
 
 
-def test_obstacle_run_keeps_chi_between_bounds():
-    cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=5, chi_solver="obstacle")
-    state, history = run(cfg)
-    assert len(history) == 5
-    assert np.all((state.chi >= 0.0) & (state.chi <= state.phi))
-
-
-def test_stabilization_keeps_fixed_points(monkeypatch):
-    """With the elastic fields held fixed, a fixed point of the plain phase
-    step is a fixed point of the convex-concave stabilized step."""
-    cfg = small_config(mesh_nx=8, mesh_ny=4)
-    plain = Optimizer(cfg)
-    stabilized = Optimizer(small_config(mesh_nx=8, mesh_ny=4, stabilization=2.0))
-    phi, chi = interior_fields(plain, seed=5)
-    phi *= plain.volume_target / float(plain.weights @ phi)
-    gp, k1 = cfg.gamma_phi, cfg.kappa1
-    # the driving load that makes phi stationary with multiplier lam:
-    # k1 gp K phi + lam w = q_s - (k1 / gp) w W'(phi)
-    lam = 3.0
-    q_s = k1 * gp * (plain.K_raw @ phi) + lam * plain.weights \
-        + (k1 / gp) * plain.weights * dW(phi)
-    driving = lambda phi_, chi_, u, U, aggregate: (q_s, np.zeros_like(q_s))
-    zero = np.zeros(2 * plain.mesh.node_count)      # the elastic fields
-    for opt in (plain, stabilized):
-        monkeypatch.setattr(opt, "_mechanical_driving", driving)
-        phi_new, _, lam_new = opt.phase_field_step(phi, chi, zero, zero, None)
-        assert np.abs(phi_new - phi).max() <= 1e-10
-        assert lam_new == pytest.approx(lam, rel=1e-8)
-    # away from the fixed point the stabilization does change the step
-    other = phi + 0.05 * np.sin(plain.mesh.nodes[:, 0])
-    step = [opt.phase_field_step(other, chi, zero, zero, None)[0]
-            for opt in (plain, stabilized)]
-    assert np.abs(step[0] - step[1]).max() > 1e-6
-
-
-def safeguard_taus(monkeypatch, objectives):
+def safeguard_taus(monkeypatch, objectives, opt=None):
     """tau of every phase step in a 2-iteration safeguarded run, with
     objective_of replaced by successive values of `objectives`."""
-    opt = Optimizer(small_config(safeguard=True, max_iter=2))
+    opt = opt or Optimizer(small_config(safeguard=True, max_iter=2))
     taus = []
     step = opt.phase_field_step
 
@@ -274,6 +210,19 @@ def test_safeguard_halves_tau_until_sixth_attempt(monkeypatch):
     assert taus == [tau] + [tau / 2 ** k for k in range(6)]
 
 
+def test_safeguard_factors_A_chi_once(monkeypatch):
+    # five halvings factor A_phi for six taus; A_chi does not depend on tau
+    # and is factored once, at set-up
+    calls = []
+    factor = fem.BandCholesky
+    monkeypatch.setattr(fem, "BandCholesky",
+                        lambda ab, rows: calls.append(rows) or factor(ab, rows))
+    opt = Optimizer(small_config(safeguard=True, max_iter=2))
+    tau, taus = safeguard_taus(monkeypatch, (2.0 ** k for k in range(100)), opt)
+    assert len(set(taus)) == 6
+    assert sum(rows is opt.band_order for rows in calls) == 1 + 6
+
+
 def test_safeguard_accepts_a_descending_step(monkeypatch):
     tau, taus = safeguard_taus(monkeypatch, (2.0 ** -k for k in range(100)))
     assert taus == [tau, tau]
@@ -281,8 +230,8 @@ def test_safeguard_accepts_a_descending_step(monkeypatch):
 
 def test_safeguard_reuses_the_accepted_trial_state_solve(monkeypatch):
     # every trial is accepted, so each iterate's state is solved once: the
-    # initial field, then one trial per iteration after the first, each
-    # reused by the next iteration (or the final analysis)
+    # initial field, the first iterate, then one trial per iteration after
+    # the first, each reused to record it and to step from it
     opt = Optimizer(small_config(safeguard=True, max_iter=4))
     elastic = []
     factor = fem.BandCholesky
@@ -308,6 +257,24 @@ def test_run_reports_history_and_state():
     assert history[0].iter == 1 and history[-1].iter == 5
     for rec in history:
         assert np.isfinite(rec.objective) and np.isfinite(rec.lam)
+
+
+def test_history_records_each_iterate_with_its_own_state():
+    """Row k's objective is the reduced objective of (phi_k, chi_k), and the
+    final state is the last row's iterate."""
+    cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=6)
+    iterates = []
+    state, history = run(cfg, callback=lambda s, r: iterates.append(
+        (s.phi.copy(), s.chi.copy())))
+    check = Optimizer(cfg)
+    for (phi, chi), rec in zip(iterates, history, strict=True):
+        u = check.state_solve(phi, chi)[0]
+        assert rec.objective == pytest.approx(
+            check.reduced_objective(phi, chi), rel=1e-12)
+        assert rec.compliance == pytest.approx(
+            check.compliance_of(phi, u), rel=1e-12)
+    assert state.objective == history[-1].objective
+    assert state.compliance == history[-1].compliance
 
 
 def test_run_convergence_flag_with_loose_tolerance():
@@ -361,7 +328,7 @@ def test_state_and_adjoint_match_reference_assembly():
     assert np.linalg.norm(K_red @ u[free] - f_red) <= 1e-10 * np.linalg.norm(f_red)
     ref_sigma = reference.element_stress(opt.mesh, opt.material, phi, chi, u)
     assert np.allclose(sigma, ref_sigma, rtol=1e-12, atol=1e-12 * np.abs(ref_sigma).max())
-    agg = opt.aggregate_of(sigma)
+    agg = opt.aggregate_of(phi, chi)
     U = opt.adjoint_solve(phi, chi, agg, solve)
     rhs = cfg.kappa4 * opt.traction_load + reference.adjoint_stress_load(
         agg, opt.mesh, opt.material, phi, chi, cfg.kappa5)
