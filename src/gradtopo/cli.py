@@ -141,14 +141,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_stl(args) -> int:
-    if args.height <= 0:
-        raise ConfigError(f"extrusion height must be > 0, got {args.height}")
+    if not (np.isfinite(args.height) and args.height > 0):
+        raise ConfigError(f"extrusion height must be finite and > 0, got {args.height}")
+    if not np.isfinite(args.threshold):
+        raise ConfigError(f"threshold must be finite, got {args.threshold}")
     snap = np.load(args.snapshot)
     phi, chi = snap["phi"], snap["chi"]
     config = _load(args, default_builtin=True)
     mesh = build_rect_mesh(config)
     if len(phi) != mesh.node_count:
         raise ConfigError("snapshot does not match the configured mesh size")
+    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
+        raise ConfigError("snapshot holds non-finite phi or chi values")
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
@@ -209,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, export.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except FileNotFoundError as exc:

@@ -1,10 +1,10 @@
-"""Field snapshots, iso-contour extraction, and print-ready STL geometry.
+"""Field snapshots, region caps, and print-ready STL geometry.
 
 The final chi distribution is split at a threshold into two regions.
 Marching triangles clips every mesh element against the iso-line of the P1
-field: a region's clipped elements are its cap triangles, and its
-iso-segments and boundary pieces link into closed polygons.  The caps and
-walls along the polygons form a closed binary STL prism.
+field: a region's clipped elements are its cap triangles.  The caps, and
+walls on the cap edges that no other cap shares, form a closed binary STL
+prism.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,19 +20,18 @@ from gradtopo.optimizer import IterationRecord
 
 __all__ = [
     "GeometryError",
-    "ContourPolygonSet",
     "write_fields",
     "write_history_csv",
     "write_run",
-    "threshold_contour",
+    "region_caps",
     "extrude_to_stl",
     "split_to_stl",
 ]
 
 
 class GeometryError(ValueError):
-    """Geometry that cannot be written as a closed solid (an extrusion with
-    an edge not used by exactly two triangles, a contour that does not link)."""
+    """Geometry that cannot be written as a closed solid (no caps, or an
+    extrusion with an edge not used by exactly two triangles)."""
 
 
 # --------------------------------------------------------------------------
@@ -99,65 +97,20 @@ def write_run(config, state, history: list, mesh) -> None:
 # marching triangles
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContourPolygonSet:
-    """Closed polygons and cap triangles of the two threshold regions.
-
-    Orientation convention: outer boundaries counter-clockwise, holes
-    clockwise (signed areas of each region's loops sum to the region area).
-    The caps are (T,3,2) arrays of counter-clockwise triangles that tile a
-    region: its mesh elements clipped against the iso-line.
-    """
-
-    threshold: float
-    loops_above: tuple
-    loops_below: tuple
-    caps_above: np.ndarray
-    caps_below: np.ndarray
-
-    @property
-    def area_above(self) -> float:
-        return sum(_signed_area(p) for p in self.loops_above)
-
-    @property
-    def area_below(self) -> float:
-        return sum(_signed_area(p) for p in self.loops_below)
-
-
-def _signed_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
 def _snap(p: np.ndarray) -> np.ndarray:
-    # the binary STL stores float32: snapping every point to it makes the
-    # linker merge exactly the points the STL merges, and collapses
-    # eps-offset crossings onto their mesh nodes
+    # the binary STL stores float32: snapping every point to it collapses
+    # eps-offset crossings onto their mesh nodes, so the caps drop the
+    # slivers between them
     return np.asarray(p, dtype=np.float32).astype(float)
-
-
-def _directed_boundary(mesh) -> np.ndarray:
-    """Boundary edges (B,2) directed so the domain interior lies on their left."""
-    n = mesh.node_count
-    el = mesh.elements.astype(np.int64)
-    ab = np.array([(a, b) for (a, b, _tag) in mesh.boundary_edges], dtype=np.int64)
-    # a boundary edge is forward when some counter-clockwise element has it
-    # as a directed edge
-    keys = np.sort((el * n + np.roll(el, -1, axis=1)).ravel())
-    key = ab[:, 0] * n + ab[:, 1]
-    forward = keys[np.searchsorted(keys, key).clip(max=len(keys) - 1)] == key
-    return np.where(forward[:, None], ab, ab[:, ::-1])
 
 
 # Marching-triangles case table.  An element's points are its corners 0-2 and
 # the crossings 3-5 on its edges (0,1), (1,2), (2,0); the case is the bitmask
 # of the corners inside the region.  With the odd corner first on the
 # counter-clockwise element, one inside corner i gives the cap
-# (p_i, x_{i,i+1}, x_{i+2,i}) and the iso-segment x_{i,i+1} -> x_{i+2,i}; one
-# outside corner o gives the caps (x_{o,o+1}, p_{o+1}, p_{o+2}) and
-# (x_{o,o+1}, p_{o+2}, x_{o+2,o}) and the iso-segment x_{o+2,o} -> x_{o,o+1}.
-# Caps are counter-clockwise and segments have the region on their left.
-# -1 pads a missing cap or segment.
+# (p_i, x_{i,i+1}, x_{i+2,i}); one outside corner o gives the caps
+# (x_{o,o+1}, p_{o+1}, p_{o+2}) and (x_{o,o+1}, p_{o+2}, x_{o+2,o}).  Caps
+# are counter-clockwise; -1 pads a missing cap.
 _CAP_TABLE = np.array([
     [[-1, -1, -1], [-1, -1, -1]],      # no corner inside
     [[0, 3, 5], [-1, -1, -1]],         # corner 0 inside
@@ -168,140 +121,43 @@ _CAP_TABLE = np.array([
     [[3, 1, 2], [3, 2, 5]],            # corner 0 outside
     [[0, 1, 2], [-1, -1, -1]],         # all corners inside
 ])
-_SEGMENT_TABLE = np.array([[-1, -1], [3, 5], [4, 3], [4, 5],
-                           [5, 4], [3, 4], [5, 3], [-1, -1]])
 
 
-def _gather(points: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """points[e, index[e]] for every element e whose index row is not -1."""
-    rows = np.flatnonzero(index[:, 0] >= 0)
-    return points[rows[:, None], index[rows]]
+def region_caps(field: np.ndarray, mesh, threshold: float) -> np.ndarray:
+    """Cap triangles (T,3,2) of the region {field > threshold} of a P1 field.
 
-
-def _element_clip(points: np.ndarray, inside: np.ndarray):
-    """Cap triangles (T,3,2) and oriented iso-segments (S,2,2) of a region.
-
-    `points` (M,6,2) holds each element's corners and the crossings on its
-    cut edges (see _CAP_TABLE); `inside` (M,3) flags the corners in the
-    region.  Caps with a repeated vertex are dropped; they have no area, and
-    their edges would be used twice more than the solid needs.
-    """
-    case = inside.astype(int) @ np.array([1, 2, 4])
-    caps = np.concatenate([_gather(points, _CAP_TABLE[case, k]) for k in range(2)])
-    a, b, c = caps[:, 0], caps[:, 1], caps[:, 2]
-    caps = caps[~((a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1))]
-    return caps, _gather(points, _SEGMENT_TABLE[case])
-
-
-def _link(segs: list) -> tuple:
-    """Link directed segments ((x,y),(x,y)) into closed loops."""
-    # opposite directed pairs bound a zero-area sliver: cancel them
-    counts: dict = {}
-    for s in segs:
-        counts[s] = counts.get(s, 0) + 1
-    cleaned = []
-    for s in segs:
-        rev = (s[1], s[0])
-        if counts.get(rev, 0) > 0 and counts[s] > 0:
-            counts[rev] -= 1
-            counts[s] -= 1
-            continue
-        if counts[s] > 0:
-            cleaned.append(s)
-    segs = cleaned
-    start_map: dict = {}
-    for idx, (p, q) in enumerate(segs):
-        start_map.setdefault(p, []).append(idx)
-    used = [False] * len(segs)
-    loops = []
-    order = sorted(range(len(segs)), key=lambda i: segs[i][0])
-    for first in order:
-        if used[first]:
-            continue
-        loop = [segs[first][0]]
-        cur = first
-        used[first] = True
-        guard = 0
-        while True:
-            candidates = [i for i in start_map.get(segs[cur][1], []) if not used[i]]
-            if not candidates:
-                break  # loop closed (end meets the first start) or defect
-            loop.append(segs[cur][1])
-            cur = candidates[0]
-            used[cur] = True
-            guard += 1
-            if guard > len(segs) + 1:
-                raise GeometryError("contour linking did not terminate")
-        if len(loop) >= 3:
-            loops.append(np.array(loop))
-    return tuple(loops)
-
-
-def _region_clipper(chi: np.ndarray, mesh, threshold: float):
-    """(above, region) of the P1 field's iso-line at the threshold.
-
-    `above` flags the nodes above it; `region(inside)` returns the (caps,
-    loops) of the region of the nodes flagged by `inside` (`above` or its
-    complement).  Both regions share the crossings computed here.
-    """
-    v = np.asarray(chi, dtype=float).copy()
-    eps = 1e-12 * max(1.0, abs(threshold))
-    v[v == threshold] = threshold + eps
-    above = v > threshold
-
-    el = mesh.elements.astype(np.int64)
-    n = mesh.node_count
-    nxt = np.roll(el, -1, axis=1)               # edge k joins corners k, k+1
-    lo, hi = np.minimum(el, nxt), np.maximum(el, nxt)
-    cut = above[lo] != above[hi]
-    # each cut edge's crossing once, in canonical low->high node order, so
-    # every element and boundary piece on the edge gets the same point
-    edges, which = np.unique(lo[cut] * n + hi[cut], return_inverse=True)
-    a, b = edges // n, edges % n
-    s = (threshold - v[a]) / (v[b] - v[a])
-    crossings = _snap(mesh.nodes[a] + s[:, None] * (mesh.nodes[b] - mesh.nodes[a]))
-    nodes = _snap(mesh.nodes)
-    points = np.full((len(el), 6, 2), np.nan)
-    points[:, :3] = nodes[el]
-    points[:, 3:][cut] = crossings[which]
-
-    ba, bb = _directed_boundary(mesh).T
-    bcross = np.full((len(ba), 2), np.nan)
-    bcut = above[ba] != above[bb]
-    key = np.minimum(ba, bb) * n + np.maximum(ba, bb)
-    bcross[bcut] = crossings[np.searchsorted(edges, key[bcut])]
-
-    def region(inside):
-        caps, iso = _element_clip(points, inside[el])
-        ina, inb = inside[ba], inside[bb]
-        # boundary pieces where the field is on the selected side
-        pieces = np.stack([np.where(ina[:, None], nodes[ba], bcross),
-                           np.where(inb[:, None], nodes[bb], bcross)], axis=1)
-        segs = np.concatenate([iso, pieces[ina | inb]])
-        segs = segs[(segs[:, 0] != segs[:, 1]).any(axis=1)]
-        return caps, _link([((x0, y0), (x1, y1))
-                            for x0, y0, x1, y1 in segs.reshape(-1, 4).tolist()])
-
-    return above, region
-
-
-def threshold_contour(chi: np.ndarray, mesh, threshold: float) -> ContourPolygonSet:
-    """Marching-triangles iso-contour of the P1 field.
-
-    Each region's caps are its mesh elements clipped against the iso-line;
-    its loops link the clipped iso-segments and the boundary pieces inside
-    it.  Nodes exactly on the threshold are nudged infinitesimally above it,
-    which keeps the topology deterministic and the crossing points well
-    defined.  Every point is snapped to float32.
+    The caps are the mesh elements clipped against the iso-line (marching
+    triangles): counter-clockwise triangles that tile the region.  Nodes
+    exactly on the threshold are nudged infinitesimally above it, which
+    keeps the topology deterministic and the crossing points well defined.
+    Every point is snapped to float32.  Caps with a repeated vertex are
+    dropped; they have no area, and their edges would be used twice more
+    than the solid needs.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
-    above, region = _region_clipper(chi, mesh, threshold)
-    caps_above, loops_above = region(above)
-    caps_below, loops_below = region(~above)
-    return ContourPolygonSet(threshold=threshold,
-                             loops_above=loops_above, loops_below=loops_below,
-                             caps_above=caps_above, caps_below=caps_below)
+    v = np.asarray(field, dtype=float).copy()
+    v[v == threshold] = threshold + 1e-12
+    above = v > threshold
+
+    el = mesh.elements.astype(np.int64)
+    nxt = np.roll(el, -1, axis=1)               # edge k joins corners k, k+1
+    lo, hi = np.minimum(el, nxt), np.maximum(el, nxt)
+    cut = above[lo] != above[hi]
+    # each crossing in canonical low->high node order, so both elements on
+    # a cut edge get the same point
+    lo, hi = lo[cut], hi[cut]
+    s = (threshold - v[lo]) / (v[hi] - v[lo])
+    nodes = mesh.nodes
+    points = np.full((len(el), 6, 2), np.nan)
+    points[:, :3] = _snap(nodes)[el]
+    points[:, 3:][cut] = _snap(nodes[lo] + s[:, None] * (nodes[hi] - nodes[lo]))
+
+    case = above[el].astype(int) @ np.array([1, 2, 4])
+    k, e = np.nonzero(_CAP_TABLE[case, :, 0].T >= 0)    # element e's cap k
+    caps = points[e[:, None], _CAP_TABLE[case[e], k]]
+    a, b, c = caps[:, 0], caps[:, 1], caps[:, 2]
+    return caps[~((a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1))]
 
 
 # --------------------------------------------------------------------------
@@ -315,31 +171,32 @@ def _lift(p: np.ndarray, z: float) -> np.ndarray:
     return np.concatenate([p, np.full(p.shape[:-1] + (1,), z)], axis=-1)
 
 
-def extrude_to_stl(loops, height: float, path: str, caps) -> int:
+def extrude_to_stl(caps, height: float, path: str) -> int:
     """Extrude a planar region into a closed binary STL prism.
 
-    `loops` are the region's closed boundary loops, with the region on their
-    left (outers counter-clockwise, holes clockwise); `caps` is a (T,3,2)
-    array of counter-clockwise triangles that tile the region and meet the
-    loops at their vertices.  The caps are written at z = 0 and z = height,
-    the walls along the loops.  Raises GeometryError, before writing, if any
-    edge (keyed by its float32 vertices, as stored) is not used by exactly
-    two triangles.  Returns the number of triangles written.
+    `caps` is a (T,3,2) array of counter-clockwise triangles that tile the
+    region.  They are written at z = 0 and z = height, and the walls stand
+    on the cap edges that no other cap shares (vertices keyed by their
+    float32 bits, as stored).  Raises GeometryError, before writing, if any
+    edge of the solid is not used by exactly two triangles.  Returns the
+    number of triangles written.
     """
-    if height <= 0:
-        raise ValueError(f"extrusion height must be > 0, got {height}")
-    if not len(loops):
-        raise GeometryError("no polygons to extrude")
+    if not (np.isfinite(height) and height > 0):
+        raise ValueError(f"extrusion height must be finite and > 0, got {height}")
     caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
-    starts = []
-    for loop in loops:
-        p = np.asarray(loop, dtype=float)
-        starts.append(p[(p != np.roll(p, 1, axis=0)).any(axis=1)])
-    a = np.concatenate(starts)
-    b = np.concatenate([np.roll(p, -1, axis=0) for p in starts])
+    if not len(caps):
+        raise GeometryError("no caps to extrude")
+    # wall edges a -> b in their cap's counter-clockwise order: the region
+    # lies on their left, so the walls wind outward
+    keys, ids = np.unique(_xy_keys(caps), return_inverse=True)
+    ids = ids.reshape(-1, 3)
+    nxt = np.roll(ids, -1, axis=1)
+    _, edge, uses = np.unique(np.minimum(ids, nxt) * len(keys) + np.maximum(ids, nxt),
+                              return_inverse=True, return_counts=True)
+    wall = (uses[edge] == 1).reshape(-1, 3)
+    a, b = caps[wall], np.roll(caps, -1, axis=1)[wall]
     a0, a1, b0, b1 = _lift(a, 0.0), _lift(a, height), _lift(b, 0.0), _lift(b, height)
-    # top cap (normal +z), mirrored bottom cap (normal -z); the region lies
-    # left of each wall edge a -> b, so the walls wind outward
+    # top cap (normal +z), mirrored bottom cap (normal -z), walls
     tris = np.concatenate([_lift(caps, height), _lift(caps[:, ::-1], 0.0),
                            np.stack([a0, b0, b1], axis=1),
                            np.stack([a0, b1, a1], axis=1)])
@@ -365,7 +222,8 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
 
     above.stl holds the part with chi above the threshold, below.stl the
     rest; threshold <= 0 writes the whole structure to above.stl.  A part
-    with no area is skipped.  Returns (path, triangle count) of every file.
+    with no area is skipped; GeometryError if every part is.  Returns (path,
+    triangle count) of every file.
     """
     if threshold > 0:
         parts = (("above", chi - threshold), ("below", threshold - chi))
@@ -374,27 +232,39 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
     written = []
     for name, level in parts:
         # min(phi - 0.5, level) > 0 exactly on the part, scaled into (0,1)
-        # about 0.5: the part is threshold_contour(field, mesh, 0.5)'s region
-        # above, clipped and linked without the region below
+        # about 0.5: the part is region_caps(field, mesh, 0.5)
         g = np.minimum(phi - 0.5, level)
         field = 0.5 + g / (4.0 * max(float(np.abs(g).max()), 1e-30))
-        above, region = _region_clipper(field, mesh, 0.5)
-        caps, loops = region(above)
-        if loops:
+        caps = region_caps(field, mesh, 0.5)
+        if len(caps):
             path = os.path.join(outdir, f"{name}.stl")
-            written.append((path, extrude_to_stl(loops, height, path, caps)))
+            written.append((path, extrude_to_stl(caps, height, path)))
+    if not written:
+        raise GeometryError("nothing to export: the material region phi > 0.5 is empty")
     return written
+
+
+def _float32_bits(a) -> np.ndarray:
+    """The bits of a's float32 values as int64, with -0 as +0: equal bits
+    are one value as a binary STL stores it."""
+    v = np.asarray(a, dtype=np.float32) + np.float32(0.0)
+    return v.view(np.uint32).astype(np.int64)
+
+
+def _xy_keys(p) -> np.ndarray:
+    """One int64 key per point (..., 2+): its float32 x and y bits packed."""
+    bits = _float32_bits(np.asarray(p)[..., :2])
+    return bits[..., 0] << 32 | bits[..., 1]
 
 
 def _edge_uses(tris: np.ndarray) -> np.ndarray:
     """Use count of every undirected edge of a triangle soup, with vertices
     keyed by their float32 coordinates, as a binary STL stores them."""
-    v = np.asarray(tris, dtype=np.float32).reshape(-1, 3) + np.float32(0.0)  # -0 -> +0
-    # equal float32 values have equal bits: x and y pack into one int64 key,
-    # z is ranked apart, and each vertex id combines the two ranks
-    bits = v.view(np.uint32).astype(np.int64)
-    xy, xy_id = np.unique(bits[:, 0] << 32 | bits[:, 1], return_inverse=True)
-    z, z_id = np.unique(bits[:, 2], return_inverse=True)
+    v = np.asarray(tris).reshape(-1, 3)
+    # x and y pack into one key, z is ranked apart, and each vertex id
+    # combines the two ranks
+    xy, xy_id = np.unique(_xy_keys(v), return_inverse=True)
+    z, z_id = np.unique(_float32_bits(v[:, 2]), return_inverse=True)
     ids = (xy_id * len(z) + z_id).reshape(-1, 3)
     # the edge key fits an int64 while the id range len(xy) * len(z) stays
     # under 3e9: an extrusion has two z levels

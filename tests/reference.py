@@ -10,7 +10,8 @@ objects passed in are used: their geometry, K_A and the stiffness factor.
 The per-element body-force load is the oracle for fem's body coupling C.
 
 The STL and VTK readers parse gradtopo's output files on their own, and
-the STL edge counts and volume are computed from the triangles as read.
+the STL edge counts and volume are computed from the triangles as read,
+and a region's area from its cap triangles.
 """
 
 import struct
@@ -140,6 +141,14 @@ def stl_edge_use_counts(tris: np.ndarray) -> dict:
     verts = [[tuple(p) for p in tri] for tri in np.asarray(tris, np.float32).tolist()]
     return dict(Counter(frozenset((tri[k], tri[(k + 1) % 3]))
                         for tri in verts for k in range(3)))
+
+
+def cap_area(caps) -> float:
+    """Summed signed area of planar triangles (T,3,2): positive for
+    counter-clockwise ones."""
+    caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
+    d1, d2 = caps[:, 1] - caps[:, 0], caps[:, 2] - caps[:, 0]
+    return 0.5 * float(np.sum(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]))
 
 
 def stl_volume(tris: np.ndarray) -> float:

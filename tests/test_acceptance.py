@@ -245,27 +245,27 @@ def test_benchmark_max_stress_below_yield(bench):
 
 def test_final_design_stl_watertight(bench, tmp_path):
     opt, state = bench["4000"]["opt"], bench["4000"]["state"]
-    contour = export.threshold_contour(state.phi, opt.mesh, 0.5)
-    assert contour.loops_above
+    caps = export.region_caps(state.phi, opt.mesh, 0.5)
+    assert len(caps)
     path = str(tmp_path / "design.stl")
-    export.extrude_to_stl(contour.loops_above, 10.0, path, contour.caps_above)
+    export.extrude_to_stl(caps, 10.0, path)
     tris = reference.read_stl(path)
     counts = reference.stl_edge_use_counts(tris)
     assert counts and all(c == 2 for c in counts.values())
-    assert reference.stl_volume(tris) > 0.0
+    area = reference.cap_area(caps)
+    assert area > 0.0
+    assert reference.stl_volume(tris) == pytest.approx(area * 10.0, rel=1e-6)
 
 
 def test_prism_volume_analytic(tmp_path):
-    outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
-    hole = np.array([[2.0, 2.0], [2.0, 6.0], [6.0, 6.0], [6.0, 2.0]])  # CW
     height = 3.0
     path = str(tmp_path / "plate.stl")
-    # the frame between the outer square and the hole, as CCW triangles
+    # the frame between [0,10]^2 and the hole [2,6]^2, as CCW triangles
     caps = [((0, 0), (10, 0), (6, 2)), ((0, 0), (6, 2), (2, 2)),
             ((10, 0), (10, 10), (6, 6)), ((10, 0), (6, 6), (6, 2)),
             ((10, 10), (0, 10), (2, 6)), ((10, 10), (2, 6), (6, 6)),
             ((0, 10), (0, 0), (2, 2)), ((0, 10), (2, 2), (2, 6))]
-    export.extrude_to_stl([outer, hole], height, path, caps)
+    export.extrude_to_stl(caps, height, path)
     tris = reference.read_stl(path)
     counts = reference.stl_edge_use_counts(tris)
     assert all(c == 2 for c in counts.values())

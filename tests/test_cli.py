@@ -119,12 +119,44 @@ def test_export_stl_mesh_mismatch(tmp_path, capsys):
     assert "mesh" in capsys.readouterr().err
 
 
-def test_export_stl_bad_height(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value", [("--height", "-1"), ("--height", "nan"),
+                                         ("--height", "inf"), ("--threshold", "nan")],
+                         ids=["height-1", "height-nan", "height-inf", "threshold-nan"])
+def test_export_stl_bad_height(tmp_path, capsys, flag, value):
     out = str(tmp_path / "run")
     main(["run", "--builtin", *TINY, "--out", out])
+    stl_dir = tmp_path / "stl"
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
-                 *TINY, "--out", str(tmp_path / "stl"), "--height", "-1"])
+                 *TINY, "--out", str(stl_dir), flag, value])
     assert code == EXIT_ERROR
+    assert flag[2:] in capsys.readouterr().err
+    assert not stl_dir.exists()
+
+
+def export_fields(tmp_path, phi, chi):
+    """Run export-stl on a snapshot of phi and chi on the TINY mesh."""
+    path = str(tmp_path / "snap.npz")
+    np.savez(path, phi=phi, chi=chi)
+    return main(["export-stl", "--snapshot", path, *TINY, "--out", str(tmp_path / "stl")])
+
+
+TINY_NODES = 9 * 5
+
+
+def test_export_stl_rejects_non_finite_snapshot(tmp_path, capsys):
+    chi = np.full(TINY_NODES, 0.3)
+    chi[20] = np.nan
+    assert export_fields(tmp_path, np.ones(TINY_NODES), chi) == EXIT_ERROR
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "stl").exists()
+
+
+def test_export_stl_rejects_empty_design(tmp_path, capsys):
+    void = np.full(TINY_NODES, 0.2)       # no material anywhere
+    assert export_fields(tmp_path, void, void) == EXIT_ERROR
+    assert "nothing to export" in capsys.readouterr().err
+    stl_dir = tmp_path / "stl"
+    assert not stl_dir.exists() or not os.listdir(stl_dir)
 
 
 def test_sweep_table(tmp_path, capsys):

@@ -85,98 +85,89 @@ def test_history_csv_deterministic(tmp_path):
     assert len(b1.decode().splitlines()) == 4
 
 
-# --- contour extraction -----------------------------------------------------
+# --- region caps ------------------------------------------------------------
+
+def below_caps(chi, mesh, threshold=0.5):
+    """Caps of the region below the threshold: the region above it of the
+    mirrored field (exact for threshold 0.5)."""
+    return export.region_caps(2 * threshold - chi, mesh, threshold)
+
 
 def test_contour_linear_field_vertical_cut():
     mesh = make_mesh()
     chi = mesh.nodes[:, 0] / 200.0           # iso-line of 0.5 at x = 100
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    assert len(cps.loops_above) == 1 and len(cps.loops_below) == 1
-    assert cps.area_above == pytest.approx(100.0 * 100.0, rel=1e-9)
-    assert cps.area_below == pytest.approx(100.0 * 100.0, rel=1e-9)
-    # the above loop covers [100,200]x[0,100]
-    loop = cps.loops_above[0]
-    assert loop[:, 0].min() == pytest.approx(100.0)
-    assert loop[:, 0].max() == pytest.approx(200.0)
-    # closed: consecutive points distinct, signed area positive (outer CCW)
-    assert export._signed_area(loop) > 0
+    above, below = export.region_caps(chi, mesh, 0.5), below_caps(chi, mesh)
+    assert reference.cap_area(above) == pytest.approx(100.0 * 100.0, rel=1e-9)
+    assert reference.cap_area(below) == pytest.approx(100.0 * 100.0, rel=1e-9)
+    # the above caps cover [100,200]x[0,100]
+    assert above[..., 0].min() == pytest.approx(100.0)
+    assert above[..., 0].max() == pytest.approx(200.0)
 
 
 def test_contour_areas_partition_domain():
     mesh = make_mesh(16, 8)
     rng = np.random.default_rng(21)
     chi = rng.random(mesh.node_count)
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    assert cps.area_above + cps.area_below == pytest.approx(mesh.area, rel=1e-9)
-    assert cps.area_above > 0 and cps.area_below > 0
+    area_above = reference.cap_area(export.region_caps(chi, mesh, 0.5))
+    area_below = reference.cap_area(below_caps(chi, mesh))
+    assert area_above + area_below == pytest.approx(mesh.area, rel=1e-9)
+    assert area_above > 0 and area_below > 0
 
 
 def test_contour_areas_cover_mesh_with_nodes_on_threshold():
     # two nodes sit exactly on the threshold, so crossings collapse onto them
     mesh = make_mesh(2, 2)
     chi = np.array([0.5, 0.75, 1.0, 0.75, 0.0, 0.0, 0.5, 0.0, 0.75])
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    assert cps.area_above + cps.area_below == pytest.approx(mesh.area, rel=1e-12)
+    area = (reference.cap_area(export.region_caps(chi, mesh, 0.5))
+            + reference.cap_area(below_caps(chi, mesh)))
+    assert area == pytest.approx(mesh.area, rel=1e-12)
 
 
-def test_contour_island_and_hole():
-    mesh = make_mesh(30, 15)
+def wall_edges(caps, path):
+    """Wall edges of the prism extrude_to_stl writes for `caps`."""
+    return (export.extrude_to_stl(caps, 1.0, path) - 2 * len(caps)) // 2
+
+
+def test_contour_island_and_hole(tmp_path):
+    nx, ny = 30, 15
+    mesh = make_mesh(nx, ny)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     r2 = (x - 100.0) ** 2 + (y - 50.0) ** 2
     chi = np.where(r2 < 30.0 ** 2, 0.1, 0.9)    # low island in a high sea
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    # above region: rectangle with one hole -> one CCW outer + one CW hole
-    areas = sorted(export._signed_area(p) for p in cps.loops_above)
-    assert len(areas) == 2
-    assert areas[1] > 0 > areas[0]
-    # below region is the island: a single CCW loop matching the hole's area
-    assert len(cps.loops_below) == 1
-    island = export._signed_area(cps.loops_below[0])
-    assert island == pytest.approx(-areas[0], rel=1e-9)
-    assert cps.area_above + cps.area_below == pytest.approx(mesh.area, rel=1e-9)
+    above, island = export.region_caps(chi, mesh, 0.5), below_caps(chi, mesh)
+    area_above, area_island = reference.cap_area(above), reference.cap_area(island)
+    assert area_above + area_island == pytest.approx(mesh.area, rel=1e-9)
+    assert 0.0 < area_island < area_above
+    # the island's walls are the walls of the hole in the region above; the
+    # rest of that region's walls run along the domain boundary
+    path = str(tmp_path / "x.stl")
+    assert wall_edges(above, path) == 2 * (nx + ny) + wall_edges(island, path)
 
 
 def test_contour_uniform_field_single_side():
     mesh = make_mesh(4, 2)
-    cps = export.threshold_contour(np.full(mesh.node_count, 0.9), mesh, 0.5)
-    assert len(cps.loops_below) == 0
-    assert cps.area_above == pytest.approx(mesh.area, rel=1e-12)
+    high = np.full(mesh.node_count, 0.9)
+    assert reference.cap_area(export.region_caps(high, mesh, 0.5)) == pytest.approx(
+        mesh.area, rel=1e-12)
+    assert len(below_caps(high, mesh)) == 0
     # values exactly on the threshold count as above
-    cps2 = export.threshold_contour(np.full(mesh.node_count, 0.5), mesh, 0.5)
-    assert cps2.area_above == pytest.approx(mesh.area, rel=1e-12)
-    assert len(cps2.loops_below) == 0
+    level = np.full(mesh.node_count, 0.5)
+    assert reference.cap_area(export.region_caps(level, mesh, 0.5)) == pytest.approx(
+        mesh.area, rel=1e-12)
 
 
 def test_contour_threshold_range_checked():
     mesh = make_mesh(2, 2)
     with pytest.raises(ValueError, match="threshold"):
-        export.threshold_contour(np.zeros(mesh.node_count), mesh, 1.5)
+        export.region_caps(np.zeros(mesh.node_count), mesh, 1.5)
 
 
 def test_contour_deterministic():
     mesh = make_mesh(12, 6)
     chi = np.sin(mesh.nodes[:, 0] / 17.0) * np.cos(mesh.nodes[:, 1] / 13.0) * 0.5 + 0.5
-    a = export.threshold_contour(chi, mesh, 0.5)
-    b = export.threshold_contour(chi, mesh, 0.5)
-    assert len(a.loops_above) == len(b.loops_above)
-    for p, q in zip(a.loops_above, b.loops_above):
-        assert np.array_equal(p, q)
-
-
-@pytest.mark.parametrize("nx, ny", [(24, 6), (5, 17)])
-def test_directed_boundary_has_interior_on_left(nx, ny):
-    mesh = make_mesh(nx, ny)
-    directed = export._directed_boundary(mesh)
-    assert len(directed) == len(mesh.boundary_edges)
-    # the third corner of the element on each edge lies left of it
-    on_edge = {frozenset(e): c for tri in mesh.elements.tolist()
-               for e, c in (((tri[0], tri[1]), tri[2]), ((tri[1], tri[2]), tri[0]),
-                            ((tri[2], tri[0]), tri[1]))}
-    for a, b in directed.tolist():
-        pa, pb = mesh.nodes[a], mesh.nodes[b]
-        pc = mesh.nodes[on_edge[frozenset((a, b))]]
-        d1, d2 = pb - pa, pc - pa
-        assert d1[0] * d2[1] - d1[1] * d2[0] > 0.0
+    a = export.region_caps(chi, mesh, 0.5)
+    b = export.region_caps(chi, mesh, 0.5)
+    assert np.array_equal(a, b)
 
 
 # --- STL --------------------------------------------------------------------
@@ -187,11 +178,21 @@ def check_watertight(tris):
     assert all(c == 2 for c in counts.values())
 
 
+def check_prism(caps, height, path):
+    """extrude_to_stl(caps) writes a closed prism of volume area x height."""
+    n = export.extrude_to_stl(caps, height, path)
+    tris = reference.read_stl(path)
+    assert len(tris) == n
+    check_watertight(tris)
+    assert reference.stl_volume(tris) == pytest.approx(
+        reference.cap_area(caps) * height, rel=1e-6)
+
+
 def test_extrude_rectangle(tmp_path):
     loop = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
     path = str(tmp_path / "box.stl")
     caps = [loop[[0, 1, 2]], loop[[0, 2, 3]]]
-    n = export.extrude_to_stl([loop], 3.0, path, caps)
+    n = export.extrude_to_stl(caps, 3.0, path)
     tris = reference.read_stl(path)
     assert len(tris) == n == 12     # 2+2 caps, 4 sides x 2
     check_watertight(tris)
@@ -199,63 +200,75 @@ def test_extrude_rectangle(tmp_path):
 
 
 def test_extrude_with_hole(tmp_path):
-    outer = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
-    hole = np.array([[4.0, 4.0], [4.0, 6.0], [6.0, 6.0], [6.0, 4.0]])  # CW
     path = str(tmp_path / "frame.stl")
-    # the frame as CCW triangles, two per trapezoid between an outer edge
-    # and the hole edge facing it
+    # the frame between [0,10]^2 and the hole [4,6]^2 as CCW triangles, two
+    # per trapezoid between an outer edge and the hole edge facing it
     caps = [((0, 0), (10, 0), (6, 4)), ((0, 0), (6, 4), (4, 4)),
             ((10, 0), (10, 10), (6, 6)), ((10, 0), (6, 6), (6, 4)),
             ((10, 10), (0, 10), (4, 6)), ((10, 10), (4, 6), (6, 6)),
             ((0, 10), (0, 0), (4, 4)), ((0, 10), (4, 4), (4, 6))]
-    export.extrude_to_stl([outer, hole], 2.0, path, caps)
+    # 8 + 8 caps, 4 outer and 4 hole walls x 2
+    assert export.extrude_to_stl(caps, 2.0, path) == 32
     tris = reference.read_stl(path)
     check_watertight(tris)
     assert reference.stl_volume(tris) == pytest.approx((100.0 - 4.0) * 2.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("nx, ny", [(1, 1), (4, 2), (5, 17)])
+def test_uniform_region_has_walls_only_on_the_domain_boundary(tmp_path, nx, ny):
+    mesh = make_mesh(nx, ny)
+    caps = export.region_caps(np.full(mesh.node_count, 0.9), mesh, 0.5)
+    path = str(tmp_path / "plate.stl")
+    # 2 nx ny elements in each cap, 2 (nx + ny) boundary edges, 2 triangles each
+    assert export.extrude_to_stl(caps, 2.0, path) == 4 * nx * ny + 4 * (nx + ny)
+    check_watertight(reference.read_stl(path))
+
+
 def test_extrude_contour_polygon_set(tmp_path):
     mesh = make_mesh(10, 5)
     chi = mesh.nodes[:, 0] / 200.0
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    pa, pb = str(tmp_path / "above.stl"), str(tmp_path / "below.stl")
-    export.extrude_to_stl(cps.loops_above, 5.0, pa, cps.caps_above)
-    export.extrude_to_stl(cps.loops_below, 5.0, pb, cps.caps_below)
-    ta, tb = reference.read_stl(pa), reference.read_stl(pb)
-    check_watertight(ta)
-    check_watertight(tb)
-    assert reference.stl_volume(ta) == pytest.approx(cps.area_above * 5.0, rel=1e-6)
-    assert reference.stl_volume(tb) == pytest.approx(cps.area_below * 5.0, rel=1e-6)
+    check_prism(export.region_caps(chi, mesh, 0.5), 5.0, str(tmp_path / "above.stl"))
+    check_prism(below_caps(chi, mesh), 5.0, str(tmp_path / "below.stl"))
 
 
 def test_extrude_nontrivial_contour_watertight(tmp_path):
     mesh = make_mesh(24, 12)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     chi = 0.5 + 0.45 * np.sin(x / 23.0) * np.cos(y / 11.0)
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    path = str(tmp_path / "blob.stl")
-    export.extrude_to_stl(cps.loops_above, 7.5, path, cps.caps_above)
-    tris = reference.read_stl(path)
-    check_watertight(tris)
-    assert reference.stl_volume(tris) == pytest.approx(cps.area_above * 7.5, rel=1e-6)
+    check_prism(export.region_caps(chi, mesh, 0.5), 7.5, str(tmp_path / "blob.stl"))
 
 
 def test_extrude_rejects_open_solid(tmp_path):
-    # one cap triangle of two leaves the prism open along the diagonal
-    loop = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
+    # two triangles that meet at one corner: four walls meet at its
+    # vertical edge
     path = tmp_path / "x.stl"
-    with pytest.raises(export.GeometryError, match="not closed"):
-        export.extrude_to_stl([loop], 1.0, str(path), [loop[[0, 1, 2]]])
+    bowtie = [((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (-1.0, 0.0), (0.0, -1.0))]
+    with pytest.raises(export.GeometryError, match="not closed: 1 of"):
+        export.extrude_to_stl(bowtie, 1.0, str(path))
     assert not path.exists()
-    # a cap corner one float32 step off the loop's corner is another vertex
+    # a corner one float32 step off its neighbour's is another vertex: the
+    # rectangle's halves meet only at corner 0
+    loop = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
     off = loop.copy()
     off[2, 0] = np.nextafter(np.float32(4.0), np.float32(5.0))
     with pytest.raises(export.GeometryError, match="not closed"):
-        export.extrude_to_stl([loop], 1.0, str(path), [off[[0, 1, 2]], loop[[0, 2, 3]]])
+        export.extrude_to_stl([off[[0, 1, 2]], loop[[0, 2, 3]]], 1.0, str(path))
     assert not path.exists()
     # -0.0 and +0.0 are one vertex
     signed = np.where(loop == 0.0, -0.0, loop)
-    assert export.extrude_to_stl([loop], 1.0, str(path), [signed[[0, 1, 2]], signed[[0, 2, 3]]]) == 12
+    assert export.extrude_to_stl([signed[[0, 1, 2]], loop[[0, 2, 3]]], 1.0, str(path)) == 12
+
+
+def test_extrude_refuses_region_that_touches_itself_at_a_vertex(tmp_path):
+    """The node on the threshold counts as above, so the crossings around it
+    collapse onto it and the two corner regions share only that vertex.  No
+    closed STL can split it: the export refuses it and writes nothing."""
+    mesh = make_mesh(2, 2)
+    chi = np.array([1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 1.0])
+    path = tmp_path / "pinch.stl"
+    with pytest.raises(export.GeometryError, match="1 of 35 edges"):
+        export.extrude_to_stl(export.region_caps(chi, mesh, 0.5), 1.0, str(path))
+    assert not path.exists()
 
 
 def random_soup(rng, count):
@@ -280,18 +293,20 @@ def test_edge_uses_matches_reference_counts(seed):
 
 
 def test_extrude_rejects_bad_height_and_empty(tmp_path):
-    loop = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="height"):
-        export.extrude_to_stl([loop], 0.0, str(tmp_path / "x.stl"), [loop])
-    with pytest.raises(export.GeometryError, match="no polygons"):
-        export.extrude_to_stl([], 1.0, str(tmp_path / "x.stl"), [])
+    tri = [((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
+    for height in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="height"):
+            export.extrude_to_stl(tri, height, str(tmp_path / "x.stl"))
+    with pytest.raises(export.GeometryError, match="no caps"):
+        export.extrude_to_stl(np.zeros((0, 3, 2)), 1.0, str(tmp_path / "x.stl"))
+    assert not (tmp_path / "x.stl").exists()
 
 
 def test_stl_volume_sign_convention(tmp_path):
-    # inverted (CW) loop would self-report as a hole; a lone triangle prism
-    loop = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+    # a lone counter-clockwise triangle prism
+    tri = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
     path = str(tmp_path / "tri.stl")
-    export.extrude_to_stl([loop], 1.0, path, [loop])
+    export.extrude_to_stl([tri], 1.0, path)
     tris = reference.read_stl(path)
     assert reference.stl_volume(tris) == pytest.approx(18.0, rel=1e-6)
     assert reference.stl_volume(tris[:, ::-1, :]) == pytest.approx(-18.0, rel=1e-6)
@@ -299,21 +314,16 @@ def test_stl_volume_sign_convention(tmp_path):
 
 def test_contour_merges_points_within_float32_resolution(tmp_path):
     """The STL stores float32, so crossings closer than its resolution are one
-    STL vertex; the contour must merge them too, or the STL gets edges used
+    STL vertex; the caps must merge them too, or the STL gets edges used
     4 or 6 times."""
     mesh = make_mesh(20, 10)
     # iso-line at x = 100 + 1e-7: every crossing lies 1e-7 mm from a node of
     # the column x = 100, far below float32 resolution there (7.6e-6 mm)
     chi = 0.5 + (mesh.nodes[:, 0] - (100.0 + 1e-7)) / 200.0
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    for side, area in (("above", cps.area_above), ("below", cps.area_below)):
-        path = str(tmp_path / f"{side}.stl")
-        export.extrude_to_stl(getattr(cps, f"loops_{side}"), 5.0, path,
-                              getattr(cps, f"caps_{side}"))
-        tris = reference.read_stl(path)
-        check_watertight(tris)
-        assert reference.stl_volume(tris) == pytest.approx(area * 5.0, rel=1e-6)
-        assert area == pytest.approx(100.0 * 100.0, rel=1e-6)
+    for side, caps in (("above", export.region_caps(chi, mesh, 0.5)),
+                       ("below", below_caps(chi, mesh))):
+        check_prism(caps, 5.0, str(tmp_path / f"{side}.stl"))
+        assert reference.cap_area(caps) == pytest.approx(100.0 * 100.0, rel=1e-6)
 
 
 def test_split_to_stl_parts(tmp_path):
@@ -339,6 +349,14 @@ def test_split_to_stl_parts(tmp_path):
     assert [os.path.basename(p) for p, _ in whole] == ["above.stl"]
 
 
+def test_split_to_stl_refuses_empty_design(tmp_path):
+    mesh = make_mesh(6, 3)
+    void = np.full(mesh.node_count, 0.2)
+    with pytest.raises(export.GeometryError, match="nothing to export"):
+        export.split_to_stl(void, void, mesh, 0.5, 2.0, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+
+
 def seeded_design(mesh, seed):
     """Graded design with a hole; chi crosses 0.5 along a wavy line."""
     rng = np.random.default_rng(seed)
@@ -349,23 +367,24 @@ def seeded_design(mesh, seed):
     return phi, np.minimum(chi, phi)
 
 
-@pytest.mark.parametrize("threshold, links", [(0.5, 2), (0.0, 1)])
-def test_split_to_stl_links_each_written_region_once(tmp_path, monkeypatch,
-                                                     threshold, links):
+@pytest.mark.parametrize("threshold, parts", [(0.5, 2), (0.0, 1)])
+def test_split_to_stl_clips_each_written_region_once(tmp_path, monkeypatch,
+                                                     threshold, parts):
     mesh = make_mesh(30, 15)
     phi, chi = seeded_design(mesh, seed=4)
     calls = []
-    link = export._link
-    monkeypatch.setattr(export, "_link", lambda segs: calls.append(1) or link(segs))
+    clip = export.region_caps
+    monkeypatch.setattr(export, "region_caps",
+                        lambda *args: calls.append(1) or clip(*args))
     written = export.split_to_stl(phi, chi, mesh, threshold, 3.0, str(tmp_path))
-    assert len(calls) == links == len(written)
+    assert len(calls) == parts == len(written)
     monkeypatch.undo()
     levels = (chi - threshold, threshold - chi) if threshold > 0 else (np.ones_like(chi),)
     for (path, _), level in zip(written, levels):
         g = np.minimum(phi - 0.5, level)
-        cps = export.threshold_contour(0.5 + g / (4.0 * np.abs(g).max()), mesh, 0.5)
+        field = 0.5 + g / (4.0 * np.abs(g).max())
         expected = str(tmp_path / "expected.stl")
-        export.extrude_to_stl(cps.loops_above, 3.0, expected, cps.caps_above)
+        export.extrude_to_stl(export.region_caps(field, mesh, 0.5), 3.0, expected)
         with open(path, "rb") as got, open(expected, "rb") as want:
             assert got.read() == want.read()
 
@@ -375,22 +394,12 @@ def test_split_to_stl_links_each_written_region_once(tmp_path, monkeypatch,
 def test_contour_stls_closed_on_random_fields(tmp_path_factory, nx, ny, seed):
     mesh = make_mesh(nx, ny)
     chi = np.random.default_rng(seed).random(mesh.node_count)
-    cps = export.threshold_contour(chi, mesh, 0.5)
-    assert cps.area_above + cps.area_below == pytest.approx(mesh.area, rel=1e-9)
+    sides = {"above": export.region_caps(chi, mesh, 0.5), "below": below_caps(chi, mesh)}
+    assert sum(map(reference.cap_area, sides.values())) == pytest.approx(mesh.area, rel=1e-9)
     tmp = tmp_path_factory.mktemp("stl")
-    for side in ("above", "below"):
-        loops = getattr(cps, f"loops_{side}")
-        if not loops:
+    for side, caps in sides.items():
+        if not len(caps):
             continue
-        caps = getattr(cps, f"caps_{side}")
-        area = getattr(cps, f"area_{side}")
-        # the caps tile the region: none is clockwise, and they add up to it
-        d1, d2 = caps[:, 1] - caps[:, 0], caps[:, 2] - caps[:, 0]
-        cap_areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        assert np.all(cap_areas >= 0.0)
-        assert cap_areas.sum() == pytest.approx(area, rel=1e-9)
-        path = str(tmp / f"{side}.stl")
-        export.extrude_to_stl(loops, 3.0, path, caps)
-        tris = reference.read_stl(path)
-        check_watertight(tris)
-        assert reference.stl_volume(tris) == pytest.approx(area * 3.0, rel=1e-6)
+        # the caps tile the region: none is clockwise
+        assert all(reference.cap_area(cap) >= 0.0 for cap in caps)
+        check_prism(caps, 3.0, str(tmp / f"{side}.stl"))
