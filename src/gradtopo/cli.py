@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from gradtopo import export, stress
+from gradtopo import export
 from gradtopo.config import (ConfigError, apply_overrides, benchmark_config,
                              cantilever_config, load_config, serialize)
 from gradtopo.mesh import build_rect_mesh
@@ -54,10 +54,17 @@ def _apply_overrides(config, args):
     return config
 
 
-def _execute(config) -> int:
-    t0 = time.perf_counter()
+def _optimize(config, callback=None):
+    """Run the optimizer on config and write its outputs; (state, history)."""
     os.makedirs(config.output_dir, exist_ok=True)
     opt = Optimizer(config)
+    state, history = opt.run(callback=callback)
+    export.write_run(config, state, history, opt.mesh)
+    return state, history
+
+
+def _execute(config) -> int:
+    t0 = time.perf_counter()
 
     def progress(state, rec):
         if config.log_every and state.iter % config.log_every == 0:
@@ -65,16 +72,15 @@ def _execute(config) -> int:
                      "delta_phi=%.3e delta_chi=%.3e", rec.iter, rec.objective,
                      rec.compliance, rec.m_chi, rec.delta_phi, rec.delta_chi)
 
-    state, history = opt.run(callback=progress)
-    export.write_run(config, state, history, opt.mesh)
-    vm_max = float(stress.von_mises(state.sigma).max(initial=0.0))
+    state, history = _optimize(config, progress)
+    last = history[-1]
     # iterations over the loop's wall time (set-up and export excluded)
-    iters_per_s = state.iter / history[-1].wall_time
+    iters_per_s = state.iter / last.wall_time
     print(f"converged={'yes' if state.converged else 'no'} "
           f"iterations={state.iter} compliance={state.compliance:.6g} "
           f"m_chi={state.m_chi:.6g} objective={state.objective:.6g} "
-          f"max_von_mises={vm_max:.6g} wall_s={time.perf_counter() - t0:.3f} "
-          f"iters_per_s={iters_per_s:.3g}")
+          f"max_von_mises={last.max_von_mises:.6g} "
+          f"wall_s={time.perf_counter() - t0:.3f} iters_per_s={iters_per_s:.3g}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
 
 
@@ -115,11 +121,8 @@ def cmd_sweep(args) -> int:
             config = apply_overrides(base, overrides)
             subdir = os.path.join(config.output_dir,
                                   label.split()[0].replace(".", "_").replace("=", "_"))
-            config = apply_overrides(config, [f"output.directory={subdir}"])
-            os.makedirs(subdir, exist_ok=True)
-            opt = Optimizer(config)
-            state, history = opt.run()
-            export.write_run(config, state, history, opt.mesh)
+            state, _ = _optimize(
+                apply_overrides(config, [f"output.directory={subdir}"]))
             rows.append((label, f"{state.compliance:.6g}", f"{state.m_chi:.4g}",
                          "YES" if state.converged else "NO"))
         except Exception as exc:  # per-run failures recorded, sweep continues
@@ -145,18 +148,24 @@ def cmd_export_stl(args) -> int:
         raise ConfigError(f"extrusion height must be finite and > 0, got {args.height}")
     if not np.isfinite(args.threshold):
         raise ConfigError(f"threshold must be finite, got {args.threshold}")
-    snap = np.load(args.snapshot)
-    phi, chi = snap["phi"], snap["chi"]
     config = _load(args, default_builtin=True)
     mesh = build_rect_mesh(config)
-    if len(phi) != mesh.node_count:
-        raise ConfigError("snapshot does not match the configured mesh size")
+    snap = np.load(args.snapshot)
+    if not isinstance(snap, np.lib.npyio.NpzFile):
+        raise ConfigError(f"snapshot {args.snapshot} is not an .npz archive")
+    with snap:
+        fields = {name: snap[name] for name in ("phi", "chi") if name in snap}
+    for name in ("phi", "chi"):
+        if name not in fields:
+            raise ConfigError(f"snapshot has no {name} field")
+        if fields[name].shape != (mesh.node_count,):
+            raise ConfigError(f"snapshot {name} does not match the configured "
+                              f"mesh size ({mesh.node_count} nodes)")
+    phi, chi = fields["phi"], fields["chi"]
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
         raise ConfigError("snapshot holds non-finite phi or chi values")
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
     for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
-                                       args.height, outdir):
+                                       args.height, args.out or "."):
         print(f"wrote {path}")
     return EXIT_OK
 

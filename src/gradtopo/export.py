@@ -222,14 +222,14 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
 
     above.stl holds the part with chi above the threshold, below.stl the
     rest; threshold <= 0 writes the whole structure to above.stl.  A part
-    with no area is skipped; GeometryError if every part is.  Returns (path,
-    triangle count) of every file.
+    with no area is skipped; GeometryError, before outdir is created, if
+    every part is.  Returns (path, triangle count) of every file.
     """
     if threshold > 0:
         parts = (("above", chi - threshold), ("below", threshold - chi))
     else:
         parts = (("above", np.ones_like(chi)),)
-    written = []
+    part_caps = []
     for name, level in parts:
         # min(phi - 0.5, level) > 0 exactly on the part, scaled into (0,1)
         # about 0.5: the part is region_caps(field, mesh, 0.5)
@@ -237,11 +237,11 @@ def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
         field = 0.5 + g / (4.0 * max(float(np.abs(g).max()), 1e-30))
         caps = region_caps(field, mesh, 0.5)
         if len(caps):
-            path = os.path.join(outdir, f"{name}.stl")
-            written.append((path, extrude_to_stl(caps, height, path)))
-    if not written:
+            part_caps.append((os.path.join(outdir, f"{name}.stl"), caps))
+    if not part_caps:
         raise GeometryError("nothing to export: the material region phi > 0.5 is empty")
-    return written
+    os.makedirs(outdir, exist_ok=True)
+    return [(path, extrude_to_stl(caps, height, path)) for path, caps in part_caps]
 
 
 def _float32_bits(a) -> np.ndarray:

@@ -3,13 +3,15 @@
 Each iteration solves, in order: the adjoint system (sharing the
 factorization of the current state), the coupled linear KKT step for the two
 phase fields under the exact volume constraint, the nodal clamp onto the
-admissible set 0 <= chi <= phi <= 1, and the elastic state of the new
-iterate, which is recorded and stepped from next.
+admissible set 0 <= chi <= phi <= 1, and the evaluation of the new design
+(an `Iterate`: elastic state, stress aggregate, objective), which is
+recorded and stepped from next.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,26 @@ from gradtopo.config import RunConfig, validated
 from gradtopo.material import MaterialModel, W, dW
 from gradtopo.mesh import build_rect_mesh, locate_region_nodes
 
-__all__ = ["OptimizerState", "IterationRecord", "Optimizer", "run",
+__all__ = ["Iterate", "OptimizerState", "IterationRecord", "Optimizer", "run",
            "initialize_fields", "rescale"]
+
+
+@dataclass
+class Iterate:
+    """One design (phi, chi) evaluated once by Optimizer.state_solve: the
+    adjoint and the phase-field step of the next iteration read it."""
+
+    phi: np.ndarray
+    chi: np.ndarray
+    s: np.ndarray               # (M,) K = s K_A per element, and its
+    ds_dphi: np.ndarray         # derivatives w.r.t. the element phi and chi
+    ds_dchi: np.ndarray
+    u: np.ndarray
+    sigma: np.ndarray           # (M,3) Voigt per element
+    solve: Callable[[np.ndarray], np.ndarray]   # factored elastic operator
+    aggregate: stress.StressAggregate
+    compliance: float
+    objective: float
 
 
 @dataclass
@@ -92,7 +112,6 @@ class Optimizer:
         self.mesh = build_rect_mesh(config)
         self.material = MaterialModel.from_config(config)
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
-        self._iterate = None        # (phi, chi, results) of the last iterate
         self.weights = fem.lumped_weights(self.mesh)           # volume row
         self.M_raw = fem.assemble_scalar_mass(self.mesh)
         self.K_raw = fem.assemble_scalar_stiffness(self.mesh)
@@ -142,69 +161,36 @@ class Optimizer:
             self._phase_factor_cache[tau] = (solve_phi, solve_phi(self.weights))
         return self._phase_factor_cache[tau]
 
-    def _results(self, phi, chi) -> dict:
-        """Results computed for the fields (phi, chi), kept while they are
-        unchanged: the state solve and stress aggregate of an iterate are
-        computed once, when the iterate is recorded (or tried by the
-        safeguard), and the next iteration's adjoint and sensitivities
-        reuse them."""
-        last = self._iterate
-        if last is None or not (np.array_equal(last[0], phi)
-                                and np.array_equal(last[1], chi)):
-            last = self._iterate = (phi.copy(), chi.copy(), {})
-        return last[2]
-
-    def _element_factors(self, phi, chi):
-        """(s, ds/dphi, ds/dchi) of K = s K_A at the element centroids."""
-        results = self._results(phi, chi)
-        if "factors" not in results:
-            mat = self.material
-            phi_e = fem.element_averages(self.mesh, phi)
-            chi_e = fem.element_averages(self.mesh, chi)
-            results["factors"] = (mat.stiffness_factor(phi_e, chi_e),
-                                  mat.stiffness_factor_dphi(phi_e, chi_e),
-                                  mat.stiffness_factor_dchi(phi_e, chi_e))
-        return results["factors"]
-
     # --- staggered sub-steps ------------------------------------------------
 
-    def state_solve(self, phi, chi):
-        """Elastic solve; returns (u, sigma, reusable solver of the same system).
+    def state_solve(self, phi, chi) -> Iterate:
+        """Evaluate the design (phi, chi) once: element factors, elastic
+        state, stress aggregate, compliance and objective."""
+        cfg, el, mat = self.config, self.elastic, self.material
+        phi_e = fem.element_averages(self.mesh, phi)
+        chi_e = fem.element_averages(self.mesh, chi)
+        s = mat.stiffness_factor(phi_e, chi_e)
+        solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
+        u = solve(self.traction_load + self.C_T @ phi)
+        sigma = s[:, None] * (el.strains(u) @ mat.K_A)
+        aggregate = stress.pnorm_aggregate(sigma, self.mesh, cfg.yield_stress,
+                                           cfg.pnorm_p)
+        return Iterate(phi, chi, s, mat.stiffness_factor_dphi(phi_e, chi_e),
+                       mat.stiffness_factor_dchi(phi_e, chi_e), u, sigma, solve,
+                       aggregate, self.compliance_of(phi, u),
+                       self.objective_of(phi, chi, u, aggregate))
 
-        The p-norm aggregate of sigma is computed with it (see aggregate_of).
-        """
-        results = self._results(phi, chi)
-        if "state" not in results:
-            cfg = self.config
-            s = self._element_factors(phi, chi)[0]
-            el = self.elastic
-            solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
-            u = solve(self.traction_load + self.C_T @ phi)
-            sigma = s[:, None] * (el.strains(u) @ self.material.K_A)
-            results["state"] = (u, sigma, solve)
-            results["aggregate"] = stress.pnorm_aggregate(
-                sigma, self.mesh, cfg.yield_stress, cfg.pnorm_p)
-        return results["state"]
-
-    def aggregate_of(self, phi, chi) -> stress.StressAggregate:
-        """p-norm stress aggregate of the state of (phi, chi)."""
-        results = self._results(phi, chi)
-        if "aggregate" not in results:
-            self.state_solve(phi, chi)
-        return results["aggregate"]
-
-    def adjoint_solve(self, phi, chi, aggregate, solve):
+    def adjoint_solve(self, iterate: Iterate):
         """Adjoint solve reusing the state factorization (same operator)."""
         cfg = self.config
-        rhs = cfg.kappa4 * self.traction_load + cfg.kappa3 * (self.C_T @ phi)
+        rhs = cfg.kappa4 * self.traction_load + cfg.kappa3 * (self.C_T @ iterate.phi)
         if cfg.kappa5 != 0.0:
-            s = self._element_factors(phi, chi)[0]
-            q = stress.element_stress_load(aggregate, self.mesh, s,
+            q = stress.element_stress_load(iterate.aggregate, self.mesh, iterate.s,
                                            self.material.K_A, cfg.kappa5)
             rhs += self.elastic.strain_matrix.T @ q.ravel()
-        return solve(rhs)
+        return iterate.solve(rhs)
 
-    def _mechanical_driving(self, phi, chi, u, U, aggregate):
+    def _mechanical_driving(self, iterate: Iterate, U):
         """Nodal sensitivity loads from the elastic interpolation.
 
         Returns (q_s, q_sp): the phi- and chi-driving fields
@@ -212,29 +198,30 @@ class Optimizer:
         Sigma = eps(U) - kappa5 * F_sigma.
         """
         mesh, cfg = self.mesh, self.config
-        _, ds_dphi, ds_dchi = self._element_factors(phi, chi)
-        eps_u = self.elastic.strains(u)
+        eps_u = self.elastic.strains(iterate.u)
         Sigma = self.elastic.strains(U)
         if cfg.kappa5 != 0.0:
-            Sigma = Sigma - cfg.kappa5 * stress.pointwise_penalty_gradient(aggregate, mesh)
+            Sigma = Sigma - cfg.kappa5 * stress.pointwise_penalty_gradient(
+                iterate.aggregate, mesh)
         core = np.einsum("ej,ej->e", Sigma, eps_u @ self.material.K_A)
         share = mesh.element_areas / 3.0 * core
-        q_s = self.elastic.node_incidence @ (ds_dphi * share)
-        q_sp = self.elastic.node_incidence @ (ds_dchi * share)
+        q_s = self.elastic.node_incidence @ (iterate.ds_dphi * share)
+        q_sp = self.elastic.node_incidence @ (iterate.ds_dchi * share)
         return q_s, q_sp
 
-    def phase_field_step(self, phi, chi, u, U, aggregate, tau=None):
+    def phase_field_step(self, iterate: Iterate, U, tau=None):
         """One semi-implicit gradient-flow step; returns (phi*, chi*, lambda).
 
         phi* satisfies the volume constraint exactly (pre-projection); the
         caller is responsible for the subsequent rescale.
         """
         cfg = self.config
+        phi, chi, u = iterate.phi, iterate.chi, iterate.u
         tau = cfg.tau if tau is None else tau
         solve_phi, weights_solved = self._phase_ops(tau)
         gp = cfg.gamma_phi
 
-        q_s, q_sp = self._mechanical_driving(phi, chi, u, U, aggregate)
+        q_s, q_sp = self._mechanical_driving(iterate, U)
         rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
             - (cfg.kappa1 / gp) * (self.weights * dW(phi)) \
             - (cfg.kappa3 * (self.C @ u) + (self.C @ U))
@@ -274,22 +261,16 @@ class Optimizer:
     def l2_norm(self, v) -> float:
         return float(np.sqrt(max(v @ (self.M_raw @ v), 0.0)))
 
-    # --- adjoint-consistency helpers (used by the gradient oracle tests) ----
-
-    def reduced_objective(self, phi, chi) -> float:
-        u = self.state_solve(phi, chi)[0]
-        return self.objective_of(phi, chi, u, self.aggregate_of(phi, chi))
-
     def phi_gradient(self, phi, chi) -> np.ndarray:
-        """Exact gradient of reduced_objective w.r.t. nodal phi (adjoint route)."""
+        """Exact gradient of state_solve(phi, chi).objective w.r.t. nodal phi
+        (adjoint route; used by the gradient oracle tests)."""
         cfg = self.config
-        u, _, solve = self.state_solve(phi, chi)
-        aggregate = self.aggregate_of(phi, chi)
-        U = self.adjoint_solve(phi, chi, aggregate, solve)
-        q_s, _ = self._mechanical_driving(phi, chi, u, U, aggregate)
+        iterate = self.state_solve(phi, chi)
+        U = self.adjoint_solve(iterate)
+        q_s, _ = self._mechanical_driving(iterate, U)
         g = (cfg.kappa1 / cfg.gamma_phi) * (self.weights * dW(phi)) \
             + cfg.kappa1 * cfg.gamma_phi * (self.K_raw @ phi) - q_s \
-            + (cfg.kappa3 * (self.C @ u) + (self.C @ U))
+            + (cfg.kappa3 * (self.C @ iterate.u) + (self.C @ U))
         return g
 
     # --- main loop ----------------------------------------------------------
@@ -297,57 +278,47 @@ class Optimizer:
     def run(self, callback=None) -> tuple[OptimizerState, list[IterationRecord]]:
         """Step until the increments fall below tol or max_iter is reached.
 
-        Row k of the history records the iterate (phi_k, chi_k) with its own
-        state solve, which iteration k+1 then steps from.
+        Each attempt evaluates its trial design once; the accepted trial is
+        row k of the history and the iterate that iteration k+1 steps from.
         """
         cfg = self.config
         t0 = time.perf_counter()
-        phi, chi = initialize_fields(cfg, self.mesh)
-        u, sigma, solve = self.state_solve(phi, chi)
-        aggregate = self.aggregate_of(phi, chi)
+        cur = self.state_solve(*initialize_fields(cfg, self.mesh))
         history: list[IterationRecord] = []
         state = None
-        prev_objective = None
 
         for it in range(1, cfg.max_iter + 1):
-            _require_finite(it, displacement=u)
-            U = self.adjoint_solve(phi, chi, aggregate, solve)
+            _require_finite(it, displacement=cur.u)
+            U = self.adjoint_solve(cur)
 
             tau = cfg.tau
             for attempt in range(6):
-                phi_star, chi_star, lam = self.phase_field_step(
-                    phi, chi, u, U, aggregate, tau=tau)
+                phi_star, chi_star, lam = self.phase_field_step(cur, U, tau=tau)
                 volume_presnap = float(self.weights @ phi_star)
-                phi_new = rescale(phi_star, self.phi_lower, self.phi_upper)
-                chi_new = chi if self.single_material else rescale(chi_star, 0.0, phi_new)
-                if not cfg.safeguard or prev_objective is None or attempt == 5:
-                    break
-                if self.reduced_objective(phi_new, chi_new) <= prev_objective * 1.01:
+                phi = rescale(phi_star, self.phi_lower, self.phi_upper)
+                chi = cur.chi if self.single_material else rescale(chi_star, 0.0, phi)
+                _require_finite(it, phi=phi, chi=chi)
+                nxt = self.state_solve(phi, chi)
+                if not cfg.safeguard or it == 1 or attempt == 5 \
+                        or nxt.objective <= cur.objective * 1.01:
                     break
                 tau *= 0.5
 
-            _require_finite(it, phi=phi_new, chi=chi_new)
-            delta_phi = self.l2_norm(phi_new - phi)
-            delta_chi = self.l2_norm(chi_new - chi)
-            phi, chi = phi_new, chi_new
-            u, sigma, solve = self.state_solve(phi, chi)
-            aggregate = self.aggregate_of(phi, chi)
-
-            compliance = self.compliance_of(phi, u)
-            m_chi = self.m_chi_of(chi)
-            objective = self.objective_of(phi, chi, u, aggregate)
-            _require_finite(it, objective=objective)
-            prev_objective = objective
+            delta_phi = self.l2_norm(nxt.phi - cur.phi)
+            delta_chi = self.l2_norm(nxt.chi - cur.chi)
+            cur = nxt
+            _require_finite(it, objective=cur.objective)
+            m_chi = self.m_chi_of(cur.chi)
             converged = delta_phi < cfg.tol and delta_chi < cfg.tol
             state = OptimizerState(
-                iter=it, phi=phi, chi=chi, lam=lam, u=u, sigma=sigma,
-                delta_phi=delta_phi, delta_chi=delta_chi,
-                compliance=compliance, m_chi=m_chi, objective=objective,
+                iter=it, phi=cur.phi, chi=cur.chi, lam=lam, u=cur.u,
+                sigma=cur.sigma, delta_phi=delta_phi, delta_chi=delta_chi,
+                compliance=cur.compliance, m_chi=m_chi, objective=cur.objective,
                 converged=converged, volume_presnap=volume_presnap)
             record = IterationRecord(
-                iter=it, objective=objective, compliance=compliance,
-                m_chi=m_chi, delta_phi=delta_phi, delta_chi=delta_chi,
-                lam=lam, max_von_mises=float(aggregate.sigma_e.max(initial=0.0)),
+                iter=it, objective=cur.objective, compliance=cur.compliance,
+                m_chi=m_chi, delta_phi=delta_phi, delta_chi=delta_chi, lam=lam,
+                max_von_mises=float(cur.aggregate.sigma_e.max(initial=0.0)),
                 wall_time=time.perf_counter() - t0)
             history.append(record)
             if callback is not None:

@@ -3,7 +3,8 @@
 The kappa2 sweep (single material plus kappa2 in {40, 4000, 400000}) on the
 100x50 mesh is expensive, so all four runs are shared through one
 module-scoped fixture; the whole module stays well inside a ten-minute
-budget on a laptop-class CPU.
+budget on a laptop-class CPU.  The tests that read the sweep are marked
+`slow`: `pytest -m "not slow"` skips the sweep.
 """
 
 import os
@@ -55,36 +56,43 @@ def bench():
 
 # --- benchmark sweep: orderings, bands, convergence pattern -----------------
 
+@pytest.mark.slow
 def test_sweep_compliance_ordering(bench):
     c = {k: bench[k]["state"].compliance for k in ("single", "400000", "4000")}
     assert c["single"] < c["400000"] < c["4000"]
 
 
+@pytest.mark.slow
 def test_sweep_material_fraction_ordering(bench):
     assert bench["400000"]["state"].m_chi > bench["4000"]["state"].m_chi
 
 
+@pytest.mark.slow
 def test_single_material_fraction_exact(bench):
     assert bench["single"]["state"].m_chi == pytest.approx(0.8, abs=1e-12)
 
 
+@pytest.mark.slow
 def test_sweep_compliance_bands(bench):
     for name, ref in REF_COMPLIANCE.items():
         c = bench[name]["state"].compliance
         assert abs(c - ref) / ref <= 0.35, f"{name}: compliance {c} vs {ref}"
 
 
+@pytest.mark.slow
 def test_sweep_material_fraction_bands(bench):
     for name, ref in REF_M_CHI.items():
         m = bench[name]["state"].m_chi
         assert abs(m - ref) <= 0.15, f"{name}: m_chi {m} vs {ref}"
 
 
+@pytest.mark.slow
 def test_graded_runs_converge(bench):
     assert bench["4000"]["state"].converged
     assert bench["400000"]["state"].converged
 
 
+@pytest.mark.slow
 def test_kappa2_40_fails_without_safeguard(bench):
     # the weakly-penalized run is expected to stall in a chi oscillation:
     # either it never meets the tolerance, or delta_chi is still above it
@@ -95,11 +103,13 @@ def test_kappa2_40_fails_without_safeguard(bench):
 
 # --- volume constraint and bound projection ---------------------------------
 
+@pytest.mark.slow
 def test_pre_projection_volume_every_iteration(bench):
     for name in ("4000", "400000", "40", "single"):
         assert bench[name]["vol_rel_max"] <= 1e-9, name
 
 
+@pytest.mark.slow
 def test_final_volume_within_five_percent(bench):
     for name in ("4000", "400000", "single"):
         opt, state = bench[name]["opt"], bench[name]["state"]
@@ -107,6 +117,7 @@ def test_final_volume_within_five_percent(bench):
         assert abs(vol - opt.volume_target) / opt.volume_target <= 0.05, name
 
 
+@pytest.mark.slow
 def test_bounds_invariant_every_iteration(bench):
     for name in ("4000", "400000", "40", "single"):
         assert bench[name]["bounds_ok"], name
@@ -126,9 +137,9 @@ def test_adjoint_identity_on_benchmark_mesh():
     cfg = benchmark_config(kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=3)
-    u, _, solve = opt.state_solve(phi, chi)
-    U = opt.adjoint_solve(phi, chi, opt.aggregate_of(phi, chi), solve)
-    assert np.linalg.norm(U - u) / np.linalg.norm(u) <= 1e-8
+    x = opt.state_solve(phi, chi)
+    U = opt.adjoint_solve(x)
+    assert np.linalg.norm(U - x.u) / np.linalg.norm(x.u) <= 1e-8
 
 
 def test_phi_gradient_oracle_ten_directions():
@@ -140,8 +151,8 @@ def test_phi_gradient_oracle_ten_directions():
     rng = np.random.default_rng(17)
     for _ in range(10):
         d = rng.standard_normal(opt.mesh.node_count)
-        fd = (opt.reduced_objective(phi + h * d, chi)
-              - opt.reduced_objective(phi - h * d, chi)) / (2 * h)
+        fd = (opt.state_solve(phi + h * d, chi).objective
+              - opt.state_solve(phi - h * d, chi).objective) / (2 * h)
         assert float(g @ d) == pytest.approx(fd, rel=1e-4)
 
 
@@ -153,7 +164,7 @@ def test_tip_deflection_matches_timoshenko():
                             traction_length=100.0, kappa5=0.0)
     opt = Optimizer(cfg)
     ones = np.ones(opt.mesh.node_count)
-    u, _, _ = opt.state_solve(ones, ones)
+    u = opt.state_solve(ones, ones).u
     x = opt.mesh.nodes[:, 0]
     uy_tip = float(np.mean(u[1::2][x == cfg.domain_width]))
     E, nu, t = cfg.youngs_modulus, cfg.poisson, cfg.thickness
@@ -235,6 +246,7 @@ def test_pnorm_64_tracks_max_ratio():
                    reason="soft check: the stress penalty keeps the p-norm "
                           "aggregate near the yield surface but the pointwise "
                           "maximum can overshoot it")
+@pytest.mark.slow
 def test_benchmark_max_stress_below_yield(bench):
     state = bench["4000"]["state"]
     sigma_y = bench["4000"]["config"].yield_stress
@@ -243,6 +255,7 @@ def test_benchmark_max_stress_below_yield(bench):
 
 # --- export -----------------------------------------------------------------
 
+@pytest.mark.slow
 def test_final_design_stl_watertight(bench, tmp_path):
     opt, state = bench["4000"]["opt"], bench["4000"]["state"]
     caps = export.region_caps(state.phi, opt.mesh, 0.5)

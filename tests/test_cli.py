@@ -133,10 +133,10 @@ def test_export_stl_bad_height(tmp_path, capsys, flag, value):
     assert not stl_dir.exists()
 
 
-def export_fields(tmp_path, phi, chi):
-    """Run export-stl on a snapshot of phi and chi on the TINY mesh."""
+def export_fields(tmp_path, **fields):
+    """Run export-stl on a snapshot of the given fields on the TINY mesh."""
     path = str(tmp_path / "snap.npz")
-    np.savez(path, phi=phi, chi=chi)
+    np.savez(path, **fields)
     return main(["export-stl", "--snapshot", path, *TINY, "--out", str(tmp_path / "stl")])
 
 
@@ -146,17 +146,39 @@ TINY_NODES = 9 * 5
 def test_export_stl_rejects_non_finite_snapshot(tmp_path, capsys):
     chi = np.full(TINY_NODES, 0.3)
     chi[20] = np.nan
-    assert export_fields(tmp_path, np.ones(TINY_NODES), chi) == EXIT_ERROR
+    assert export_fields(tmp_path, phi=np.ones(TINY_NODES), chi=chi) == EXIT_ERROR
     assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "stl").exists()
+
+
+@pytest.mark.parametrize("fields, error", [
+    (dict(phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES - 1, 0.3)),
+     f"snapshot chi does not match the configured mesh size ({TINY_NODES} nodes)"),
+    (dict(phi=np.ones(TINY_NODES)), "snapshot has no chi field"),
+], ids=["short-chi", "missing-chi"])
+def test_export_stl_rejects_malformed_snapshot(tmp_path, capsys, caplog, fields,
+                                               error):
+    assert export_fields(tmp_path, **fields) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert "run failed" not in caplog.text        # no traceback logged
+    assert not (tmp_path / "stl").exists()
+
+
+def test_export_stl_rejects_a_snapshot_that_is_not_an_npz(tmp_path, capsys, caplog):
+    path = str(tmp_path / "phi.npy")
+    np.save(path, np.ones(TINY_NODES))
+    code = main(["export-stl", "--snapshot", path, *TINY, "--out", str(tmp_path / "stl")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: snapshot {path} is not an .npz archive\n"
+    assert "run failed" not in caplog.text
     assert not (tmp_path / "stl").exists()
 
 
 def test_export_stl_rejects_empty_design(tmp_path, capsys):
     void = np.full(TINY_NODES, 0.2)       # no material anywhere
-    assert export_fields(tmp_path, void, void) == EXIT_ERROR
+    assert export_fields(tmp_path, phi=void, chi=void) == EXIT_ERROR
     assert "nothing to export" in capsys.readouterr().err
-    stl_dir = tmp_path / "stl"
-    assert not stl_dir.exists() or not os.listdir(stl_dir)
+    assert not (tmp_path / "stl").exists()
 
 
 def test_sweep_table(tmp_path, capsys):

@@ -322,7 +322,7 @@ def test_element_stress_matches_reference_formula():
     cfg, mesh, mat = setup(7, 3)
     phi, chi = interior_fields(mesh, 4)
     u = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
-    # the stress of Optimizer.state_solve: s_e K_A (S u)_e
+    # the stress Optimizer.state_solve keeps as Iterate.sigma: s_e K_A (S u)_e
     s = mat.stiffness_factor(fem.element_averages(mesh, phi),
                              fem.element_averages(mesh, chi))
     sigma = s[:, None] * ((fem.strain_operator(mesh) @ u).reshape(-1, 3) @ mat.K_A)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,10 +72,8 @@ def test_pre_projection_volume_exact():
     cfg = small_config()
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt)
-    u, _, solve = opt.state_solve(phi, chi)
-    agg = opt.aggregate_of(phi, chi)
-    U = opt.adjoint_solve(phi, chi, agg, solve)
-    phi_star, chi_star, lam = opt.phase_field_step(phi, chi, u, U, agg)
+    x = opt.state_solve(phi, chi)
+    phi_star, chi_star, lam = opt.phase_field_step(x, opt.adjoint_solve(x))
     vol = float(opt.weights @ phi_star)
     assert abs(vol - opt.volume_target) / opt.volume_target <= 1e-9
 
@@ -83,9 +83,9 @@ def test_adjoint_identity_without_stress_or_body():
     cfg = small_config(mesh_nx=8, mesh_ny=4, kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=2)
-    u, _, solve = opt.state_solve(phi, chi)
-    U = opt.adjoint_solve(phi, chi, opt.aggregate_of(phi, chi), solve)
-    assert np.linalg.norm(U - u) / np.linalg.norm(u) <= 1e-8
+    x = opt.state_solve(phi, chi)
+    U = opt.adjoint_solve(x)
+    assert np.linalg.norm(U - x.u) / np.linalg.norm(x.u) <= 1e-8
 
 
 def test_phi_gradient_finite_difference():
@@ -97,8 +97,8 @@ def test_phi_gradient_finite_difference():
     rng = np.random.default_rng(99)
     for _ in range(5):
         d = rng.standard_normal(opt.mesh.node_count)
-        jp = opt.reduced_objective(phi + h * d, chi)
-        jm = opt.reduced_objective(phi - h * d, chi)
+        jp = opt.state_solve(phi + h * d, chi).objective
+        jm = opt.state_solve(phi - h * d, chi).objective
         fd = (jp - jm) / (2 * h)
         assert float(g @ d) == pytest.approx(fd, rel=1e-4)
 
@@ -112,28 +112,37 @@ def test_phi_gradient_with_body_force():
     rng = np.random.default_rng(3)
     for _ in range(3):
         d = rng.standard_normal(opt.mesh.node_count)
-        fd = (opt.reduced_objective(phi + h * d, chi)
-              - opt.reduced_objective(phi - h * d, chi)) / (2 * h)
+        fd = (opt.state_solve(phi + h * d, chi).objective
+              - opt.state_solve(phi - h * d, chi).objective) / (2 * h)
         assert float(g @ d) == pytest.approx(fd, rel=1e-4)
 
 
 def test_phase_step_solves_the_gradient_flow():
-    """The phi step is the semi-implicit flow of reduced_objective: with
+    """The phi step is the semi-implicit flow of the objective: with
     g = phi_gradient(phi), the step phi* and its multiplier lam satisfy
-    (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lam w + g = 0."""
-    cfg = small_config(mesh_nx=8, mesh_ny=4, body_force=(0.0, -0.05))
-    assert cfg.kappa5 == 1.0
+    (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lam w + g = 0.
+    The chi step, with its own pseudo-time step tau_chi, satisfies
+    (gc/tau_chi) M (chi* - chi) + k2 gc K chi* - q_sp = 0."""
+    cfg = small_config(mesh_nx=8, mesh_ny=4, body_force=(0.0, -0.05),
+                       tau_chi=0.2 * cantilever_config().tau)
+    assert cfg.kappa5 == 1.0 and cfg.tau_chi != cfg.tau
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=3)
-    u, _, solve = opt.state_solve(phi, chi)
-    agg = opt.aggregate_of(phi, chi)
-    U = opt.adjoint_solve(phi, chi, agg, solve)
-    phi_star, _, lam = opt.phase_field_step(phi, chi, u, U, agg)
+    x = opt.state_solve(phi, chi)
+    U = opt.adjoint_solve(x)
+    phi_star, chi_star, lam = opt.phase_field_step(x, U)
     g = opt.phi_gradient(phi, chi)
     d = phi_star - phi
     residual = (cfg.gamma_phi / cfg.tau) * (opt.M_raw @ d) \
         + cfg.kappa1 * cfg.gamma_phi * (opt.K_raw @ d) + lam * opt.weights + g
     assert np.abs(residual).max() <= 1e-10 * np.abs(g).max()
+
+    gc = cfg.gamma_chi_eff
+    q_sp = opt._mechanical_driving(x, U)[1]
+    terms = ((gc / cfg.tau_chi) * (opt.M_raw @ (chi_star - chi)),
+             cfg.kappa2 * gc * (opt.K_raw @ chi_star), -q_sp)
+    scale = max(np.abs(t).max() for t in terms)
+    assert np.abs(sum(terms)).max() <= 1e-10 * scale
 
 
 def test_thickness_scales_the_traction():
@@ -142,8 +151,8 @@ def test_thickness_scales_the_traction():
     thin = Optimizer(small_config())
     thick = Optimizer(small_config(thickness=2.5))
     phi, chi = interior_fields(thin, seed=4)
-    u1 = thin.state_solve(phi, chi)[0]
-    u = thick.state_solve(phi, chi)[0]
+    u1 = thin.state_solve(phi, chi).u
+    u = thick.state_solve(phi, chi).u
     assert np.abs(u - u1 / 2.5).max() <= 1e-12 * np.abs(u1).max() / 2.5
     assert thick.compliance_of(phi, u) == pytest.approx(
         thin.compliance_of(phi, u1) / 2.5, rel=1e-12)
@@ -154,17 +163,14 @@ def test_chi_driving_matches_compliance_sensitivity():
     cfg = small_config(kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=11)
-    u, _, solve = opt.state_solve(phi, chi)
-    agg = opt.aggregate_of(phi, chi)
-    U = opt.adjoint_solve(phi, chi, agg, solve)
-    _, q_sp = opt._mechanical_driving(phi, chi, u, U, agg)
+    x = opt.state_solve(phi, chi)
+    _, q_sp = opt._mechanical_driving(x, opt.adjoint_solve(x))
     h = 1e-6
     rng = np.random.default_rng(13)
     for _ in range(3):
         d = rng.standard_normal(opt.mesh.node_count)
-        up, _, _ = opt.state_solve(phi, chi + h * d)
-        um, _, _ = opt.state_solve(phi, chi - h * d)
-        fd = (opt.compliance_of(phi, up) - opt.compliance_of(phi, um)) / (2 * h)
+        fd = (opt.state_solve(phi, chi + h * d).compliance
+              - opt.state_solve(phi, chi - h * d).compliance) / (2 * h)
         assert float(q_sp @ d) == pytest.approx(-fd, rel=1e-4)
 
 
@@ -192,9 +198,9 @@ def safeguard_taus(monkeypatch, objectives, opt=None):
     taus = []
     step = opt.phase_field_step
 
-    def recording_step(phi, chi, u, U, aggregate, tau=None):
+    def recording_step(iterate, U, tau=None):
         taus.append(tau)
-        return step(phi, chi, u, U, aggregate, tau=tau)
+        return step(iterate, U, tau=tau)
 
     values = iter(objectives)
     monkeypatch.setattr(opt, "phase_field_step", recording_step)
@@ -229,18 +235,31 @@ def test_safeguard_accepts_a_descending_step(monkeypatch):
 
 
 def test_safeguard_reuses_the_accepted_trial_state_solve(monkeypatch):
-    # every trial is accepted, so each iterate's state is solved once: the
-    # initial field, the first iterate, then one trial per iteration after
-    # the first, each reused to record it and to step from it
-    opt = Optimizer(small_config(safeguard=True, max_iter=4))
-    elastic = []
+    """Each trial is evaluated once and, if accepted, is the next iterate:
+    counted as factorizations of the elastic operator K."""
+    factored = []
     factor = fem.BandCholesky
-    monkeypatch.setattr(fem, "BandCholesky", lambda ab, rows: elastic.append(
-        rows is opt.elastic.dofs) or factor(ab, rows))
-    values = (2.0 ** -k for k in range(100))
-    monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
-    opt.run()
-    assert elastic == [True] * (1 + 4)
+    monkeypatch.setattr(fem, "BandCholesky",
+                        lambda ab, rows: factored.append(rows) or factor(ab, rows))
+
+    def elastic_factorizations(objectives=None, **kw):
+        opt = Optimizer(small_config(**kw))
+        if objectives is not None:
+            values = iter(objectives)
+            monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
+        factored.clear()
+        opt.run()
+        return sum(rows is opt.elastic.dofs for rows in factored)
+
+    # every trial accepted: the initial field, then one trial per iteration
+    assert elastic_factorizations((2.0 ** -k for k in range(100)),
+                                  safeguard=True, max_iter=4) == 1 + 4
+    # every trial rises: iteration 1 is not checked, iteration 2 tries six
+    # taus and keeps the sixth trial without solving it again
+    assert elastic_factorizations((2.0 ** k for k in range(100)),
+                                  safeguard=True, max_iter=2) == 1 + 1 + 6
+    # without the safeguard: the initial field, then one per iteration
+    assert elastic_factorizations(max_iter=5) == 1 + 5
 
 
 # --- the loop ---------------------------------------------------------------
@@ -260,7 +279,7 @@ def test_run_reports_history_and_state():
 
 
 def test_history_records_each_iterate_with_its_own_state():
-    """Row k's objective is the reduced objective of (phi_k, chi_k), and the
+    """Row k's objective is the objective of (phi_k, chi_k), and the
     final state is the last row's iterate."""
     cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=6)
     iterates = []
@@ -268,11 +287,10 @@ def test_history_records_each_iterate_with_its_own_state():
         (s.phi.copy(), s.chi.copy())))
     check = Optimizer(cfg)
     for (phi, chi), rec in zip(iterates, history, strict=True):
-        u = check.state_solve(phi, chi)[0]
-        assert rec.objective == pytest.approx(
-            check.reduced_objective(phi, chi), rel=1e-12)
+        x = check.state_solve(phi, chi)
+        assert rec.objective == pytest.approx(x.objective, rel=1e-12)
         assert rec.compliance == pytest.approx(
-            check.compliance_of(phi, u), rel=1e-12)
+            check.compliance_of(phi, x.u), rel=1e-12)
     assert state.objective == history[-1].objective
     assert state.compliance == history[-1].compliance
 
@@ -321,24 +339,24 @@ def test_state_and_adjoint_match_reference_assembly():
     cfg = small_config(mesh_nx=20, mesh_ny=10)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=21)
-    u, sigma, solve = opt.state_solve(phi, chi)
+    x = opt.state_solve(phi, chi)
+    u, sigma = x.u, x.sigma
     free = reference.free_dofs(opt.mesh)
     K = reference.assemble_elastic_stiffness(opt.mesh, opt.material, phi, chi)
     K_red, f_red = reference.reduce(opt.mesh, K, opt.traction_load)
     assert np.linalg.norm(K_red @ u[free] - f_red) <= 1e-10 * np.linalg.norm(f_red)
     ref_sigma = reference.element_stress(opt.mesh, opt.material, phi, chi, u)
     assert np.allclose(sigma, ref_sigma, rtol=1e-12, atol=1e-12 * np.abs(ref_sigma).max())
-    agg = opt.aggregate_of(phi, chi)
-    U = opt.adjoint_solve(phi, chi, agg, solve)
+    U = opt.adjoint_solve(x)
     rhs = cfg.kappa4 * opt.traction_load + reference.adjoint_stress_load(
-        agg, opt.mesh, opt.material, phi, chi, cfg.kappa5)
+        x.aggregate, opt.mesh, opt.material, phi, chi, cfg.kappa5)
     assert np.linalg.norm(K_red @ U[free] - rhs[free]) <= 1e-10 * np.linalg.norm(rhs[free])
 
 
 def test_state_solve_is_zero_at_clamped_dofs():
     opt = Optimizer(small_config())
     phi, chi = interior_fields(opt, seed=5)
-    u, _, _ = opt.state_solve(phi, chi)
+    u = opt.state_solve(phi, chi).u
     clamped = opt.mesh.dirichlet_nodes()
     assert len(clamped) > 0
     assert np.all(u[2 * clamped] == 0.0) and np.all(u[2 * clamped + 1] == 0.0)
@@ -350,9 +368,9 @@ def test_state_solve_sees_in_place_field_changes():
     phi, chi = interior_fields(opt, seed=3)
     opt.state_solve(phi, chi)
     phi[:] = 0.9
-    u, sigma, _ = opt.state_solve(phi, chi)
-    u_fresh, sigma_fresh, _ = Optimizer(small_config()).state_solve(phi, chi)
-    assert np.array_equal(u, u_fresh) and np.array_equal(sigma, sigma_fresh)
+    x = opt.state_solve(phi, chi)
+    fresh = Optimizer(small_config()).state_solve(phi, chi)
+    assert np.array_equal(x.u, fresh.u) and np.array_equal(x.sigma, fresh.sigma)
 
 
 def test_run_rejects_non_finite_displacement(monkeypatch):
@@ -360,9 +378,28 @@ def test_run_rejects_non_finite_displacement(monkeypatch):
     state_solve = opt.state_solve
 
     def nan_state(phi, chi):
-        u, sigma, solve = state_solve(phi, chi)
-        return np.full_like(u, np.nan), sigma, solve
+        x = state_solve(phi, chi)
+        return dataclasses.replace(x, u=np.full_like(x.u, np.nan))
 
     monkeypatch.setattr(opt, "state_solve", nan_state)
     with pytest.raises(fem.SolverError, match="iteration 1: non-finite displacement"):
+        opt.run()
+
+
+@pytest.mark.parametrize("safeguard", [False, True])
+def test_run_rejects_a_non_finite_trial_before_solving_it(monkeypatch, safeguard):
+    """A NaN phase step is reported as such, on the safeguard's trial path
+    too, before its elastic operator is factored."""
+    opt = Optimizer(small_config(safeguard=safeguard))
+    step = opt.phase_field_step
+    calls = []
+
+    def nan_step(iterate, U, tau=None):
+        phi_star, chi_star, lam = step(iterate, U, tau=tau)
+        calls.append(tau)
+        return (np.full_like(phi_star, np.nan) if len(calls) == 2 else phi_star,
+                chi_star, lam)
+
+    monkeypatch.setattr(opt, "phase_field_step", nan_step)
+    with pytest.raises(fem.SolverError, match="iteration 2: non-finite phi"):
         opt.run()
