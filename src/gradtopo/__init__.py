@@ -19,7 +19,7 @@ from gradtopo.config import (RunConfig, benchmark_config, cantilever_config,
                              load_config, validate)
 from gradtopo.mesh import Mesh, build_rect_mesh
 from gradtopo.material import MaterialModel
-from gradtopo.optimizer import Optimizer, OptimizerState, run
+from gradtopo.optimizer import Iterate, Optimizer, run
 
 __all__ = [
     "RunConfig",
@@ -31,6 +31,6 @@ __all__ = [
     "build_rect_mesh",
     "MaterialModel",
     "Optimizer",
-    "OptimizerState",
+    "Iterate",
     "run",
 ]

@@ -175,12 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="configuration file path")
         p.add_argument("--set", action="append", default=[],
                        metavar="section.key=value", help="override a config key")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--seed", type=int, help="RNG seed override")
+        if seed:        # export-stl runs no optimization, so it has no seed
+            p.add_argument("--seed", type=int, help="RNG seed override")
 
     p = sub.add_parser("run", help="run one optimization")
     common(p)
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-stl", help="threshold-split a snapshot into STLs")
-    common(p)
+    common(p, seed=False)
     p.add_argument("--snapshot", required=True, help="fields.npz from a run")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--height", type=float, default=10.0)

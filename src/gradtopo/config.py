@@ -42,8 +42,9 @@ class Box:
     y1: float
 
     def overlaps(self, other: "Box") -> bool:
-        return (self.x0 < other.x1 and other.x0 < self.x1
-                and self.y0 < other.y1 and other.y0 < self.y1)
+        """True if the closed boxes share a point (an edge or corner too)."""
+        return (self.x0 <= other.x1 and other.x0 <= self.x1
+                and self.y0 <= other.y1 and other.y0 <= self.y1)
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,15 @@ def validate(config: RunConfig) -> list[str]:
         v.append(f"max_iter: must be >= 1, got {config.max_iter}")
     if config.traction_length is not None and config.traction_length <= 0:
         v.append(f"traction_length: must be > 0, got {config.traction_length}")
+    half = config.traction_length_eff / 2.0
+    lo, hi = config.traction_center_eff - half, config.traction_center_eff + half
+    if not (lo < config.domain_height and hi > 0.0):
+        v.append(f"traction_center: the load strip [{lo:g}, {hi:g}] misses the "
+                 f"loaded edge [0, {config.domain_height:g}]")
+    if config.seed < 0:
+        v.append(f"seed: must be >= 0, got {config.seed}")
+    if not (config.perturb >= 0.0 and math.isfinite(config.perturb)):
+        v.append(f"perturb: must be >= 0, got {config.perturb}")
     for box in config.fixed_void + config.fixed_solid:
         if box.x1 < box.x0 or box.y1 < box.y0:
             v.append(f"fixed region {box}: empty box (x1 < x0 or y1 < y0)")

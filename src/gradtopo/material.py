@@ -67,18 +67,11 @@ class MaterialModel:
     def dkm(self, chi):
         return (1.0 - self.beta) * np.ones_like(np.asarray(chi, dtype=float))
 
-    def stiffness_factor(self, phi, chi):
-        """Scalar s(phi,chi) with K(phi,chi) = s * K_A."""
+    def stiffness_factors(self, phi, chi):
+        """(s, ds/dphi, ds/dchi) with K(phi,chi) = s * K_A."""
         phi = np.clip(phi, 0.0, 1.0)
         g2 = self.gamma ** 2
-        return self.km(chi) * (phi ** 3 + g2 * (1.0 - phi) ** 3)
-
-    def stiffness_factor_dphi(self, phi, chi):
-        phi = np.clip(phi, 0.0, 1.0)
-        g2 = self.gamma ** 2
-        return self.km(chi) * (3.0 * phi ** 2 - 3.0 * g2 * (1.0 - phi) ** 2)
-
-    def stiffness_factor_dchi(self, phi, chi):
-        phi = np.clip(phi, 0.0, 1.0)
-        g2 = self.gamma ** 2
-        return self.dkm(chi) * (phi ** 3 + g2 * (1.0 - phi) ** 3)
+        km = self.km(chi)
+        cubic = phi ** 3 + g2 * (1.0 - phi) ** 3
+        return (km * cubic, km * (3.0 * phi ** 2 - 3.0 * g2 * (1.0 - phi) ** 2),
+                self.dkm(chi) * cubic)

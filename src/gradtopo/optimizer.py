@@ -2,10 +2,12 @@
 
 Each iteration solves, in order: the adjoint system (sharing the
 factorization of the current state), the coupled linear KKT step for the two
-phase fields under the exact volume constraint, the nodal clamp onto the
-admissible set 0 <= chi <= phi <= 1, and the evaluation of the new design
-(an `Iterate`: elastic state, stress aggregate, objective), which is
-recorded and stepped from next.
+phase fields under the exact volume constraint, the projection
+`Optimizer.project` onto the admissible set 0 <= chi <= phi <= 1 with the
+frozen regions, and the evaluation of the new design into an `Iterate`
+(elastic state, stress aggregate, objective).  The accepted Iterate carries
+its step's fields, is recorded, and is stepped from next; `run` returns the
+last one.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from gradtopo.config import RunConfig, validated
 from gradtopo.material import MaterialModel, W, dW
 from gradtopo.mesh import build_rect_mesh, locate_region_nodes
 
-__all__ = ["Iterate", "OptimizerState", "IterationRecord", "Optimizer", "run",
-           "initialize_fields", "rescale"]
+__all__ = ["Iterate", "IterationRecord", "Optimizer", "run", "rescale"]
 
 
 @dataclass
 class Iterate:
     """One design (phi, chi) evaluated once by Optimizer.state_solve: the
-    adjoint and the phase-field step of the next iteration read it."""
+    adjoint and the phase-field step of the next iteration read it.  The
+    loop sets the step fields on the trial it accepts."""
 
     phi: np.ndarray
     chi: np.ndarray
@@ -36,30 +38,20 @@ class Iterate:
     ds_dphi: np.ndarray         # derivatives w.r.t. the element phi and chi
     ds_dchi: np.ndarray
     u: np.ndarray
+    unit_stress: np.ndarray     # (M,3) eps(u) K_A, the stress at s = 1
     sigma: np.ndarray           # (M,3) Voigt per element
     solve: Callable[[np.ndarray], np.ndarray]   # factored elastic operator
     aggregate: stress.StressAggregate
     compliance: float
-    objective: float
-
-
-@dataclass
-class OptimizerState:
-    """Iterate bundle produced by the optimization loop."""
-
-    iter: int
-    phi: np.ndarray
-    chi: np.ndarray
-    lam: float
-    u: np.ndarray               # the state of (phi, chi)
-    sigma: np.ndarray           # (M,3) Voigt per element
-    delta_phi: float
-    delta_chi: float
-    compliance: float
     m_chi: float
     objective: float
-    converged: bool = False
+    # the step that produced this design (iter 0: the initial design)
+    iter: int = 0
+    lam: float = 0.0
+    delta_phi: float = 0.0
+    delta_chi: float = 0.0
     volume_presnap: float = 0.0  # integral of phi right after the KKT solve
+    converged: bool = False
 
 
 @dataclass
@@ -82,26 +74,6 @@ class IterationRecord:
 def rescale(values: np.ndarray, lower, upper) -> np.ndarray:
     """Entrywise clamp onto [lower, upper] (idempotent)."""
     return np.minimum(np.maximum(values, lower), upper)
-
-
-def initialize_fields(config: RunConfig, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform phi0 = chi0 = m, frozen-region overrides, optional seeded noise."""
-    m = config.volume_fraction
-    N = mesh.node_count
-    phi = np.full(N, m)
-    chi = np.full(N, m)
-    if config.perturb > 0.0:
-        rng = np.random.default_rng(config.seed)
-        phi = phi + config.perturb * (2.0 * rng.random(N) - 1.0)
-        phi = np.clip(phi, 0.0, 1.0)
-    for box in config.fixed_void:
-        phi[locate_region_nodes(mesh, box)] = 0.0
-    for box in config.fixed_solid:
-        phi[locate_region_nodes(mesh, box)] = 1.0
-    if config.beta != 1.0:
-        chi = np.minimum(chi, phi)
-    # beta = 1: chi is inert (dK/dchi = 0) and stays at the uniform fraction m
-    return phi, chi
 
 
 class Optimizer:
@@ -161,23 +133,41 @@ class Optimizer:
             self._phase_factor_cache[tau] = (solve_phi, solve_phi(self.weights))
         return self._phase_factor_cache[tau]
 
+    # --- the admissible set -------------------------------------------------
+
+    def project(self, phi, chi):
+        """Nearest admissible design: phi clamped to [0, 1] (or a frozen
+        region's value), then chi to [0, phi].  For beta = 1 chi is inert
+        (dK/dchi = 0) and is returned unchanged."""
+        phi = rescale(phi, self.phi_lower, self.phi_upper)
+        return phi, (chi if self.single_material else rescale(chi, 0.0, phi))
+
+    def initial_design(self):
+        """Uniform phi = chi = m with optional seeded noise on phi, projected."""
+        cfg = self.config
+        N = self.mesh.node_count
+        phi = np.full(N, cfg.volume_fraction)
+        if cfg.perturb > 0.0:
+            rng = np.random.default_rng(cfg.seed)
+            phi += cfg.perturb * (2.0 * rng.random(N) - 1.0)
+        return self.project(phi, np.full(N, cfg.volume_fraction))
+
     # --- staggered sub-steps ------------------------------------------------
 
     def state_solve(self, phi, chi) -> Iterate:
         """Evaluate the design (phi, chi) once: element factors, elastic
-        state, stress aggregate, compliance and objective."""
-        cfg, el, mat = self.config, self.elastic, self.material
-        phi_e = fem.element_averages(self.mesh, phi)
-        chi_e = fem.element_averages(self.mesh, chi)
-        s = mat.stiffness_factor(phi_e, chi_e)
+        state, stress aggregate, compliance, m_chi and objective."""
+        cfg, el = self.config, self.elastic
+        s, ds_dphi, ds_dchi = self.material.stiffness_factors(
+            fem.element_averages(self.mesh, phi), fem.element_averages(self.mesh, chi))
         solve = fem.BandCholesky(el.stiffness(s), el.dofs).solve
         u = solve(self.traction_load + self.C_T @ phi)
-        sigma = s[:, None] * (el.strains(u) @ mat.K_A)
+        unit_stress = el.strains(u) @ self.material.K_A
+        sigma = s[:, None] * unit_stress
         aggregate = stress.pnorm_aggregate(sigma, self.mesh, cfg.yield_stress,
                                            cfg.pnorm_p)
-        return Iterate(phi, chi, s, mat.stiffness_factor_dphi(phi_e, chi_e),
-                       mat.stiffness_factor_dchi(phi_e, chi_e), u, sigma, solve,
-                       aggregate, self.compliance_of(phi, u),
+        return Iterate(phi, chi, s, ds_dphi, ds_dchi, u, unit_stress, sigma, solve,
+                       aggregate, self.compliance_of(phi, u), self.m_chi_of(chi),
                        self.objective_of(phi, chi, u, aggregate))
 
     def adjoint_solve(self, iterate: Iterate):
@@ -198,12 +188,11 @@ class Optimizer:
         Sigma = eps(U) - kappa5 * F_sigma.
         """
         mesh, cfg = self.mesh, self.config
-        eps_u = self.elastic.strains(iterate.u)
         Sigma = self.elastic.strains(U)
         if cfg.kappa5 != 0.0:
             Sigma = Sigma - cfg.kappa5 * stress.pointwise_penalty_gradient(
                 iterate.aggregate, mesh)
-        core = np.einsum("ej,ej->e", Sigma, eps_u @ self.material.K_A)
+        core = np.einsum("ej,ej->e", Sigma, iterate.unit_stress)
         share = mesh.element_areas / 3.0 * core
         q_s = self.elastic.node_incidence @ (iterate.ds_dphi * share)
         q_sp = self.elastic.node_incidence @ (iterate.ds_dchi * share)
@@ -213,7 +202,7 @@ class Optimizer:
         """One semi-implicit gradient-flow step; returns (phi*, chi*, lambda).
 
         phi* satisfies the volume constraint exactly (pre-projection); the
-        caller is responsible for the subsequent rescale.
+        caller projects (phi*, chi*) onto the admissible set.
         """
         cfg = self.config
         phi, chi, u = iterate.phi, iterate.chi, iterate.u
@@ -275,17 +264,17 @@ class Optimizer:
 
     # --- main loop ----------------------------------------------------------
 
-    def run(self, callback=None) -> tuple[OptimizerState, list[IterationRecord]]:
+    def run(self, callback=None) -> tuple[Iterate, list[IterationRecord]]:
         """Step until the increments fall below tol or max_iter is reached.
 
         Each attempt evaluates its trial design once; the accepted trial is
-        row k of the history and the iterate that iteration k+1 steps from.
+        row k of the history, the Iterate passed to the callback, and the
+        iterate that iteration k+1 steps from.  Returns the last one.
         """
         cfg = self.config
         t0 = time.perf_counter()
-        cur = self.state_solve(*initialize_fields(cfg, self.mesh))
+        cur = self.state_solve(*self.initial_design())
         history: list[IterationRecord] = []
-        state = None
 
         for it in range(1, cfg.max_iter + 1):
             _require_finite(it, displacement=cur.u)
@@ -294,9 +283,7 @@ class Optimizer:
             tau = cfg.tau
             for attempt in range(6):
                 phi_star, chi_star, lam = self.phase_field_step(cur, U, tau=tau)
-                volume_presnap = float(self.weights @ phi_star)
-                phi = rescale(phi_star, self.phi_lower, self.phi_upper)
-                chi = cur.chi if self.single_material else rescale(chi_star, 0.0, phi)
+                phi, chi = self.project(phi_star, chi_star)
                 _require_finite(it, phi=phi, chi=chi)
                 nxt = self.state_solve(phi, chi)
                 if not cfg.safeguard or it == 1 or attempt == 5 \
@@ -304,28 +291,24 @@ class Optimizer:
                     break
                 tau *= 0.5
 
-            delta_phi = self.l2_norm(nxt.phi - cur.phi)
-            delta_chi = self.l2_norm(nxt.chi - cur.chi)
+            _require_finite(it, objective=nxt.objective)
+            nxt.iter, nxt.lam = it, lam
+            nxt.volume_presnap = float(self.weights @ phi_star)
+            nxt.delta_phi = self.l2_norm(nxt.phi - cur.phi)
+            nxt.delta_chi = self.l2_norm(nxt.chi - cur.chi)
+            nxt.converged = nxt.delta_phi < cfg.tol and nxt.delta_chi < cfg.tol
             cur = nxt
-            _require_finite(it, objective=cur.objective)
-            m_chi = self.m_chi_of(cur.chi)
-            converged = delta_phi < cfg.tol and delta_chi < cfg.tol
-            state = OptimizerState(
-                iter=it, phi=cur.phi, chi=cur.chi, lam=lam, u=cur.u,
-                sigma=cur.sigma, delta_phi=delta_phi, delta_chi=delta_chi,
-                compliance=cur.compliance, m_chi=m_chi, objective=cur.objective,
-                converged=converged, volume_presnap=volume_presnap)
             record = IterationRecord(
                 iter=it, objective=cur.objective, compliance=cur.compliance,
-                m_chi=m_chi, delta_phi=delta_phi, delta_chi=delta_chi, lam=lam,
-                max_von_mises=float(cur.aggregate.sigma_e.max(initial=0.0)),
+                m_chi=cur.m_chi, delta_phi=cur.delta_phi, delta_chi=cur.delta_chi,
+                lam=cur.lam, max_von_mises=float(cur.aggregate.sigma_e.max(initial=0.0)),
                 wall_time=time.perf_counter() - t0)
             history.append(record)
             if callback is not None:
-                callback(state, record)
-            if converged:
+                callback(cur, record)
+            if cur.converged:
                 break
-        return state, history
+        return cur, history
 
 
 def _require_finite(it: int, **fields) -> None:

@@ -39,23 +39,23 @@ def element_dofs(mesh, e: int) -> list:
 
 def stiffness_factors(mesh, material, phi, chi) -> np.ndarray:
     """s_e with K(phi, chi) = s_e K_A at each element centroid."""
-    return np.array([material.stiffness_factor(phi[el].mean(), chi[el].mean())
+    return np.array([material.stiffness_factors(phi[el].mean(), chi[el].mean())[0]
                      for el in mesh.elements])
 
 
 def K_of(material, phi, chi) -> np.ndarray:
     """Interpolated Voigt matrix s(phi, chi) K_A, (..., 3, 3) for arrays."""
-    s = np.asarray(material.stiffness_factor(phi, chi))
+    s = np.asarray(material.stiffness_factors(phi, chi)[0])
     return s[..., None, None] * material.K_A
 
 
 def dK_dphi(material, phi, chi) -> np.ndarray:
-    s = np.asarray(material.stiffness_factor_dphi(phi, chi))
+    s = np.asarray(material.stiffness_factors(phi, chi)[1])
     return s[..., None, None] * material.K_A
 
 
 def dK_dchi(material, phi, chi) -> np.ndarray:
-    s = np.asarray(material.stiffness_factor_dchi(phi, chi))
+    s = np.asarray(material.stiffness_factors(phi, chi)[2])
     return s[..., None, None] * material.K_A
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import reference
-from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from gradtopo.cli import (EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser,
+                           main)
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
         "--set", "optimizer.max_iter=3", "--set", "output.log_every=0"]
@@ -236,6 +237,39 @@ def test_bench_applies_seed(monkeypatch):
 def test_bench_rejects_config(tmp_path, capsys):
     assert main(["bench", "--config", write_cfg(tmp_path)]) == EXIT_ERROR
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, name", [
+    ("optimizer.seed=-1", "seed"),
+    ("optimizer.perturb=-0.1", "perturb"),
+    ("domain.traction_center=500", "traction_center"),
+    ("domain.traction_center=-6", "traction_center"),
+], ids=["seed", "perturb", "strip-above", "strip-below"])
+def test_run_rejects_unusable_values(tmp_path, capsys, caplog, override, name):
+    out = tmp_path / "out"
+    code = main(["run", "--builtin", *TINY, "--set", override, "--out", str(out)])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] \
+        == ["error: invalid configuration:"]
+    assert f"  {name}: " in err
+    assert "run failed" not in caplog.text
+    assert not out.exists()
+
+
+def test_export_stl_takes_no_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-stl", "--snapshot", str(tmp_path / "fields.npz"),
+              "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "sweep", "validate"])
+def test_seed_flag_registered(command):
+    args = build_parser().parse_args([command, "--seed", "3"]
+                                     + (["optimizer.kappa2=40"] if command == "sweep" else []))
+    assert args.seed == 3
 
 
 def test_threads_flag_removed(capsys):

@@ -119,6 +119,21 @@ def test_validate_overlapping_fixed_regions():
     assert any("overlap" in v for v in violations)
 
 
+def test_validate_touching_fixed_regions():
+    """Regions are closed boxes: nodes on a shared edge would be both frozen
+    void and frozen solid."""
+    cfg = RunConfig(mesh_nx=8, mesh_ny=4, fixed_void=(Box(0, 0, 50, 100),),
+                    fixed_solid=(Box(50, 0, 100, 100),))
+    assert any("overlap" in v for v in validate(cfg))
+    corner = RunConfig(fixed_void=(Box(0, 0, 50, 50),),
+                       fixed_solid=(Box(50, 50, 100, 100),))
+    assert any("overlap" in v for v in validate(corner))
+
+
+def test_validate_accepts_a_strip_that_overhangs_the_edge():
+    assert validate(RunConfig(traction_center=98.0, traction_length=10.0)) == []
+
+
 def test_disjoint_fixed_regions_ok():
     cfg = RunConfig(fixed_void=(Box(0, 0, 10, 10),),
                     fixed_solid=(Box(50, 50, 60, 60),))

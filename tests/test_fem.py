@@ -67,7 +67,7 @@ def test_stiffness_scales_with_factor():
     chi = np.full(mesh.node_count, 0.25)
     K = reference.assemble_elastic_stiffness(mesh, mat, phi, chi)
     K1 = reference.assemble_elastic_stiffness(mesh, mat, *full(mesh))
-    s = mat.stiffness_factor(0.5, 0.25)
+    s = mat.stiffness_factors(0.5, 0.25)[0]
     assert np.allclose(K.toarray(), s * K1.toarray(), rtol=1e-12)
 
 
@@ -323,8 +323,8 @@ def test_element_stress_matches_reference_formula():
     phi, chi = interior_fields(mesh, 4)
     u = np.random.default_rng(5).standard_normal(2 * mesh.node_count)
     # the stress Optimizer.state_solve keeps as Iterate.sigma: s_e K_A (S u)_e
-    s = mat.stiffness_factor(fem.element_averages(mesh, phi),
-                             fem.element_averages(mesh, chi))
+    s = mat.stiffness_factors(fem.element_averages(mesh, phi),
+                              fem.element_averages(mesh, chi))[0]
     sigma = s[:, None] * ((fem.strain_operator(mesh) @ u).reshape(-1, 3) @ mat.K_A)
     ref = reference.element_stress(mesh, mat, phi, chi, u)
     assert np.allclose(sigma, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())

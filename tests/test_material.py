@@ -55,26 +55,26 @@ def test_beta_one_single_material():
 
 def test_stiffness_factor_solid_and_void():
     m = model()
-    assert m.stiffness_factor(1.0, 1.0) == pytest.approx(1.0)
+    assert m.stiffness_factors(1.0, 1.0)[0] == pytest.approx(1.0)
     # void floor: gamma^2 = 1e-4 at full beta-phase chi -> km * gamma^2
-    assert m.stiffness_factor(0.0, 1.0) == pytest.approx(1e-4)
-    assert m.stiffness_factor(0.0, 0.0) == pytest.approx(1e-4 / 6.0)
+    assert m.stiffness_factors(0.0, 1.0)[0] == pytest.approx(1e-4)
+    assert m.stiffness_factors(0.0, 0.0)[0] == pytest.approx(1e-4 / 6.0)
 
 
 def test_stiffness_factor_monotone_in_phi_and_chi():
     m = model()
     phi = np.linspace(0, 1, 41)
-    s = m.stiffness_factor(phi, 0.7)
+    s = m.stiffness_factors(phi, 0.7)[0]
     assert np.all(np.diff(s) > 0)
     chi = np.linspace(0, 1, 41)
-    s = m.stiffness_factor(0.6, chi)
+    s = m.stiffness_factors(0.6, chi)[0]
     assert np.all(np.diff(s) > 0)
 
 
 def test_inputs_clamped():
     m = model()
-    assert m.stiffness_factor(1.4, 2.0) == pytest.approx(m.stiffness_factor(1.0, 1.0))
-    assert m.stiffness_factor(-0.3, -1.0) == pytest.approx(m.stiffness_factor(0.0, 0.0))
+    assert m.stiffness_factors(1.4, 2.0) == pytest.approx(m.stiffness_factors(1.0, 1.0))
+    assert m.stiffness_factors(-0.3, -1.0) == pytest.approx(m.stiffness_factors(0.0, 0.0))
 
 
 def test_dK_dphi_fd():
@@ -110,7 +110,7 @@ def test_array_broadcasting():
 @example(phi=1e-13, chi=0.3, beta=0.9999999999999999)
 def test_stiffness_factor_bounds_property(phi, chi, beta):
     m = model(beta=beta)
-    s = m.stiffness_factor(phi, chi)
+    s = m.stiffness_factors(phi, chi)[0]
     # always positive, never exceeds the solid bulk value
     assert 0 < s <= 1.0 + 1e-12
     # the ersatz floor, grouped as in s = k_m * (phi^3 + gamma^2 (1-phi)^3)

@@ -6,7 +6,7 @@ import pytest
 import reference
 from gradtopo import fem
 from gradtopo.config import Box, cantilever_config
-from gradtopo.optimizer import Optimizer, initialize_fields, rescale, run
+from gradtopo.optimizer import Optimizer, rescale, run
 
 
 def small_config(**kw):
@@ -24,12 +24,12 @@ def interior_fields(opt, seed=0):
     return phi, chi
 
 
-# --- initialization and clamping -------------------------------------------
+# --- the admissible set -----------------------------------------------------
 
 def test_initialize_uniform():
     cfg = small_config()
     opt = Optimizer(cfg)
-    phi, chi = initialize_fields(cfg, opt.mesh)
+    phi, chi = opt.initial_design()
     assert np.all(phi == 0.8) and np.all(chi == 0.8)
     assert float(opt.weights @ phi) == pytest.approx(0.8 * opt.area, rel=1e-14)
 
@@ -38,7 +38,7 @@ def test_initialize_frozen_regions():
     cfg = small_config(fixed_void=(Box(0, 0, 50, 100),),
                        fixed_solid=(Box(150, 0, 200, 100),))
     opt = Optimizer(cfg)
-    phi, chi = initialize_fields(cfg, opt.mesh)
+    phi, chi = opt.initial_design()
     x = opt.mesh.nodes[:, 0]
     assert np.all(phi[x <= 50] == 0.0)
     assert np.all(phi[x >= 150] == 1.0)
@@ -48,8 +48,8 @@ def test_initialize_frozen_regions():
 def test_initialize_noise_deterministic():
     cfg = small_config(perturb=0.05, seed=4)
     opt = Optimizer(cfg)
-    phi1, _ = initialize_fields(cfg, opt.mesh)
-    phi2, _ = initialize_fields(cfg, opt.mesh)
+    phi1, _ = opt.initial_design()
+    phi2, _ = opt.initial_design()
     assert np.array_equal(phi1, phi2)
     assert np.any(phi1 != 0.8)
     assert np.all((phi1 >= 0.0) & (phi1 <= 1.0))
@@ -64,6 +64,52 @@ def test_rescale_clamps_and_is_idempotent():
     lo = np.array([0.0, 0.5, 0.0, 0.0])
     hi = np.array([1.0, 1.0, 0.1, 1.0])
     assert np.array_equal(rescale(v, lo, hi), [0.0, 0.5, 0.1, 1.0])
+
+
+FROZEN = dict(mesh_nx=8, mesh_ny=4, fixed_void=(Box(0, 0, 50, 100),),
+              fixed_solid=(Box(150, 40, 200, 60),))
+
+
+def frozen_masks(opt):
+    x, y = opt.mesh.nodes[:, 0], opt.mesh.nodes[:, 1]
+    return x <= 50, (x >= 150) & (y >= 40) & (y <= 60)
+
+
+def wild_fields(opt, seed=0):
+    """Fields well outside the admissible set, with chi above phi in places."""
+    rng = np.random.default_rng(seed)
+    return (-0.5 + 2.0 * rng.random(opt.mesh.node_count),
+            -0.5 + 2.0 * rng.random(opt.mesh.node_count))
+
+
+def test_project_is_idempotent_and_admissible():
+    opt = Optimizer(small_config(**FROZEN))
+    void, solid = frozen_masks(opt)
+    assert void.any() and solid.any()
+    phi, chi = opt.project(*wild_fields(opt))
+    assert np.all(phi[void] == 0.0) and np.all(phi[solid] == 1.0)
+    assert np.all((phi >= 0.0) & (phi <= 1.0))
+    assert np.all((chi >= 0.0) & (chi <= phi))
+    again = opt.project(phi, chi)
+    assert np.array_equal(again[0], phi) and np.array_equal(again[1], chi)
+
+
+def test_project_leaves_chi_alone_for_beta_one():
+    opt = Optimizer(small_config(beta=1.0, **FROZEN))
+    phi_in, chi_in = wild_fields(opt, seed=1)
+    phi, chi = opt.project(phi_in, chi_in)
+    assert chi is chi_in
+    assert np.array_equal(phi, Optimizer(small_config(**FROZEN)).project(phi_in, chi_in)[0])
+
+
+@pytest.mark.parametrize("kw", [{}, dict(perturb=0.3, seed=2), FROZEN,
+                                dict(FROZEN, perturb=0.3, beta=1.0)],
+                         ids=["uniform", "noise", "frozen", "frozen-noise-beta1"])
+def test_initial_design_is_a_fixed_point_of_project(kw):
+    opt = Optimizer(small_config(**kw))
+    phi, chi = opt.initial_design()
+    again = opt.project(phi, chi)
+    assert np.array_equal(again[0], phi) and np.array_equal(again[1], chi)
 
 
 # --- the staggered step -----------------------------------------------------
@@ -325,6 +371,15 @@ def test_callback_invoked_each_iteration():
     seen = []
     run(small_config(max_iter=3), callback=lambda s, r: seen.append(r.iter))
     assert seen == [1, 2, 3]
+
+
+def test_run_returns_the_iterate_of_its_last_callback():
+    seen = []
+    state, history = run(small_config(max_iter=3),
+                         callback=lambda s, r: seen.append((s, r)))
+    assert state is seen[-1][0] and history[-1] is seen[-1][1]
+    assert [s.iter for s, _ in seen] == [1, 2, 3]
+    assert state.m_chi == history[-1].m_chi and state.lam == history[-1].lam
 
 
 def test_beta_one_keeps_chi_fraction_at_m():

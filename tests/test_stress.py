@@ -19,8 +19,8 @@ def setup(nx=4, ny=2):
 def nodal_stress_load(agg, mesh, mat, phi, chi, kappa5):
     """The stress-penalty adjoint load as Optimizer.adjoint_solve builds it:
     the element loads of stress.element_stress_load, scattered by S^T."""
-    s = mat.stiffness_factor(fem.element_averages(mesh, phi),
-                             fem.element_averages(mesh, chi))
+    s = mat.stiffness_factors(fem.element_averages(mesh, phi),
+                              fem.element_averages(mesh, chi))[0]
     q = stress.element_stress_load(agg, mesh, s, mat.K_A, kappa5)
     return fem.strain_operator(mesh).T @ q.ravel()
 
