@@ -16,7 +16,7 @@ import numpy as np
 
 from gradtopo import export
 from gradtopo.config import (ConfigError, apply_overrides, benchmark_config,
-                             cantilever_config, load_config, serialize)
+                             load_config, serialize)
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
 
@@ -34,10 +34,12 @@ def _setup_logging():
 
 
 def _load(args, default_builtin=False):
+    """The --config file, or the built-in benchmark scenario if default_builtin,
+    with the command-line overrides applied."""
     if args.config:
         config = load_config(args.config)
     elif default_builtin:
-        config = cantilever_config()
+        config = benchmark_config()
     else:
         raise ConfigError("--config is required (or use the bench subcommand)")
     return _apply_overrides(config, args)
@@ -85,8 +87,7 @@ def _execute(config) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load(args, default_builtin=args.builtin)
-    return _execute(config)
+    return _execute(_load(args))
 
 
 def cmd_bench(args) -> int:
@@ -185,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one optimization")
     common(p)
-    p.add_argument("--builtin", action="store_true",
-                   help="use the built-in cantilever scenario if no --config")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run the tuned built-in cantilever benchmark")

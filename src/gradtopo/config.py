@@ -96,8 +96,6 @@ class RunConfig:
 
     # [output]
     output_dir: str = "out"
-    write_vtk: bool = True
-    write_csv: bool = True
     log_every: int = 50
 
     @property
@@ -259,8 +257,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("stress", "pnorm_p"): ("pnorm_p", int),
     ("stress", "yield_stress"): ("yield_stress", float),
     ("output", "directory"): ("output_dir", str),
-    ("output", "write_vtk"): ("write_vtk", _parse_bool),
-    ("output", "write_csv"): ("write_csv", _parse_bool),
     ("output", "log_every"): ("log_every", int),
 }
 

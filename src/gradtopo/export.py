@@ -81,16 +81,13 @@ def write_history_csv(history: list, path: str) -> None:
 
 
 def write_run(config, state, history: list, mesh) -> None:
-    """The outputs of one run in config.output_dir: history.csv if
-    config.write_csv; fields.vtk and the fields.npz snapshot that export-stl
-    reads if config.write_vtk."""
+    """The outputs of one run in config.output_dir: history.csv, fields.vtk
+    and the fields.npz snapshot that export-stl reads."""
     outdir = config.output_dir
-    if config.write_csv:
-        write_history_csv(history, os.path.join(outdir, "history.csv"))
-    if config.write_vtk:
-        write_fields(state, mesh, os.path.join(outdir, "fields.vtk"))
-        np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi,
-                 chi=state.chi, u=state.u, sigma=state.sigma)
+    write_history_csv(history, os.path.join(outdir, "history.csv"))
+    write_fields(state, mesh, os.path.join(outdir, "fields.vtk"))
+    np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi,
+             chi=state.chi, u=state.u, sigma=state.sigma)
 
 
 # --------------------------------------------------------------------------

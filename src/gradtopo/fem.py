@@ -3,7 +3,9 @@
 All fields live on the single shared triangulation: displacements and the
 adjoint are nodal 2-vectors, the two phase fields are nodal scalars, and
 stresses are constant per element.  The interpolated elasticity tensor is
-evaluated at the element centroid (one-point rule).
+evaluated at the element centroid (one-point rule).  The boundary conditions
+are the cantilever's: the side x = 0 is clamped, and the traction acts on a
+strip of the side x = a.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class ElasticOperator:
     """The elastic system in scalar-factor form, built once per mesh.
 
     K(phi,chi) = s(phi_e,chi_e) K_A on every element, so the stiffness is
-    sum_e s_e K_e^A on the free dofs; the dofs of mesh.dirichlet_nodes() are
+    sum_e s_e K_e^A on the free dofs; the dofs of the nodes at x = 0 are
     clamped at zero and left out.  Numbered in band_order, it has a fixed
     half-bandwidth kd and a fixed scatter from the element factors s to its
     lower band: each iterate assembles with one sparse matvec.
@@ -128,16 +130,13 @@ class ElasticOperator:
     """
 
     def __init__(self, mesh, K_A: np.ndarray):
-        clamped = mesh.dirichlet_nodes()
-        if len(clamped) == 0:
-            raise ValueError("Dirichlet node set must be non-empty")
         M, N = mesh.element_count, mesh.node_count
         self.strain_matrix = strain_operator(mesh)
         self.node_incidence = node_incidence(mesh)
 
         # the free dofs in band order; dof_rank is each one's band row
         nodes = band_order(mesh)
-        nodes = nodes[~np.isin(nodes, clamped)]
+        nodes = nodes[mesh.nodes[nodes, 0] != 0.0]
         self.dofs = (2 * nodes[:, None] + [0, 1]).ravel()
         self.n = len(self.dofs)
         dof_rank = np.full(2 * N, -1)
@@ -167,24 +166,24 @@ class ElasticOperator:
 
 
 def _traction_edge_contributions(mesh, config):
-    """Exact integration of the traction over the clipped Neumann edges.
+    """Exact integration of the traction over the edges of the side x = a,
+    clipped to the load strip.
 
     Returns (nodes, weights) such that the load at nodes[k] is weights[k] * g;
-    the weights sum to the covered segment length.
+    the weights sum to the covered strip length.
     """
     half = config.traction_length_eff / 2.0
     lo = config.traction_center_eff - half
     hi = config.traction_center_eff + half
-    edges = np.array(mesh.neumann_edges(), dtype=int).reshape(-1, 2)
-    p1, p2 = mesh.nodes[edges[:, 0]], mesh.nodes[edges[:, 1]]
-    L = np.hypot(*(p2 - p1).T)
-    # right-edge edges are vertical; clip by y, expressed in the edge parameter
-    y1, y2 = p1[:, 1], p2[:, 1]
-    c0 = np.maximum(np.minimum(y1, y2), lo)
-    c1 = np.minimum(np.maximum(y1, y2), hi)
+    # the side's nodes run upward, so its edges (y1, y2) have y1 < y2
+    x, y = mesh.nodes.T
+    side = np.flatnonzero(x == x.max())
+    edges = np.column_stack([side[:-1], side[1:]])
+    y1, y2 = y[edges[:, 0]], y[edges[:, 1]]
+    L = y2 - y1
+    c0, c1 = np.maximum(y1, lo), np.minimum(y2, hi)
     cut = c1 > c0
-    sa, sb = (c0 - y1) / (y2 - y1), (c1 - y1) / (y2 - y1)
-    s0, s1 = np.minimum(sa, sb)[cut], np.maximum(sa, sb)[cut]
+    s0, s1 = ((c0 - y1) / L)[cut], ((c1 - y1) / L)[cut]
     # int of (1-s) and s over [s0,s1], scaled by edge length
     w1 = L[cut] * ((s1 - s0) - 0.5 * (s1 ** 2 - s0 ** 2))
     w2 = L[cut] * 0.5 * (s1 ** 2 - s0 ** 2)
@@ -192,7 +191,7 @@ def _traction_edge_contributions(mesh, config):
 
 
 def assemble_load(mesh, config) -> np.ndarray:
-    """Traction load vector [2N] of the line load g on the Neumann segment."""
+    """Traction load vector [2N] of the line load g on the load strip."""
     nodes, w = _traction_edge_contributions(mesh, config)
     if config.traction_length_eff <= 0 or (len(nodes) == 0 and any(config.traction)):
         raise ValueError("traction segment has zero length or covers no boundary edge")

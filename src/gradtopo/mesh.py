@@ -1,8 +1,8 @@
-"""Structured triangular mesh of the rectangle [0,a]x[0,b] with boundary tags.
+"""Structured triangular mesh of the rectangle [0,a]x[0,b].
 
-The left edge (x=0) is clamped; a traction segment on the right edge carries
-the applied load.  Grid cells are split along alternating diagonals
-(union-jack-like) to avoid a preferred direction in the optimized layout.
+The mesh is geometry only; the boundary conditions on its sides are fem's.
+Grid cells are split along alternating diagonals (union-jack-like) to avoid
+a preferred direction in the optimized layout.
 """
 
 from __future__ import annotations
@@ -10,10 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-DIRICHLET = "dirichlet"
-NEUMANN = "neumann"
-FREE = "free"
 
 
 @dataclass(frozen=True)
@@ -24,14 +20,12 @@ class Mesh:
     elements       : (M,3) node indices, counter-clockwise
     element_areas  : (M,) areas [mm^2]
     grads          : (M,3,2) gradients of the P1 shape functions
-    boundary_edges : list of (n1, n2, tag); each edge lies on exactly one element
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     element_areas: np.ndarray
     grads: np.ndarray
-    boundary_edges: tuple
 
     @property
     def node_count(self) -> int:
@@ -44,13 +38,6 @@ class Mesh:
     @property
     def area(self) -> float:
         return float(self.element_areas.sum())
-
-    def dirichlet_nodes(self) -> np.ndarray:
-        idx = sorted({n for (a, b, tag) in self.boundary_edges if tag == DIRICHLET for n in (a, b)})
-        return np.array(idx, dtype=int)
-
-    def neumann_edges(self) -> list:
-        return [(a, b) for (a, b, tag) in self.boundary_edges if tag == NEUMANN]
 
 
 def _geometry(nodes: np.ndarray, elements: np.ndarray):
@@ -75,8 +62,7 @@ def build_rect_mesh(config) -> Mesh:
     """Build the structured mesh for a RunConfig.
 
     (nx+1)(ny+1) nodes, 2*nx*ny triangles.  Node (ix,iy) has index
-    iy*(nx+1)+ix.  Right-edge edges overlapping the traction segment are
-    tagged Neumann; the whole left edge is Dirichlet.
+    iy*(nx+1)+ix, so the nodes of one vertical side run upward in index order.
     """
     a, b = config.domain_width, config.domain_height
     nx, ny = config.mesh_nx, config.mesh_ny
@@ -85,13 +71,10 @@ def build_rect_mesh(config) -> Mesh:
     X, Y = np.meshgrid(xs, ys)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(ix, iy):
-        return iy * (nx + 1) + ix
-
     # cells in row-major order (iy outer); each splits along the diagonal
     # n00-n11 when ix+iy is even and along n10-n01 otherwise
     iy, ix = np.divmod(np.arange(nx * ny), nx)
-    n00 = nid(ix, iy)
+    n00 = iy * (nx + 1) + ix
     n10 = n00 + 1
     n01 = n00 + nx + 1
     n11 = n01 + 1
@@ -103,23 +86,7 @@ def build_rect_mesh(config) -> Mesh:
     elements = np.stack([first, second], axis=1).reshape(-1, 3)
 
     areas, grads = _geometry(nodes, elements)
-
-    half = config.traction_length_eff / 2.0
-    seg_lo = config.traction_center_eff - half
-    seg_hi = config.traction_center_eff + half
-    edges = []
-    for iy in range(ny):                      # left edge: Dirichlet
-        edges.append((nid(0, iy), nid(0, iy + 1), DIRICHLET))
-    for iy in range(ny):                      # right edge: Neumann on the segment
-        y0, y1 = ys[iy], ys[iy + 1]
-        tag = NEUMANN if (min(y1, seg_hi) - max(y0, seg_lo)) > 1e-12 * b else FREE
-        edges.append((nid(nx, iy), nid(nx, iy + 1), tag))
-    for ix in range(nx):                      # bottom and top: traction free
-        edges.append((nid(ix, 0), nid(ix + 1, 0), FREE))
-        edges.append((nid(ix, ny), nid(ix + 1, ny), FREE))
-
-    return Mesh(nodes=nodes, elements=elements, element_areas=areas,
-                grads=grads, boundary_edges=tuple(edges))
+    return Mesh(nodes=nodes, elements=elements, element_areas=areas, grads=grads)
 
 
 def locate_region_nodes(mesh: Mesh, box) -> np.ndarray:

@@ -78,9 +78,8 @@ def assemble_elastic_stiffness(mesh, material, phi, chi) -> sp.csr_matrix:
 
 
 def free_dofs(mesh) -> np.ndarray:
-    """Ascending dofs of every node off mesh.dirichlet_nodes()."""
-    clamped = set(mesh.dirichlet_nodes().tolist())
-    return np.array([d for n in range(mesh.node_count) if n not in clamped
+    """Ascending dofs of every node off the clamped side x = 0."""
+    return np.array([d for n in range(mesh.node_count) if mesh.nodes[n, 0] != 0.0
                      for d in (2 * n, 2 * n + 1)])
 
 

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import reference
 from gradtopo.cli import (EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser,
                            main)
+from gradtopo.config import apply_overrides, benchmark_config
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
         "--set", "optimizer.max_iter=3", "--set", "output.log_every=0"]
@@ -46,7 +49,7 @@ def test_missing_config_is_an_error(capsys):
 
 def test_run_not_converged_exit_code(tmp_path, capsys):
     out = str(tmp_path / "out")
-    code = main(["run", "--builtin", *TINY, "--out", out])
+    code = main(["bench", *TINY, "--out", out])
     assert code == EXIT_NOT_CONVERGED
     stdout = capsys.readouterr().out
     assert "converged=no" in stdout
@@ -58,7 +61,7 @@ def test_run_not_converged_exit_code(tmp_path, capsys):
 
 
 def test_summary_reports_wall_time_and_iteration_rate(tmp_path, capsys):
-    main(["run", "--builtin", *TINY, "--out", str(tmp_path)])
+    main(["bench", *TINY, "--out", str(tmp_path)])
     summary = dict(item.split("=") for item in capsys.readouterr().out.split())
     wall_s, rate = float(summary["wall_s"]), float(summary["iters_per_s"])
     assert wall_s > 0.0 and rate > 0.0
@@ -68,24 +71,22 @@ def test_summary_reports_wall_time_and_iteration_rate(tmp_path, capsys):
 
 def test_run_converged_exit_code(tmp_path, capsys):
     out = str(tmp_path / "out")
-    code = main(["run", "--builtin", *TINY, "--set", "optimizer.tol=1e9",
-                 "--out", out])
+    code = main(["run", "--config", write_cfg(tmp_path), *TINY,
+                 "--set", "optimizer.tol=1e9", "--out", out])
     assert code == EXIT_OK
     assert "converged=yes" in capsys.readouterr().out
 
 
 def test_identical_runs_identical_csv(tmp_path):
     o1, o2 = str(tmp_path / "a"), str(tmp_path / "b")
-    main(["run", "--builtin", *TINY, "--out", o1])
-    main(["run", "--builtin", *TINY, "--out", o2])
-    b1 = open(os.path.join(o1, "history.csv"), "rb").read()
-    b2 = open(os.path.join(o2, "history.csv"), "rb").read()
-    assert b1 == b2
+    main(["bench", *TINY, "--out", o1])
+    main(["bench", *TINY, "--out", o2])
+    assert (Path(o1) / "history.csv").read_bytes() == (Path(o2) / "history.csv").read_bytes()
 
 
 def test_export_stl_from_snapshot(tmp_path, capsys):
     out = str(tmp_path / "run")
-    main(["run", "--builtin", *TINY, "--out", out])
+    main(["bench", *TINY, "--out", out])
     stl_dir = str(tmp_path / "stl")
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
                  *TINY, "--out", stl_dir, "--threshold", "0.5", "--height", "4"])
@@ -101,7 +102,7 @@ def test_export_stl_from_snapshot(tmp_path, capsys):
 
 def test_export_stl_whole_structure(tmp_path, capsys):
     out = str(tmp_path / "run")
-    main(["run", "--builtin", *TINY, "--out", out])
+    main(["bench", *TINY, "--out", out])
     stl_dir = str(tmp_path / "stl")
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
                  *TINY, "--out", stl_dir, "--threshold", "0", "--height", "2"])
@@ -112,7 +113,7 @@ def test_export_stl_whole_structure(tmp_path, capsys):
 
 def test_export_stl_mesh_mismatch(tmp_path, capsys):
     out = str(tmp_path / "run")
-    main(["run", "--builtin", *TINY, "--out", out])
+    main(["bench", *TINY, "--out", out])
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
                  "--set", "domain.nx=5", "--set", "domain.ny=5",
                  "--out", str(tmp_path / "stl")])
@@ -125,7 +126,7 @@ def test_export_stl_mesh_mismatch(tmp_path, capsys):
                          ids=["height-1", "height-nan", "height-inf", "threshold-nan"])
 def test_export_stl_bad_height(tmp_path, capsys, flag, value):
     out = str(tmp_path / "run")
-    main(["run", "--builtin", *TINY, "--out", out])
+    main(["bench", *TINY, "--out", out])
     stl_dir = tmp_path / "stl"
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
                  *TINY, "--out", str(stl_dir), flag, value])
@@ -190,7 +191,7 @@ def test_sweep_table(tmp_path, capsys):
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert "variant" in stdout and "compliance" in stdout
-    rows = open(table).read().splitlines()
+    rows = Path(table).read_text().splitlines()
     assert rows[0] == "variant,compliance,m_chi,convergence"
     assert len(rows) == 4   # header + 2 sweep values + beta=1 reference
     # every variant writes what run writes, so export-stl can read it
@@ -206,8 +207,20 @@ def test_sweep_exit_code_on_failed_variant(tmp_path, capsys):
     assert code == EXIT_ERROR
     # the whole table is still printed and written
     assert capsys.readouterr().out.count("ERROR") == 2
-    rows = open(table).read().splitlines()
+    rows = Path(table).read_text().splitlines()
     assert len(rows) == 3 and all(r.endswith(",ERROR") for r in rows[1:])
+
+
+def test_sweep_runs_the_benchmark_without_config(tmp_path, monkeypatch):
+    seen = []
+    state = SimpleNamespace(compliance=1.0, m_chi=0.5, converged=True)
+    monkeypatch.setattr("gradtopo.cli._optimize",
+                        lambda config: seen.append(config) or (state, []))
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "optimizer.kappa2=40", "--out", out]) == EXIT_OK
+    assert seen == [apply_overrides(benchmark_config(), [
+        f"output.directory={os.path.join(out, 'optimizer_kappa2_40')}",
+        "optimizer.kappa2=40"])]
 
 
 def test_sweep_bad_spec(capsys):
@@ -243,11 +256,11 @@ def test_bench_rejects_config(tmp_path, capsys):
     ("optimizer.seed=-1", "seed"),
     ("optimizer.perturb=-0.1", "perturb"),
     ("domain.traction_center=500", "traction_center"),
-    ("domain.traction_center=-6", "traction_center"),
+    ("domain.traction_center=-11", "traction_center"),
 ], ids=["seed", "perturb", "strip-above", "strip-below"])
 def test_run_rejects_unusable_values(tmp_path, capsys, caplog, override, name):
     out = tmp_path / "out"
-    code = main(["run", "--builtin", *TINY, "--set", override, "--out", str(out)])
+    code = main(["bench", *TINY, "--set", override, "--out", str(out)])
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if "error:" in line] \
@@ -274,6 +287,6 @@ def test_seed_flag_registered(command):
 
 def test_threads_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--builtin", "--threads", "2"])
+        main(["bench", "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_history_csv_deterministic(tmp_path):
     for r in recs:
         r.wall_time += 17.0
     export.write_history_csv(recs, p2)
-    b1, b2 = open(p1, "rb").read(), open(p2, "rb").read()
+    b1, b2 = Path(p1).read_bytes(), Path(p2).read_bytes()
     assert b1 == b2
     header = b1.decode().splitlines()[0]
     assert header == "iter,objective,compliance,m_chi,delta_phi,delta_chi,lam,max_von_mises"

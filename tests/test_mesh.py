@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradtopo.config import Box, cantilever_config
-from gradtopo.mesh import (DIRICHLET, FREE, NEUMANN, _geometry, build_rect_mesh,
-                           locate_region_nodes)
+from gradtopo.mesh import _geometry, build_rect_mesh, locate_region_nodes
 
 
 def small_mesh(nx=4, ny=2, **kw):
@@ -46,50 +45,35 @@ def test_shape_function_gradients_linear_exactness():
         assert np.allclose(g, expected, atol=1e-12)
 
 
-def test_boundary_tags():
-    mesh = small_mesh(10, 10)
-    tags = {}
-    for a, b, tag in mesh.boundary_edges:
-        tags.setdefault(tag, []).append((a, b))
-    # full left edge clamped
-    assert len(tags[DIRICHLET]) == 10
-    for a, b in tags[DIRICHLET]:
-        assert mesh.nodes[a, 0] == 0.0 and mesh.nodes[b, 0] == 0.0
-    # traction segment [45,55] overlaps the two 10mm edges [40,50] and [50,60]
-    assert len(tags[NEUMANN]) == 2
-    ys = sorted({mesh.nodes[n, 1] for e in tags[NEUMANN] for n in e})
-    assert ys == pytest.approx([40.0, 50.0, 60.0])
-    for a, b in tags[NEUMANN]:
-        assert mesh.nodes[a, 0] == 200.0 and mesh.nodes[b, 0] == 200.0
-
-
-def test_neumann_edges_cover_custom_segment():
-    mesh = small_mesh(4, 10, traction_length=25.0, traction_center=30.0)
-    # segment [17.5, 42.5] overlaps edges [10,20],[20,30],[30,40],[40,50]
-    assert len(mesh.neumann_edges()) == 4
-
-
-def test_boundary_edges_belong_to_one_element():
-    mesh = small_mesh(5, 3)
-    # each boundary edge appears in exactly one element's directed edge set
-    directed = {}
-    for (a, b, c) in mesh.elements:
-        for e in ((a, b), (b, c), (c, a)):
-            directed[e] = directed.get(e, 0) + 1
-    for a, b, _tag in mesh.boundary_edges:
-        uses = directed.get((a, b), 0) + directed.get((b, a), 0)
-        assert uses == 1
-
-
-def test_interior_edges_shared_by_two_elements():
-    mesh = small_mesh(4, 3)
+def edge_uses(mesh):
+    """Number of elements that use each undirected edge."""
     counts = {}
     for (a, b, c) in mesh.elements:
         for e in ((a, b), (b, c), (c, a)):
             counts[tuple(sorted(e))] = counts.get(tuple(sorted(e)), 0) + 1
-    boundary = {tuple(sorted((a, b))) for a, b, _ in mesh.boundary_edges}
-    for e, n in counts.items():
-        assert n == (1 if e in boundary else 2)
+    return counts
+
+
+def on_side(mesh, a, b):
+    """Whether both ends of the edge (a, b) lie on one side of the rectangle."""
+    x, y = mesh.nodes[[a, b]].T
+    return any(np.all(v == side) for v, side in
+               ((x, 0.0), (x, 200.0), (y, 0.0), (y, 100.0)))
+
+
+def test_boundary_edges_belong_to_one_element():
+    nx, ny = 5, 3
+    mesh = small_mesh(nx, ny)
+    # the edges used by one element are exactly the 2(nx+ny) edges of the sides
+    boundary = [e for e, n in edge_uses(mesh).items() if n == 1]
+    assert len(boundary) == 2 * (nx + ny)
+    assert all(on_side(mesh, a, b) for a, b in boundary)
+
+
+def test_interior_edges_shared_by_two_elements():
+    mesh = small_mesh(4, 3)
+    for (a, b), n in edge_uses(mesh).items():
+        assert n == (1 if on_side(mesh, a, b) else 2)
 
 
 def test_alternating_diagonals():
@@ -126,7 +110,7 @@ def test_elements_match_cell_loop(nx, ny):
     areas, grads = _geometry(mesh.nodes, ref)
     assert np.array_equal(mesh.element_areas, areas)
     assert np.array_equal(mesh.grads, grads)
-    assert len(mesh.boundary_edges) == 2 * (nx + ny)
+    assert sum(n == 1 for n in edge_uses(mesh).values()) == 2 * (nx + ny)
 
 
 def test_locate_region_nodes():
