@@ -5,7 +5,10 @@ adjoint are nodal 2-vectors, the two phase fields are nodal scalars, and
 stresses are constant per element.  The interpolated elasticity tensor is
 evaluated at the element centroid (one-point rule).  The boundary conditions
 are the cantilever's: the side x = 0 is clamped, and the traction acts on a
-strip of the side x = a.
+strip of the side x = a.  The elastic stiffness is scattered straight into
+LAPACK's lower band storage, from each element's 21 lower dof pairs.  A band
+solve's forward sweep starts at the right-hand side's first nonzero row: on a
+mesh wider than tall, the traction load's is in the band's last node column.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def strain_displacement(mesh) -> np.ndarray:
 
 def element_averages(mesh, nodal: np.ndarray) -> np.ndarray:
     """Centroid value of a P1 nodal field on every element."""
-    return nodal[mesh.elements].mean(axis=1)
+    e0, e1, e2 = mesh.elements.T
+    return (nodal[e0] + nodal[e1] + nodal[e2]) / 3.0
 
 
 def _element_dofs(mesh) -> np.ndarray:
@@ -68,19 +72,21 @@ def _element_dofs(mesh) -> np.ndarray:
     return dofs
 
 
-def _unit_element_stiffness(mesh, K_A: np.ndarray) -> np.ndarray:
-    """Blocks A_e B_i^T K_A B_j of K_e^A, (M,3,3,2,2) indexed [e,i,j,c,d].
-
-    Each block is sum_pq g_ip g_jq (E_p^T K_A E_q): one (9M x 4) @ (4 x 4)
-    product.  Symmetrized, so every assembled stiffness is bitwise symmetric.
-    """
+def _unit_element_stiffness(mesh, K_A: np.ndarray, k, l) -> np.ndarray:
+    """Entries (k, l) of every element's K_e^A, (len(k), M), for element dofs
+    k = 2i + c (node i, component c): block (i, j) is A_e sum_pq g_ip g_jq
+    (E_p^T K_A E_q), symmetrized so every stiffness is bitwise symmetric."""
     E = _UNIT_STRAINS
     C = np.einsum("pvc,vw,qwd->pqcd", E, K_A, E).reshape(4, 4)
-    g = mesh.grads
-    gg = g[:, :, None, :, None] * g[:, None, :, None, :]       # [e,i,j,p,q]
-    Ke = (gg.reshape(-1, 4) @ C).reshape(gg.shape)
-    Ke *= mesh.element_areas[:, None, None, None, None]
-    return 0.5 * (Ke + Ke.transpose(0, 2, 1, 4, 3))
+    g = np.ascontiguousarray(mesh.grads.transpose(1, 2, 0))    # [i,p,e], e last
+    gg = g[:, None, :, None] * g[None, :, None, :]              # [i,j,p,q,e]
+    Ke = (C.T @ gg.reshape(9, 4, -1)).reshape(gg.shape)         # [i,j,c,d,e]
+    Ke *= mesh.element_areas
+    i, c, j, d = k // 2, k % 2, l // 2, l % 2
+    lower = Ke[i, j, c, d]
+    lower += Ke[j, i, d, c]
+    lower *= 0.5
+    return lower
 
 
 def strain_operator(mesh) -> sp.csr_matrix:
@@ -142,17 +148,22 @@ class ElasticOperator:
         dof_rank = np.full(2 * N, -1)
         dof_rank[self.dofs] = np.arange(self.n)
 
-        # local entry (k, l) of element e is band entry (p, q) = ranks of its dofs
-        r = dof_rank[_element_dofs(mesh)]
-        p, q = np.repeat(r, 6, axis=1).ravel(), np.tile(r, (1, 6)).ravel()
-        free_pair = (p >= 0) & (q >= 0)
-        self.kd = int((p - q)[free_pair].max())
-        keep = free_pair & (p >= q)
-        Ke = _unit_element_stiffness(mesh, K_A).transpose(0, 1, 3, 2, 4).ravel()
+        # each element's 21 lower local pairs (k, l) go to the band entry (p, q)
+        # of their dofs' ranks, larger first, unless one is clamped (rank -1);
+        # the (21, M) arrays are read element by element (.T) into the scatter
+        k, l = np.tril_indices(6)
+        r = dof_rank[_element_dofs(mesh).T]
+        p, q = np.maximum(r[k], r[l]), np.minimum(r[k], r[l])
+        free = q >= 0
+        p -= q                                                  # now p - q
+        self.kd = int(p.max(where=free, initial=0))
+        q *= self.kd + 1
+        q += p                                  # band entry p - q + (kd + 1) q
+        keep = free.T
         # built as its (M x band size) transpose, whose rows are the elements
         self.scatter = sp.csr_matrix(
-            (Ke[keep], (p - q + (self.kd + 1) * q)[keep],
-             np.concatenate([[0], np.cumsum(keep.reshape(M, 36).sum(axis=1))])),
+            (_unit_element_stiffness(mesh, K_A, k, l).T[keep], q.T[keep],
+             np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
             shape=(M, (self.kd + 1) * self.n)).T
 
     def stiffness(self, s: np.ndarray) -> np.ndarray:
@@ -193,8 +204,6 @@ def _traction_edge_contributions(mesh, config):
 def assemble_load(mesh, config) -> np.ndarray:
     """Traction load vector [2N] of the line load g on the load strip."""
     nodes, w = _traction_edge_contributions(mesh, config)
-    if config.traction_length_eff <= 0 or (len(nodes) == 0 and any(config.traction)):
-        raise ValueError("traction segment has zero length or covers no boundary edge")
     gx, gy = config.traction
     return np.bincount(np.concatenate([2 * nodes, 2 * nodes + 1]),
                        np.concatenate([w * gx, w * gy]), minlength=2 * mesh.node_count)
@@ -208,6 +217,8 @@ def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
     of each node's phi, and A_e/3 of the element's load goes to each node.
     A zero body force gives an empty C.
     """
+    if not any(config.body_force):
+        return sp.csr_matrix((mesh.node_count, 2 * mesh.node_count))
     P = node_incidence(mesh)
     share = P.multiply(mesh.element_areas / 9.0) @ P.T
     return sp.kron(share, np.array([config.body_force], dtype=float), format="csr")
@@ -231,8 +242,8 @@ def assemble_scalar_mass(mesh, coeff: float = 1.0) -> sp.csr_matrix:
 def assemble_scalar_stiffness(mesh, coeff: float = 1.0) -> sp.csr_matrix:
     """P1 Laplacian scaled by coeff; constant fields lie in its null space."""
     g = mesh.grads
-    return _assemble_scalar(mesh, coeff * mesh.element_areas[:, None, None]
-                            * np.einsum("eid,ejd->eij", g, g))
+    gg = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    return _assemble_scalar(mesh, coeff * mesh.element_areas[:, None, None] * gg)
 
 
 def lumped_weights(mesh) -> np.ndarray:
@@ -244,11 +255,11 @@ def lumped_weights(mesh) -> np.ndarray:
 def lower_band(A, order: np.ndarray) -> np.ndarray:
     """Lower band ab[i - j, j] = A[order[i], order[j]] of a symmetric sparse
     matrix, (kd+1, n) in Fortran order for its half-bandwidth kd."""
-    A = sp.coo_matrix(A)
+    A = sp.csr_matrix(A)
     A.sum_duplicates()
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    i, j = rank[A.row], rank[A.col]
+    i, j = np.repeat(rank, np.diff(A.indptr)), rank[A.indices]
     low = i >= j
     ab = np.zeros((int((i - j).max()) + 1, A.shape[0]), order="F")
     ab[i[low] - j[low], j[low]] = A.data[low]
@@ -272,7 +283,13 @@ class BandCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with x[rows] = A^-1 b[rows], and zero at every other entry of b."""
-        y, _ = lapack.dpbtrs(self._factor, b[self._rows], lower=1)
+        y = b[self._rows]
+        r0 = int(np.argmax(y != 0.0))           # first nonzero row (0 if none)
+        if r0 == 0:
+            y, _ = lapack.dpbtrs(self._factor, y, lower=1)
+        else:   # y = L^-1 b is zero above r0: sweep the trailing factor only
+            y[r0:], _ = lapack.dtbtrs(self._factor[:, r0:], y[r0:], uplo="L")
+            y, _ = lapack.dtbtrs(self._factor, y, uplo="L", trans="T")
         x = np.zeros_like(b)
         x[self._rows] = y
         return x

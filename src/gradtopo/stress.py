@@ -3,7 +3,8 @@ stress-penalty load that feeds the adjoint solve.
 
 The aggregate is a pure ratio: the p-th power of sigma_e/sigma_y is averaged
 over the domain (volume-normalized) before taking the p-th root, so the
-penalty (sigma_pn - 1)^2 compares directly against the yield surface.
+penalty (sigma_pn - 1)^2 compares directly against the yield surface.  The
+von Mises stress is evaluated once per aggregate; its gradient reuses it.
 """
 
 from __future__ import annotations
@@ -38,17 +39,14 @@ def von_mises(sigma: np.ndarray) -> np.ndarray:
     return np.sqrt(s11 * s11 - s11 * s22 + s22 * s22 + 3.0 * s12 * s12)
 
 
-def von_mises_gradient(sigma: np.ndarray) -> np.ndarray:
-    """d(sigma_vm)/d(sigma Voigt); zero at the sigma_vm=0 kink."""
-    vm = von_mises(sigma)
-    grad = np.zeros_like(sigma)
-    nz = vm > 0.0
-    inv = np.zeros_like(vm)
-    inv[nz] = 0.5 / vm[nz]
-    grad[..., 0] = (2.0 * sigma[..., 0] - sigma[..., 1]) * inv
-    grad[..., 1] = (2.0 * sigma[..., 1] - sigma[..., 0]) * inv
-    grad[..., 2] = 6.0 * sigma[..., 2] * inv
-    return grad
+def von_mises_gradient(sigma: np.ndarray, vm: np.ndarray | None = None) -> np.ndarray:
+    """d(sigma_vm)/d(sigma Voigt), zero at the sigma_vm = 0 kink; vm, when
+    given, is von_mises(sigma)."""
+    vm = von_mises(sigma) if vm is None else vm
+    inv = np.divide(0.5, vm, out=np.zeros_like(vm), where=vm > 0.0)
+    s11, s22, s12 = sigma[..., 0], sigma[..., 1], sigma[..., 2]
+    return np.stack([(2.0 * s11 - s22) * inv, (2.0 * s22 - s11) * inv,
+                     6.0 * s12 * inv], axis=-1)
 
 
 def pnorm_aggregate(sigma: np.ndarray, mesh, sigma_y: float, p: int) -> StressAggregate:
@@ -67,7 +65,7 @@ def pnorm_aggregate(sigma: np.ndarray, mesh, sigma_y: float, p: int) -> StressAg
     sigma_pn = rmax * s ** (1.0 / p)
     F_value = (sigma_pn - 1.0) ** 2
     scale = 2.0 * (sigma_pn - 1.0) * sigma_pn ** (1 - p) / sigma_y
-    dF = (scale * w * r ** (p - 1))[:, None] * von_mises_gradient(sigma)
+    dF = (scale * w * r ** (p - 1))[:, None] * von_mises_gradient(sigma, sigma_e)
     return StressAggregate(float(sigma_pn), sigma_e, float(F_value), dF)
 
 

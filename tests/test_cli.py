@@ -257,7 +257,8 @@ def test_bench_rejects_config(tmp_path, capsys):
     ("optimizer.perturb=-0.1", "perturb"),
     ("domain.traction_center=500", "traction_center"),
     ("domain.traction_center=-11", "traction_center"),
-], ids=["seed", "perturb", "strip-above", "strip-below"])
+    ("domain.traction_length=0", "traction_length"),
+], ids=["seed", "perturb", "strip-above", "strip-below", "strip-length"])
 def test_run_rejects_unusable_values(tmp_path, capsys, caplog, override, name):
     out = tmp_path / "out"
     code = main(["bench", *TINY, "--set", override, "--out", str(out)])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 import reference
 from gradtopo import fem
@@ -368,6 +369,40 @@ def test_factor_spd_residual(which):
     b[rows] = np.random.default_rng(9).standard_normal(len(rows))
     x = fem.BandCholesky(ab, rows).solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_lower_band_sums_duplicates_and_accepts_csc():
+    dense = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
+    order = np.array([2, 0, 1])
+    ab = fem.lower_band(sp.csr_matrix(dense), order)
+    assert np.array_equal(band_matrix(ab, order), dense)
+    # 5 = 2 + 3 on the diagonal and 2 = 0.5 + 1.5 off it, stored twice each
+    dup = sp.coo_matrix(([4.0, 1.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.0, 6.0],
+                         ([0, 0, 1, 1, 1, 1, 1, 2, 2], [0, 1, 0, 1, 1, 2, 2, 1, 2])),
+                        shape=(3, 3))
+    assert np.array_equal(fem.lower_band(dup, order), ab)
+    assert np.array_equal(fem.lower_band(sp.csc_matrix(dense), order), ab)
+
+
+@pytest.mark.parametrize("rhs", ["load", "zero", "full"])
+def test_band_solve_from_the_first_nonzero_row(rhs):
+    cfg, mesh, mat = setup(20, 10)
+    op = fem.ElasticOperator(mesh, mat.K_A)
+    ab = op.stiffness(np.random.default_rng(2).uniform(0.1, 1.0, mesh.element_count))
+    A = band_matrix(ab, op.dofs, 2 * mesh.node_count)[np.ix_(op.dofs, op.dofs)]
+    b = np.zeros(2 * mesh.node_count)
+    if rhs == "load":
+        # the strip's dofs come last in band order: the sweep starts near the end
+        b = fem.assemble_load(mesh, cfg)
+        assert np.flatnonzero(b[op.dofs])[0] > 0.9 * op.n
+    elif rhs == "full":
+        b[op.dofs] = np.random.default_rng(3).standard_normal(op.n)
+    factor, _ = lapack.dpbtrf(ab, lower=1)
+    x = fem.BandCholesky(ab, op.dofs).solve(b)
+    dense = np.linalg.solve(A, b[op.dofs])
+    assert np.all(np.abs(x[op.dofs] - dense) <= 1e-12 * max(np.abs(dense).max(), 1.0))
+    assert np.array_equal(x[op.dofs], lapack.dpbtrs(factor, b[op.dofs], lower=1)[0])
+    assert not np.delete(x, op.dofs).any()
 
 
 def test_factor_spd_singular_is_a_solver_error():

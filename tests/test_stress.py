@@ -53,6 +53,16 @@ def test_von_mises_gradient_zero_at_kink():
     assert np.all(g == 0.0)
 
 
+def test_pnorm_zero_stress_element_has_zero_gradient():
+    cfg, mesh, mat = setup()
+    sigma = 30.0 * np.random.default_rng(4).standard_normal((mesh.element_count, 3))
+    sigma[3] = 0.0
+    agg = stress.pnorm_aggregate(sigma, mesh, sigma_y=45.0, p=8)
+    assert np.array_equal(agg.sigma_e, stress.von_mises(sigma))
+    assert np.all(agg.dF_dsigma[3] == 0.0)
+    assert np.all(np.delete(agg.dF_dsigma, 3, axis=0) != 0.0)
+
+
 def test_pnorm_uniform_field():
     cfg, mesh, mat = setup()
     sigma = np.tile([30.0, 0.0, 0.0], (mesh.element_count, 1))
