@@ -145,8 +145,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_stl(args) -> int:
-    if not (np.isfinite(args.height) and args.height > 0):
-        raise ConfigError(f"extrusion height must be finite and > 0, got {args.height}")
+    try:
+        export.stl_height(args.height)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not np.isfinite(args.threshold):
         raise ConfigError(f"threshold must be finite, got {args.threshold}")
     config = _load(args, default_builtin=True)

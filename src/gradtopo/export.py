@@ -24,6 +24,7 @@ __all__ = [
     "write_history_csv",
     "write_run",
     "region_caps",
+    "stl_height",
     "extrude_to_stl",
     "split_to_stl",
 ]
@@ -31,7 +32,8 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Geometry that cannot be written as a closed solid (no caps, or an
-    extrusion with an edge not used by exactly two triangles)."""
+    extrusion with an edge not used by exactly two triangles or a vertex
+    that is not the cap point it extrudes)."""
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +131,8 @@ def region_caps(field: np.ndarray, mesh, threshold: float) -> np.ndarray:
     keeps the topology deterministic and the crossing points well defined.
     Every point is snapped to float32.  Caps with a repeated vertex are
     dropped; they have no area, and their edges would be used twice more
-    than the solid needs.
+    than the solid needs.  Only a cap with a crossing point can repeat one:
+    a whole element has three distinct corners.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0,1), got {threshold}")
@@ -137,7 +140,10 @@ def region_caps(field: np.ndarray, mesh, threshold: float) -> np.ndarray:
     v[v == threshold] = threshold + 1e-12
     above = v > threshold
 
-    el = mesh.elements.astype(np.int64)
+    # only the elements with a corner inside hold a cap
+    case = above[mesh.elements].astype(int) @ np.array([1, 2, 4])
+    held = np.flatnonzero(case)
+    el, case = mesh.elements[held].astype(np.int64), case[held]
     nxt = np.roll(el, -1, axis=1)               # edge k joins corners k, k+1
     lo, hi = np.minimum(el, nxt), np.maximum(el, nxt)
     cut = above[lo] != above[hi]
@@ -147,14 +153,16 @@ def region_caps(field: np.ndarray, mesh, threshold: float) -> np.ndarray:
     s = (threshold - v[lo]) / (v[hi] - v[lo])
     nodes = mesh.nodes
     points = np.full((len(el), 6, 2), np.nan)
-    points[:, :3] = _snap(nodes)[el]
+    points[:, :3] = _snap(nodes[el])
     points[:, 3:][cut] = _snap(nodes[lo] + s[:, None] * (nodes[hi] - nodes[lo]))
 
-    case = above[el].astype(int) @ np.array([1, 2, 4])
     k, e = np.nonzero(_CAP_TABLE[case, :, 0].T >= 0)    # element e's cap k
     caps = points[e[:, None], _CAP_TABLE[case[e], k]]
-    a, b, c = caps[:, 0], caps[:, 1], caps[:, 2]
-    return caps[~((a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1))]
+    clipped = np.flatnonzero(case[e] != 7)
+    a, b, c = caps[clipped, 0], caps[clipped, 1], caps[clipped, 2]
+    keep = np.ones(len(caps), dtype=bool)
+    keep[clipped] = ~((a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1))
+    return caps[keep]
 
 
 # --------------------------------------------------------------------------
@@ -168,18 +176,29 @@ def _lift(p: np.ndarray, z: float) -> np.ndarray:
     return np.concatenate([p, np.full(p.shape[:-1] + (1,), z)], axis=-1)
 
 
+def stl_height(height: float) -> np.float32:
+    """The extrusion height as a binary STL stores it: float32, which must
+    be finite and > 0 (1e39 overflows, 1e-46 rounds to 0).  ValueError
+    otherwise."""
+    with np.errstate(over="ignore"):
+        z = np.float32(height)
+    if not (np.isfinite(z) and z > 0):
+        raise ValueError(f"extrusion height must be finite and > 0 in float32, got {height}")
+    return z
+
+
 def extrude_to_stl(caps, height: float, path: str) -> int:
     """Extrude a planar region into a closed binary STL prism.
 
     `caps` is a (T,3,2) array of counter-clockwise triangles that tile the
     region.  They are written at z = 0 and z = height, and the walls stand
     on the cap edges that no other cap shares (vertices keyed by their
-    float32 bits, as stored).  Raises GeometryError, before writing, if any
+    float32 bits, as stored).  Raises ValueError for a height that float32
+    cannot store (see stl_height), and GeometryError, before writing, if any
     edge of the solid is not used by exactly two triangles.  Returns the
     number of triangles written.
     """
-    if not (np.isfinite(height) and height > 0):
-        raise ValueError(f"extrusion height must be finite and > 0, got {height}")
+    z = stl_height(height)
     caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
     if not len(caps):
         raise GeometryError("no caps to extrude")
@@ -187,9 +206,7 @@ def extrude_to_stl(caps, height: float, path: str) -> int:
     # lies on their left, so the walls wind outward
     keys, ids = np.unique(_xy_keys(caps), return_inverse=True)
     ids = ids.reshape(-1, 3)
-    nxt = np.roll(ids, -1, axis=1)
-    _, edge, uses = np.unique(np.minimum(ids, nxt) * len(keys) + np.maximum(ids, nxt),
-                              return_inverse=True, return_counts=True)
+    _, edge, uses = np.unique(_edge_keys(ids), return_inverse=True, return_counts=True)
     wall = (uses[edge] == 1).reshape(-1, 3)
     a, b = caps[wall], np.roll(caps, -1, axis=1)[wall]
     a0, a1, b0, b1 = _lift(a, 0.0), _lift(a, height), _lift(b, 0.0), _lift(b, height)
@@ -197,20 +214,48 @@ def extrude_to_stl(caps, height: float, path: str) -> int:
     tris = np.concatenate([_lift(caps, height), _lift(caps[:, ::-1], 0.0),
                            np.stack([a0, b0, b1], axis=1),
                            np.stack([a0, b1, a1], axis=1)])
+    # the same vertices as 2 * (cap point id) + level, level 1 at z = height
+    ia, ib = 2 * ids[wall], 2 * np.roll(ids, -1, axis=1)[wall]
+    vertex = np.concatenate([2 * ids + 1, 2 * ids[:, ::-1],
+                             np.stack([ia, ib, ib + 1], axis=1),
+                             np.stack([ia, ib + 1, ia + 1], axis=1)])
     records = np.zeros(len(tris), dtype=_STL_RECORD)
     records["v"] = tris
-    uses = _edge_uses(records["v"])
+    _check_closed(records["v"], vertex, keys, z)
+    # the normal as np.cross and np.linalg.norm compute it, component-wise
+    d1, d2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    normal = (d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1],
+              d1[:, 2] * d2[:, 0] - d1[:, 0] * d2[:, 2],
+              d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    norm = np.sqrt(normal[0] * normal[0] + normal[1] * normal[1] + normal[2] * normal[2])
+    for i, c in enumerate(normal):
+        # a degenerate triangle keeps the zero normal
+        np.divide(c, norm, out=records["normal"][:, i], where=norm > 0)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<80sI", b"gradtopo extruded design", len(tris)))
+        fh.write(memoryview(records))
+    return len(tris)
+
+
+def _check_closed(v: np.ndarray, vertex: np.ndarray, keys: np.ndarray, z: np.float32) -> None:
+    """GeometryError unless every edge of the stored triangles `v` (T,3,3)
+    is used by exactly two of them.
+
+    vertex[t, i] = 2 * p + level names v[t, i] as cap point p, of float32
+    xy bits keys[p], at z = 0 (level 0) or z (level 1).  Each stored vertex
+    is checked against its name bit for bit; since the keys are distinct
+    and z > 0, two stored vertices are then equal exactly when their names
+    are, and the edges are counted on the names.
+    """
+    v = v.reshape(-1, 3)
+    levels = _float32_bits([0.0, z])
+    if not (np.array_equal(_xy_keys(v), keys[vertex.ravel() >> 1])
+            and np.array_equal(_float32_bits(v[:, 2]), levels[vertex.ravel() & 1])):
+        raise GeometryError("a stored STL vertex is not the cap point it extrudes")
+    uses = np.unique(_edge_keys(vertex), return_counts=True)[1]
     if np.any(uses != 2):
         raise GeometryError(f"extruded solid is not closed: {np.count_nonzero(uses != 2)} "
                             f"of {len(uses)} edges are not used by exactly two triangles")
-    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    norm = np.linalg.norm(normals, axis=1, keepdims=True)
-    records["normal"] = np.divide(normals, norm, out=np.zeros_like(normals),
-                                  where=norm > 0)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<80sI", b"gradtopo extruded design", len(tris)))
-        fh.write(records.tobytes())
-    return len(tris)
 
 
 def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
@@ -254,18 +299,10 @@ def _xy_keys(p) -> np.ndarray:
     return bits[..., 0] << 32 | bits[..., 1]
 
 
-def _edge_uses(tris: np.ndarray) -> np.ndarray:
-    """Use count of every undirected edge of a triangle soup, with vertices
-    keyed by their float32 coordinates, as a binary STL stores them."""
-    v = np.asarray(tris).reshape(-1, 3)
-    # x and y pack into one key, z is ranked apart, and each vertex id
-    # combines the two ranks
-    xy, xy_id = np.unique(_xy_keys(v), return_inverse=True)
-    z, z_id = np.unique(_float32_bits(v[:, 2]), return_inverse=True)
-    ids = (xy_id * len(z) + z_id).reshape(-1, 3)
-    # the edge key fits an int64 while the id range len(xy) * len(z) stays
-    # under 3e9: an extrusion has two z levels
-    span = len(xy) * len(z)
+def _edge_keys(ids: np.ndarray) -> np.ndarray:
+    """One int64 key per edge of the triangles (T,3) given by their vertices'
+    integer ids: edge k joins vertices k and k+1, in either direction."""
+    # the key fits an int64 while the id range stays under 3e9
+    span = int(ids.max()) + 1
     nxt = np.roll(ids, -1, axis=1)
-    return np.unique(np.minimum(ids, nxt) * span + np.maximum(ids, nxt),
-                     return_counts=True)[1]
+    return np.minimum(ids, nxt) * span + np.maximum(ids, nxt)

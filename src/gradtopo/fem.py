@@ -27,8 +27,7 @@ __all__ = [
     "ElasticOperator",
     "assemble_load",
     "assemble_body_coupling",
-    "assemble_scalar_mass",
-    "assemble_scalar_stiffness",
+    "assemble_scalar_operators",
     "lumped_weights",
     "lower_band",
     "BandCholesky",
@@ -224,26 +223,29 @@ def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
     return sp.kron(share, np.array([config.body_force], dtype=float), format="csr")
 
 
-def _assemble_scalar(mesh, Ke: np.ndarray) -> sp.csr_matrix:
-    """N x N matrix of the per-element 3x3 blocks Ke, (M,3,3)."""
+def assemble_scalar_operators(mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The consistent P1 mass matrix M (entries sum to |Omega|) and the P1
+    Laplacian K (constant fields lie in its null space), both N x N.
+
+    Both sum 3x3 element blocks over one pattern, so they are sorted into
+    CSR in one pass as the real and imaginary parts of one complex matrix:
+    tocsr orders the duplicates by the index arrays alone and sums the two
+    parts apart, so each part has the bits it would have on its own.
+    """
     el = mesh.elements
+    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    g = mesh.grads
+    gg = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    blocks = np.empty((len(el), 3, 3), dtype=complex)
+    blocks.real = mesh.element_areas[:, None, None] * local
+    blocks.imag = mesh.element_areas[:, None, None] * gg
     rows = np.repeat(el, 3, axis=1).ravel()
     cols = np.tile(el, (1, 3)).ravel()
     N = mesh.node_count
-    return sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(N, N)).tocsr()
-
-
-def assemble_scalar_mass(mesh, coeff: float = 1.0) -> sp.csr_matrix:
-    """Consistent P1 mass matrix scaled by coeff; entries sum to coeff*|Omega|."""
-    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    return _assemble_scalar(mesh, coeff * mesh.element_areas[:, None, None] * local)
-
-
-def assemble_scalar_stiffness(mesh, coeff: float = 1.0) -> sp.csr_matrix:
-    """P1 Laplacian scaled by coeff; constant fields lie in its null space."""
-    g = mesh.grads
-    gg = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
-    return _assemble_scalar(mesh, coeff * mesh.element_areas[:, None, None] * gg)
+    A = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+    M = sp.csr_matrix((A.data.real.copy(), A.indices, A.indptr), shape=(N, N))
+    K = sp.csr_matrix((A.data.imag.copy(), A.indices.copy(), A.indptr.copy()), shape=(N, N))
+    return M, K
 
 
 def lumped_weights(mesh) -> np.ndarray:

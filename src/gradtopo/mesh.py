@@ -8,13 +8,15 @@ a preferred direction in the optimized layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with precomputed P1 element geometry.
+    """Immutable triangulation; its P1 element geometry is computed on
+    first use (the STL export never reads it).
 
     nodes          : (N,2) coordinates [mm]
     elements       : (M,3) node indices, counter-clockwise
@@ -24,8 +26,18 @@ class Mesh:
 
     nodes: np.ndarray
     elements: np.ndarray
-    element_areas: np.ndarray
-    grads: np.ndarray
+
+    @cached_property
+    def _p1(self) -> tuple[np.ndarray, np.ndarray]:
+        return _geometry(self.nodes, self.elements)
+
+    @property
+    def element_areas(self) -> np.ndarray:
+        return self._p1[0]
+
+    @property
+    def grads(self) -> np.ndarray:
+        return self._p1[1]
 
     @property
     def node_count(self) -> int:
@@ -85,8 +97,7 @@ def build_rect_mesh(config) -> Mesh:
                       np.column_stack([n10, n11, n01]))
     elements = np.stack([first, second], axis=1).reshape(-1, 3)
 
-    areas, grads = _geometry(nodes, elements)
-    return Mesh(nodes=nodes, elements=elements, element_areas=areas, grads=grads)
+    return Mesh(nodes=nodes, elements=elements)
 
 
 def locate_region_nodes(mesh: Mesh, box) -> np.ndarray:

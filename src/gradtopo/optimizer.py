@@ -85,8 +85,7 @@ class Optimizer:
         self.material = MaterialModel.from_config(config)
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
         self.weights = fem.lumped_weights(self.mesh)           # volume row
-        self.M_raw = fem.assemble_scalar_mass(self.mesh)
-        self.K_raw = fem.assemble_scalar_stiffness(self.mesh)
+        self.M_raw, self.K_raw = fem.assemble_scalar_operators(self.mesh)
         self.area = self.mesh.area
         self.band_order = fem.band_order(self.mesh)     # scalar-field band rows
         self.volume_target = config.volume_fraction * self.area

@@ -142,6 +142,25 @@ def stl_edge_use_counts(tris: np.ndarray) -> dict:
                         for tri in verts for k in range(3)))
 
 
+def extruded_prism(caps, height: float) -> np.ndarray:
+    """Triangles (n,3,3) of the prism over planar triangles (T,3,2): each at
+    z = height, mirrored at z = 0, and a wall of two triangles on each of
+    its edges that no other triangle shares (points compared as float32)."""
+    caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
+    key = [[tuple(p) for p in cap] for cap in caps.astype(np.float32).tolist()]
+    uses = Counter(frozenset((cap[k], cap[(k + 1) % 3])) for cap in key for k in range(3))
+    tris = []
+    for cap, cap_key in zip(caps.tolist(), key):
+        tris.append([(x, y, height) for x, y in cap])
+        tris.append([(x, y, 0.0) for x, y in cap[::-1]])
+        for k in range(3):
+            if uses[frozenset((cap_key[k], cap_key[(k + 1) % 3]))] == 1:
+                (ax, ay), (bx, by) = cap[k], cap[(k + 1) % 3]
+                tris.append([(ax, ay, 0.0), (bx, by, 0.0), (bx, by, height)])
+                tris.append([(ax, ay, 0.0), (bx, by, height), (ax, ay, height)])
+    return np.array(tris)
+
+
 def cap_area(caps) -> float:
     """Summed signed area of planar triangles (T,3,2): positive for
     counter-clockwise ones."""

@@ -122,8 +122,10 @@ def test_export_stl_mesh_mismatch(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--height", "-1"), ("--height", "nan"),
-                                         ("--height", "inf"), ("--threshold", "nan")],
-                         ids=["height-1", "height-nan", "height-inf", "threshold-nan"])
+                                         ("--height", "inf"), ("--height", "1e39"),
+                                         ("--height", "1e-46"), ("--threshold", "nan")],
+                         ids=["height-1", "height-nan", "height-inf", "height-1e39",
+                              "height-1e-46", "threshold-nan"])
 def test_export_stl_bad_height(tmp_path, capsys, flag, value):
     out = str(tmp_path / "run")
     main(["bench", *TINY, "--out", out])

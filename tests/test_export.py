@@ -1,3 +1,4 @@
+import hashlib
 import os
 from pathlib import Path
 from types import SimpleNamespace
@@ -290,12 +291,54 @@ def test_edge_uses_matches_reference_counts(seed):
     rng = np.random.default_rng(seed)
     tris = random_soup(rng, int(rng.integers(1, 60)))
     expected = reference.stl_edge_use_counts(tris)
-    assert sorted(export._edge_uses(tris).tolist()) == sorted(expected.values())
+    # one id per distinct float32 vertex, -0 and +0 alike
+    stored = np.asarray(tris, dtype=np.float32).reshape(-1, 3) + np.float32(0.0)
+    ids = np.unique(stored, axis=0, return_inverse=True)[1].reshape(-1, 3)
+    uses = np.unique(export._edge_keys(ids), return_counts=True)[1]
+    assert sorted(uses.tolist()) == sorted(expected.values())
+
+
+def p1_field(kind, mesh, seed):
+    """A random, a quarter-quantized (nodes on the threshold 0.5) or a
+    smooth P1 field."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random(mesh.node_count)
+    if kind == "quarter":
+        return rng.integers(0, 5, mesh.node_count) / 4.0
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    return 0.5 + 0.45 * np.sin(x / rng.uniform(15.0, 30.0)) * np.cos(y / rng.uniform(8.0, 15.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["random", "quarter", "smooth"])
+def test_extrude_refuses_exactly_the_open_solids(tmp_path, kind, seed):
+    """extrude_to_stl writes a region's prism exactly when the reference
+    counts every edge of its triangles twice, and a refusal reports the
+    reference's counts."""
+    mesh = make_mesh(12, 6)
+    field = p1_field(kind, mesh, seed)
+    for side, caps in (("above", export.region_caps(field, mesh, 0.5)),
+                       ("below", below_caps(field, mesh))):
+        if not len(caps):
+            continue
+        counts = reference.stl_edge_use_counts(reference.extruded_prism(caps, 2.5))
+        bad = sum(c != 2 for c in counts.values())
+        path = tmp_path / f"{side}.stl"
+        if bad:
+            with pytest.raises(export.GeometryError,
+                               match=f"not closed: {bad} of {len(counts)} edges"):
+                export.extrude_to_stl(caps, 2.5, str(path))
+            assert not path.exists()
+        else:
+            export.extrude_to_stl(caps, 2.5, str(path))
+            assert reference.stl_edge_use_counts(reference.read_stl(str(path))) == counts
 
 
 def test_extrude_rejects_bad_height_and_empty(tmp_path):
     tri = [((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))]
-    for height in (0.0, -1.0, np.nan, np.inf):
+    # 1e39 overflows float32 and 1e-46 rounds to 0 in it
+    for height in (0.0, -1.0, np.nan, np.inf, 1e39, 1e-46):
         with pytest.raises(ValueError, match="height"):
             export.extrude_to_stl(tri, height, str(tmp_path / "x.stl"))
     with pytest.raises(export.GeometryError, match="no caps"):
@@ -388,6 +431,25 @@ def test_split_to_stl_clips_each_written_region_once(tmp_path, monkeypatch,
         export.extrude_to_stl(export.region_caps(field, mesh, 0.5), 3.0, expected)
         with open(path, "rb") as got, open(expected, "rb") as want:
             assert got.read() == want.read()
+
+
+# sha256 of the STLs split_to_stl writes for seeded_design(30x15 mesh, seed 4)
+# at height 3: a speed-up of the export must leave every byte as it is
+PINNED_STLS = {
+    0.5: {"above.stl": "636d18a4681372028552ce2f1d7c1a4c4ca3deaca8a283a1ba72d3b90faf9552",
+          "below.stl": "b91d2abfcfcad41a56359be4bd0be46b6bc2cab995c90e9128e7a4f3e9f27ede"},
+    0.0: {"above.stl": "aef0c8c0c10186c092be890b4ed63c7e2234c2f2996c2d21bd6aefefddc206c8"},
+}
+
+
+@pytest.mark.parametrize("threshold", sorted(PINNED_STLS))
+def test_split_to_stl_bytes_pinned(tmp_path, threshold):
+    mesh = make_mesh(30, 15)
+    phi, chi = seeded_design(mesh, seed=4)
+    written = export.split_to_stl(phi, chi, mesh, threshold, 3.0, str(tmp_path))
+    digests = {os.path.basename(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for path, _ in written}
+    assert digests == PINNED_STLS[threshold]
 
 
 @settings(max_examples=40, deadline=None)

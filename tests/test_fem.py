@@ -186,7 +186,7 @@ def test_body_force_load_and_coupling_consistency():
 
 def test_mass_matrix_exact_for_linear_products():
     cfg, mesh, mat = setup(4, 3)
-    M = fem.assemble_scalar_mass(mesh)
+    M = fem.assemble_scalar_operators(mesh)[0]
     assert np.allclose(M.toarray(), M.toarray().T)
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     a, b = 200.0, 100.0
@@ -199,7 +199,7 @@ def test_mass_matrix_exact_for_linear_products():
 
 def test_laplacian_null_space_and_dirichlet_energy():
     cfg, mesh, mat = setup(6, 3)
-    K = fem.assemble_scalar_stiffness(mesh)
+    K = fem.assemble_scalar_operators(mesh)[1]
     ones = np.ones(mesh.node_count)
     assert np.linalg.norm(K @ ones) < 1e-10
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
@@ -207,6 +207,23 @@ def test_laplacian_null_space_and_dirichlet_energy():
     assert float(x @ (K @ x)) == pytest.approx(mesh.area, rel=1e-12)
     assert float(x @ (K @ y)) == pytest.approx(0.0, abs=1e-9)
     assert float((2 * x + 3 * y) @ (K @ (2 * x + 3 * y))) == pytest.approx(13 * mesh.area, rel=1e-12)
+
+
+def test_scalar_operators_match_separate_assembly_bitwise():
+    """M and K, sorted into CSR together, have the bits of each matrix
+    assembled on its own through COO -> CSR."""
+    cfg, mesh, mat = setup(13, 7)
+    el, N = mesh.elements, mesh.node_count
+    rows, cols = np.repeat(el, 3, axis=1).ravel(), np.tile(el, (1, 3)).ravel()
+    local = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
+    g = mesh.grads
+    gg = g[:, :, None, 0] * g[:, None, :, 0] + g[:, :, None, 1] * g[:, None, :, 1]
+    for got, blocks in zip(fem.assemble_scalar_operators(mesh), (local, gg)):
+        blocks = mesh.element_areas[:, None, None] * blocks
+        want = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def test_volume_row_exact_for_linear_fields():
@@ -217,7 +234,7 @@ def test_volume_row_exact_for_linear_fields():
     # int x over [0,200]x[0,100]
     assert float(r @ x) == pytest.approx(200.0 ** 2 / 2 * 100.0, rel=1e-12)
     # lumped weights are the mass-matrix row sums
-    M = fem.assemble_scalar_mass(mesh)
+    M = fem.assemble_scalar_operators(mesh)[0]
     assert np.allclose(r, np.asarray(M.sum(axis=1)).ravel())
 
 
@@ -335,7 +352,7 @@ def test_band_half_bandwidth(nx, ny, elastic_kd):
     cfg, mesh, mat = setup(nx, ny)
     assert fem.ElasticOperator(mesh, mat.K_A).kd == elastic_kd
     assert elastic_kd <= 2 * (min(nx, ny) + 2) + 1
-    ab = fem.lower_band(fem.assemble_scalar_stiffness(mesh), fem.band_order(mesh))
+    ab = fem.lower_band(fem.assemble_scalar_operators(mesh)[1], fem.band_order(mesh))
     assert ab.shape == (min(nx, ny) + 3, mesh.node_count)
 
 
@@ -361,7 +378,8 @@ def test_factor_spd_residual(which):
             reference.stiffness_factors(mesh, mat, phi, chi))
         A = band_matrix(ab, rows, 2 * mesh.node_count)
     else:
-        A = 1e3 * fem.assemble_scalar_mass(mesh) + fem.assemble_scalar_stiffness(mesh)
+        M, K = fem.assemble_scalar_operators(mesh)
+        A = 1e3 * M + K
         rows = fem.band_order(mesh)
         ab = fem.lower_band(A, rows)
     # b is zero at the clamped dofs, where the solve returns zero

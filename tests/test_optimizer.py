@@ -148,6 +148,28 @@ def test_phi_gradient_finite_difference():
             assert float(g @ d) == pytest.approx(fd, rel=1e-4), kw
 
 
+def test_chi_gradient_finite_difference():
+    """kappa2 gamma_chi K chi - q_sp is the exact chi gradient of the
+    objective, with the stress term on (kappa5 = 1)."""
+    for kw in ({}, dict(kappa4=0.4),
+               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))):
+        cfg = small_config(**kw)
+        assert cfg.kappa5 == 1.0
+        opt = Optimizer(cfg)
+        phi, chi = interior_fields(opt, seed=5)
+        x = opt.state_solve(phi, chi)
+        q_sp = opt._mechanical_driving(x, opt.adjoint_solve(x))[1]
+        g = cfg.kappa2 * cfg.gamma_chi_eff * (opt.K_raw @ chi) - q_sp
+        h = 1e-6
+        rng = np.random.default_rng(99)
+        for _ in range(5):
+            d = rng.standard_normal(opt.mesh.node_count)
+            jp = opt.state_solve(phi, chi + h * d).objective
+            jm = opt.state_solve(phi, chi - h * d).objective
+            fd = (jp - jm) / (2 * h)
+            assert float(g @ d) == pytest.approx(fd, rel=1e-4), kw
+
+
 def test_phi_gradient_with_body_force():
     cfg = small_config(body_force=(0.0, -0.05))
     opt = Optimizer(cfg)
