@@ -7,6 +7,7 @@ variable GRADTOPO_LOG selects the log level (DEBUG/INFO/WARNING).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -173,6 +174,7 @@ def cmd_export_stl(args) -> int:
     return EXIT_OK
 
 
+@functools.cache     # argparse looks up gettext for each help string
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gradtopo",
                                      description=__doc__.splitlines()[0])
@@ -220,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, export.GeometryError) as exc:

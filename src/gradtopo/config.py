@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 __all__ = [
     "Box",
@@ -151,8 +151,11 @@ def validate(config: RunConfig) -> list[str]:
     if config.ersatz is not None:
         positive("ersatz", config.ersatz)
     for name in ("kappa1", "kappa2", "kappa3", "kappa4", "kappa5"):
-        if getattr(config, name) < 0:
-            v.append(f"{name}: must be >= 0, got {getattr(config, name)}")
+        if not (0.0 <= getattr(config, name) < math.inf):
+            v.append(f"{name}: must be >= 0 and finite, got {getattr(config, name)}")
+    for name in ("traction", "body_force"):
+        if not all(map(math.isfinite, getattr(config, name))):
+            v.append(f"{name}: must be finite, got {getattr(config, name)}")
     positive("tau", config.tau)
     if config.tau_chi is not None:
         positive("tau_chi", config.tau_chi)
@@ -173,9 +176,12 @@ def validate(config: RunConfig) -> list[str]:
         v.append(f"seed: must be >= 0, got {config.seed}")
     if not (config.perturb >= 0.0 and math.isfinite(config.perturb)):
         v.append(f"perturb: must be >= 0, got {config.perturb}")
-    for box in config.fixed_void + config.fixed_solid:
-        if box.x1 < box.x0 or box.y1 < box.y0:
-            v.append(f"fixed region {box}: empty box (x1 < x0 or y1 < y0)")
+    for name in ("fixed_void", "fixed_solid"):
+        for box in getattr(config, name):
+            if not all(map(math.isfinite, astuple(box))):
+                v.append(f"{name}: box {box} has a non-finite coordinate")
+            elif box.x1 < box.x0 or box.y1 < box.y0:
+                v.append(f"{name}: empty box {box} (x1 < x0 or y1 < y0)")
     for b0 in config.fixed_void:
         for b1 in config.fixed_solid:
             if b0.overlaps(b1):
@@ -261,7 +267,8 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
 }
 
 
-def _apply_entry(values: dict, section: str, key: str, raw: str) -> None:
+def _apply_entry(values: dict, base: RunConfig, section: str, key: str, raw: str) -> None:
+    """Parse one entry into values; a pair's other half is kept from base."""
     try:
         fieldname, parser = _SCHEMA[(section, key)]
     except KeyError:
@@ -271,10 +278,10 @@ def _apply_entry(values: dict, section: str, key: str, raw: str) -> None:
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
     if "." in fieldname:
-        base, idx = fieldname.split(".")
-        pair = list(values.get(base, getattr(RunConfig(), base)))
+        name, idx = fieldname.split(".")
+        pair = list(values.get(name, getattr(base, name)))
         pair[int(idx)] = parsed
-        values[base] = tuple(pair)
+        values[name] = tuple(pair)
     else:
         values[fieldname] = parsed
 
@@ -289,7 +296,7 @@ def loads_config(text: str) -> RunConfig:
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            _apply_entry(values, section, key, raw)
+            _apply_entry(values, RunConfig(), section, key, raw)
     return validated(RunConfig(**values))
 
 
@@ -338,7 +345,7 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         lhs, raw = item.split("=", 1)
         section, key = lhs.split(".", 1)
-        _apply_entry(values, section.strip(), key.strip(), raw.strip())
+        _apply_entry(values, config, section.strip(), key.strip(), raw.strip())
     return validated(replace(config, **values))
 
 

@@ -7,7 +7,9 @@ phase fields under the exact volume constraint, the projection
 frozen regions, and the evaluation of the new design into an `Iterate`
 (elastic state, stress aggregate, objective).  The accepted Iterate carries
 its step's fields, is recorded, and is stepped from next; `run` returns the
-last one.
+last one.  `Optimizer.gradient` is the exact gradient of the objective, and
+the KKT step is its semi-implicit flow: both read the explicit force terms
+from `_flow_rhs`.
 """
 
 from __future__ import annotations
@@ -179,12 +181,12 @@ class Optimizer:
             rhs += self.elastic.strain_matrix.T @ q.ravel()
         return iterate.solve(rhs)
 
-    def _mechanical_driving(self, iterate: Iterate, U):
-        """Nodal sensitivity loads from the elastic interpolation.
+    def _flow_rhs(self, iterate: Iterate, U, phi_base, chi_base):
+        """(phi_base + q_s - (k1/gp) w W'(phi) - (k3 C u + C U), chi_base + q_sp).
 
-        Returns (q_s, q_sp): the phi- and chi-driving fields
-        integral of N_i * dK_d{phi,chi} Sigma : eps(u), one-point rule, with
-        Sigma = eps(U) - kappa5 * F_sigma.
+        The flow's explicit force terms, written only here.  q_s and q_sp
+        integrate N_i dK/d{phi,chi} Sigma : eps(u) (one-point rule), with
+        Sigma = eps(U) - kappa5 F_sigma.
         """
         mesh, cfg = self.mesh, self.config
         Sigma = self.elastic.strains(U)
@@ -195,29 +197,38 @@ class Optimizer:
         share = mesh.element_areas / 3.0 * core
         q_s = self.elastic.node_incidence @ (iterate.ds_dphi * share)
         q_sp = self.elastic.node_incidence @ (iterate.ds_dchi * share)
-        return q_s, q_sp
+        rhs_phi = phi_base + q_s \
+            - (cfg.kappa1 / cfg.gamma_phi) * (self.weights * dW(iterate.phi)) \
+            - (cfg.kappa3 * (self.C @ iterate.u) + (self.C @ U))
+        return rhs_phi, chi_base + q_sp
+
+    def gradient(self, iterate: Iterate, U):
+        """Exact gradient (g_phi, g_chi) of state_solve(phi, chi).objective
+        w.r.t. the nodal phi and chi, with U = adjoint_solve(iterate)."""
+        cfg = self.config
+        rhs_phi, rhs_chi = self._flow_rhs(
+            iterate, U, -cfg.kappa1 * cfg.gamma_phi * (self.K_raw @ iterate.phi),
+            -cfg.kappa2 * cfg.gamma_chi_eff * (self.K_raw @ iterate.chi))
+        return -rhs_phi, -rhs_chi
 
     def phase_field_step(self, iterate: Iterate, U, tau=None):
         """One semi-implicit gradient-flow step; returns (phi*, chi*, lambda).
 
-        phi* satisfies the volume constraint exactly (pre-projection); the
-        caller projects (phi*, chi*) onto the admissible set.
+        With (g_phi, g_chi) = gradient(iterate, U), phi* and lambda solve
+        (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lambda w + g_phi = 0
+        with w . phi* = V exactly, and chi* solves (gc/tau_chi) M (chi* - chi)
+        + k2 gc K (chi* - chi) + g_chi = 0.  The caller projects (phi*, chi*).
         """
         cfg = self.config
-        phi, chi, u = iterate.phi, iterate.chi, iterate.u
         tau = cfg.tau if tau is None else tau
         solve_phi, weights_solved = self._phase_ops(tau)
-        gp = cfg.gamma_phi
-
-        q_s, q_sp = self._mechanical_driving(iterate, U)
-        rhs_phi = (gp / tau) * (self.M_raw @ phi) + q_s \
-            - (cfg.kappa1 / gp) * (self.weights * dW(phi)) \
-            - (cfg.kappa3 * (self.C @ u) + (self.C @ U))
+        rhs_phi, rhs_chi = self._flow_rhs(
+            iterate, U, (cfg.gamma_phi / tau) * (self.M_raw @ iterate.phi),
+            (cfg.gamma_chi_eff / cfg.tau_chi_eff) * (self.M_raw @ iterate.chi))
         phi_new, lam = fem.solve_saddle(solve_phi, self.weights, rhs_phi,
                                         self.volume_target, weights_solved)
         if self.single_material:
-            return phi_new, chi, lam
-        rhs_chi = (cfg.gamma_chi_eff / cfg.tau_chi_eff) * (self.M_raw @ chi) + q_sp
+            return phi_new, iterate.chi, lam
         return phi_new, self.solve_chi(rhs_chi), lam
 
     # --- diagnostics --------------------------------------------------------
@@ -248,18 +259,6 @@ class Optimizer:
 
     def l2_norm(self, v) -> float:
         return float(np.sqrt(max(v @ (self.M_raw @ v), 0.0)))
-
-    def phi_gradient(self, phi, chi) -> np.ndarray:
-        """Exact gradient of state_solve(phi, chi).objective w.r.t. nodal phi
-        (adjoint route; used by the gradient oracle tests)."""
-        cfg = self.config
-        iterate = self.state_solve(phi, chi)
-        U = self.adjoint_solve(iterate)
-        q_s, _ = self._mechanical_driving(iterate, U)
-        g = (cfg.kappa1 / cfg.gamma_phi) * (self.weights * dW(phi)) \
-            + cfg.kappa1 * cfg.gamma_phi * (self.K_raw @ phi) - q_s \
-            + (cfg.kappa3 * (self.C @ iterate.u) + (self.C @ U))
-        return g
 
     # --- main loop ----------------------------------------------------------
 

@@ -260,7 +260,21 @@ def test_bench_rejects_config(tmp_path, capsys):
     ("domain.traction_center=500", "traction_center"),
     ("domain.traction_center=-11", "traction_center"),
     ("domain.traction_length=0", "traction_length"),
-], ids=["seed", "perturb", "strip-above", "strip-below", "strip-length"])
+    ("optimizer.kappa1=nan", "kappa1"),
+    ("optimizer.kappa2=inf", "kappa2"),
+    ("optimizer.kappa3=nan", "kappa3"),
+    ("optimizer.kappa4=inf", "kappa4"),
+    ("optimizer.kappa5=inf", "kappa5"),
+    ("domain.traction_x=inf", "traction"),
+    ("domain.traction_y=nan", "traction"),
+    ("domain.body_fx=nan", "body_force"),
+    ("domain.body_fy=inf", "body_force"),
+    ("domain.fixed_void=nan,0,10,10", "fixed_void"),
+    ("domain.fixed_solid=0,0,10,inf", "fixed_solid"),
+], ids=["seed", "perturb", "strip-above", "strip-below", "strip-length",
+        "kappa1-nan", "kappa2-inf", "kappa3-nan", "kappa4-inf", "kappa5-inf",
+        "traction_x-inf", "traction_y-nan", "body_fx-nan", "body_fy-inf",
+        "fixed_void-nan", "fixed_solid-inf"])
 def test_run_rejects_unusable_values(tmp_path, capsys, caplog, override, name):
     out = tmp_path / "out"
     code = main(["bench", *TINY, "--set", override, "--out", str(out)])

@@ -3,8 +3,8 @@ import textwrap
 import pytest
 
 from gradtopo.config import (Box, ConfigError, RunConfig, apply_overrides,
-                             cantilever_config, load_config, loads_config,
-                             serialize, validate)
+                             benchmark_config, cantilever_config, load_config,
+                             loads_config, serialize, validate)
 from gradtopo.optimizer import Optimizer
 
 CANTILEVER_CFG = textwrap.dedent("""\
@@ -156,6 +156,23 @@ def test_apply_overrides():
     assert out.beta == 1.0
     # original untouched
     assert cfg.kappa2 == 4000
+
+
+@pytest.mark.parametrize("key, name, index", [
+    ("traction_x", "traction", 0), ("traction_y", "traction", 1),
+    ("body_fx", "body_force", 0), ("body_fy", "body_force", 1)])
+def test_pair_key_keeps_the_other_half(key, name, index):
+    """An override of one half of a pair keeps the other half of the config
+    it overrides; a file's pair starts from the defaults."""
+    base = benchmark_config(body_force=(0.03, -0.05))
+    for start, out in ((base, apply_overrides(base, [f"domain.{key}=7"])),
+                       (RunConfig(), loads_config(f"[domain]\n{key} = 7\n"))):
+        expected = list(getattr(start, name))
+        expected[index] = 7.0
+        assert getattr(out, name) == tuple(expected)
+    both = apply_overrides(base, [f"domain.{key}=7", f"domain.{key}=8"])
+    assert getattr(both, name)[index] == 8.0
+    assert getattr(both, name)[1 - index] == getattr(base, name)[1 - index]
 
 
 def test_apply_overrides_rejects_bad_shape():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import reference
-from gradtopo import fem
-from gradtopo.config import Box, cantilever_config
+from gradtopo import fem, stress
+from gradtopo.config import Box, benchmark_config, cantilever_config
+from gradtopo.material import dW
 from gradtopo.optimizer import Optimizer, rescale, run
 
 
@@ -131,65 +132,45 @@ def test_adjoint_identity_without_stress_or_body():
     assert np.linalg.norm(U - x.u) / np.linalg.norm(x.u) <= 1e-8
 
 
-def test_phi_gradient_finite_difference():
-    # kappa5 = 1: stress term active; kappa3 and kappa4 weight the other terms
-    for kw in ({}, dict(kappa4=0.4),
-               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))):
-        opt = Optimizer(small_config(**kw))
-        phi, chi = interior_fields(opt, seed=5)
-        g = opt.phi_gradient(phi, chi)
-        h = 1e-6
-        rng = np.random.default_rng(99)
-        for _ in range(5):
-            d = rng.standard_normal(opt.mesh.node_count)
-            jp = opt.state_solve(phi + h * d, chi).objective
-            jm = opt.state_solve(phi - h * d, chi).objective
-            fd = (jp - jm) / (2 * h)
-            assert float(g @ d) == pytest.approx(fd, rel=1e-4), kw
+# kappa5 = 1 (the stress term on) in every set; kappa3, kappa4 and the body
+# force weight the other terms
+GRADIENT_KW = [{}, dict(kappa4=0.4), dict(body_force=(0.0, -0.05)),
+               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))]
 
 
-def test_chi_gradient_finite_difference():
-    """kappa2 gamma_chi K chi - q_sp is the exact chi gradient of the
-    objective, with the stress term on (kappa5 = 1)."""
-    for kw in ({}, dict(kappa4=0.4),
-               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))):
-        cfg = small_config(**kw)
-        assert cfg.kappa5 == 1.0
-        opt = Optimizer(cfg)
-        phi, chi = interior_fields(opt, seed=5)
-        x = opt.state_solve(phi, chi)
-        q_sp = opt._mechanical_driving(x, opt.adjoint_solve(x))[1]
-        g = cfg.kappa2 * cfg.gamma_chi_eff * (opt.K_raw @ chi) - q_sp
-        h = 1e-6
-        rng = np.random.default_rng(99)
-        for _ in range(5):
-            d = rng.standard_normal(opt.mesh.node_count)
-            jp = opt.state_solve(phi, chi + h * d).objective
-            jm = opt.state_solve(phi, chi - h * d).objective
-            fd = (jp - jm) / (2 * h)
-            assert float(g @ d) == pytest.approx(fd, rel=1e-4), kw
-
-
-def test_phi_gradient_with_body_force():
-    cfg = small_config(body_force=(0.0, -0.05))
+@pytest.mark.parametrize("kw", GRADIENT_KW,
+                         ids=["defaults", "kappa4", "body-0.05", "body-0.1"])
+@pytest.mark.parametrize("block", [0, 1], ids=["phi", "chi"])
+def test_gradient_central_difference(block, kw):
+    """gradient is the exact gradient of state_solve(...).objective: along
+    ten random directions of the phi or the chi block, <g, d> matches the
+    central difference of the objective."""
+    cfg = small_config(**kw)
+    assert cfg.kappa5 == 1.0
     opt = Optimizer(cfg)
-    phi, chi = interior_fields(opt, seed=7)
-    g = opt.phi_gradient(phi, chi)
+    fields = interior_fields(opt, seed=5)
+    x = opt.state_solve(*fields)
+    g = opt.gradient(x, opt.adjoint_solve(x))[block]
+
+    def objective(step):
+        moved = list(fields)
+        moved[block] = fields[block] + step
+        return opt.state_solve(*moved).objective
+
     h = 1e-6
-    rng = np.random.default_rng(3)
-    for _ in range(3):
+    rng = np.random.default_rng(17)
+    for _ in range(10):
         d = rng.standard_normal(opt.mesh.node_count)
-        fd = (opt.state_solve(phi + h * d, chi).objective
-              - opt.state_solve(phi - h * d, chi).objective) / (2 * h)
+        fd = (objective(h * d) - objective(-h * d)) / (2 * h)
         assert float(g @ d) == pytest.approx(fd, rel=1e-4)
 
 
 def test_phase_step_solves_the_gradient_flow():
-    """The phi step is the semi-implicit flow of the objective: with
-    g = phi_gradient(phi), the step phi* and its multiplier lam satisfy
-    (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lam w + g = 0.
-    The chi step, with its own pseudo-time step tau_chi, satisfies
-    (gc/tau_chi) M (chi* - chi) + k2 gc K chi* - q_sp = 0."""
+    """The step is the semi-implicit flow of the objective: with
+    (g_phi, g_chi) = gradient, the step phi* and its multiplier lam satisfy
+    (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lam w + g_phi = 0,
+    and chi*, with its own pseudo-time step tau_chi, satisfies
+    (gc/tau_chi) M (chi* - chi) + k2 gc K (chi* - chi) + g_chi = 0."""
     cfg = small_config(mesh_nx=8, mesh_ny=4, body_force=(0.0, -0.05),
                        tau_chi=0.2 * cantilever_config().tau)
     assert cfg.kappa5 == 1.0 and cfg.tau_chi != cfg.tau
@@ -198,18 +179,54 @@ def test_phase_step_solves_the_gradient_flow():
     x = opt.state_solve(phi, chi)
     U = opt.adjoint_solve(x)
     phi_star, chi_star, lam = opt.phase_field_step(x, U)
-    g = opt.phi_gradient(phi, chi)
+    g_phi, g_chi = opt.gradient(x, U)
     d = phi_star - phi
     residual = (cfg.gamma_phi / cfg.tau) * (opt.M_raw @ d) \
-        + cfg.kappa1 * cfg.gamma_phi * (opt.K_raw @ d) + lam * opt.weights + g
-    assert np.abs(residual).max() <= 1e-10 * np.abs(g).max()
+        + cfg.kappa1 * cfg.gamma_phi * (opt.K_raw @ d) + lam * opt.weights + g_phi
+    assert np.abs(residual).max() <= 1e-10 * np.abs(g_phi).max()
 
-    gc = cfg.gamma_chi_eff
-    q_sp = opt._mechanical_driving(x, U)[1]
-    terms = ((gc / cfg.tau_chi) * (opt.M_raw @ (chi_star - chi)),
-             cfg.kappa2 * gc * (opt.K_raw @ chi_star), -q_sp)
+    gc, d = cfg.gamma_chi_eff, chi_star - chi
+    terms = ((gc / cfg.tau_chi) * (opt.M_raw @ d), cfg.kappa2 * gc * (opt.K_raw @ d),
+             g_chi)
     scale = max(np.abs(t).max() for t in terms)
     assert np.abs(sum(terms)).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("beta", [cantilever_config().beta, 1.0],
+                         ids=["two-scale", "beta1"])
+def test_phase_step_keeps_its_float_order(beta):
+    """phase_field_step does, bit for bit, the arithmetic written out here
+    (stress on, a body force): a reordered right-hand side changes the
+    rounding, which the benchmark's transient amplifies."""
+    cfg = benchmark_config(mesh_nx=12, mesh_ny=6, body_force=(0.0, -0.05), beta=beta)
+    assert cfg.kappa5 == 1.0
+    opt = Optimizer(cfg)
+    x = opt.state_solve(*interior_fields(opt, seed=8))
+    U = opt.adjoint_solve(x)
+
+    gp, gc, tau = cfg.gamma_phi, cfg.gamma_chi_eff, 0.5 * cfg.tau
+    Sigma = opt.elastic.strains(U) \
+        - cfg.kappa5 * stress.pointwise_penalty_gradient(x.aggregate, opt.mesh)
+    share = opt.mesh.element_areas / 3.0 * np.einsum("ej,ej->e", Sigma, x.unit_stress)
+    q_s = opt.elastic.node_incidence @ (x.ds_dphi * share)
+    q_sp = opt.elastic.node_incidence @ (x.ds_dchi * share)
+    rhs_phi = (gp / tau) * (opt.M_raw @ x.phi) + q_s \
+        - (cfg.kappa1 / gp) * (opt.weights * dW(x.phi)) \
+        - (cfg.kappa3 * (opt.C @ x.u) + (opt.C @ U))
+    rhs_chi = (gc / cfg.tau_chi_eff) * (opt.M_raw @ x.chi) + q_sp
+
+    def factor(A):
+        return fem.BandCholesky(fem.lower_band(A, opt.band_order), opt.band_order).solve
+
+    solve_phi = factor((gp / tau) * opt.M_raw + cfg.kappa1 * gp * opt.K_raw)
+    phi_new, lam = fem.solve_saddle(solve_phi, opt.weights, rhs_phi,
+                                    opt.volume_target, solve_phi(opt.weights))
+    chi_new = x.chi if beta == 1.0 else factor(
+        (gc / cfg.tau_chi_eff) * opt.M_raw + cfg.kappa2 * gc * opt.K_raw)(rhs_chi)
+
+    phi_star, chi_star, lam_star = opt.phase_field_step(x, U, tau=tau)
+    assert np.array_equal(phi_star, phi_new) and lam_star == lam
+    assert np.array_equal(chi_star, chi_new)
 
 
 def test_thickness_scales_the_traction():
@@ -226,19 +243,22 @@ def test_thickness_scales_the_traction():
 
 
 def test_chi_driving_matches_compliance_sensitivity():
-    """For kappa5 = 0 the chi-driving field is minus d(compliance)/d(chi)."""
+    """For kappa5 = 0 the mechanical part of the chi gradient,
+    g_chi - k2 gc K chi, is d(compliance)/d(chi)."""
     cfg = small_config(kappa5=0.0)
+    assert cfg.kappa4 == 1.0 and cfg.thickness == 1.0
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=11)
     x = opt.state_solve(phi, chi)
-    _, q_sp = opt._mechanical_driving(x, opt.adjoint_solve(x))
+    g_chi = opt.gradient(x, opt.adjoint_solve(x))[1]
+    mechanical = g_chi - cfg.kappa2 * cfg.gamma_chi_eff * (opt.K_raw @ chi)
     h = 1e-6
     rng = np.random.default_rng(13)
     for _ in range(3):
         d = rng.standard_normal(opt.mesh.node_count)
         fd = (opt.state_solve(phi, chi + h * d).compliance
               - opt.state_solve(phi, chi - h * d).compliance) / (2 * h)
-        assert float(q_sp @ d) == pytest.approx(-fd, rel=1e-4)
+        assert float(mechanical @ d) == pytest.approx(fd, rel=1e-4)
 
 
 # --- the phase-field operators and the safeguard ---------------------------
