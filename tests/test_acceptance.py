@@ -142,6 +142,21 @@ def test_adjoint_identity_on_benchmark_mesh():
     assert np.linalg.norm(U - x.u) / np.linalg.norm(x.u) <= 1e-8
 
 
+def test_phi_gradient_oracle_ten_directions():
+    cfg = cantilever_config(mesh_nx=4, mesh_ny=2)   # kappa5 = 1: stress active
+    opt = Optimizer(cfg)
+    phi, chi = interior_fields(opt, seed=5)
+    x = opt.state_solve(phi, chi)
+    g = opt.gradient(x, opt.adjoint_solve(x))[0]
+    h = 1e-6
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        d = rng.standard_normal(opt.mesh.node_count)
+        fd = (opt.state_solve(phi + h * d, chi).objective
+              - opt.state_solve(phi - h * d, chi).objective) / (2 * h)
+        assert float(g @ d) == pytest.approx(fd, rel=1e-4)
+
+
 # --- FEM verification --------------------------------------------------------
 
 def test_tip_deflection_matches_timoshenko():

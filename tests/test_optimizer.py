@@ -165,6 +165,24 @@ def test_gradient_central_difference(block, kw):
         assert float(g @ d) == pytest.approx(fd, rel=1e-4)
 
 
+def test_phi_gradient_finite_difference():
+    # the phi block along five more directions (seed 99) per kw set
+    for kw in ({}, dict(kappa4=0.4),
+               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))):
+        opt = Optimizer(small_config(**kw))
+        phi, chi = interior_fields(opt, seed=5)
+        x = opt.state_solve(phi, chi)
+        g = opt.gradient(x, opt.adjoint_solve(x))[0]
+        h = 1e-6
+        rng = np.random.default_rng(99)
+        for _ in range(5):
+            d = rng.standard_normal(opt.mesh.node_count)
+            jp = opt.state_solve(phi + h * d, chi).objective
+            jm = opt.state_solve(phi - h * d, chi).objective
+            fd = (jp - jm) / (2 * h)
+            assert float(g @ d) == pytest.approx(fd, rel=1e-4), kw
+
+
 def test_phase_step_solves_the_gradient_flow():
     """The step is the semi-implicit flow of the objective: with
     (g_phi, g_chi) = gradient, the step phi* and its multiplier lam satisfy
