@@ -165,11 +165,15 @@ def validate(config: RunConfig) -> list[str]:
     positive("yield_stress", config.yield_stress)
     if config.max_iter < 1:
         v.append(f"max_iter: must be >= 1, got {config.max_iter}")
-    if config.traction_length is not None and config.traction_length <= 0:
-        v.append(f"traction_length: must be > 0, got {config.traction_length}")
-    half = config.traction_length_eff / 2.0
-    lo, hi = config.traction_center_eff - half, config.traction_center_eff + half
-    if not (lo < config.domain_height and hi > 0.0):
+    if config.traction_length is not None and not (0.0 < config.traction_length < math.inf):
+        v.append(f"traction_length: must be finite and > 0, got {config.traction_length}")
+    if config.traction_center is not None and not math.isfinite(config.traction_center):
+        v.append(f"traction_center: must be finite, got {config.traction_center}")
+    length, center = config.traction_length_eff, config.traction_center_eff
+    lo, hi = center - length / 2.0, center + length / 2.0
+    # a non-finite length or center is reported by its own field above
+    if (math.isfinite(length) and math.isfinite(center)
+            and not (lo < config.domain_height and hi > 0.0)):
         v.append(f"traction_center: the load strip [{lo:g}, {hi:g}] misses the "
                  f"loaded edge [0, {config.domain_height:g}]")
     if config.seed < 0:

@@ -140,29 +140,39 @@ def region_caps(field: np.ndarray, mesh, threshold: float) -> np.ndarray:
     v[v == threshold] = threshold + 1e-12
     above = v > threshold
 
-    # only the elements with a corner inside hold a cap
-    case = above[mesh.elements].astype(int) @ np.array([1, 2, 4])
+    # only the elements with a corner inside hold a cap; a whole element
+    # (case 7) is its own cap
+    corner = above[mesh.elements].view(np.uint8)
+    case = corner[:, 0] | corner[:, 1] << 1 | corner[:, 2] << 2
     held = np.flatnonzero(case)
-    el, case = mesh.elements[held].astype(np.int64), case[held]
-    nxt = np.roll(el, -1, axis=1)               # edge k joins corners k, k+1
-    lo, hi = np.minimum(el, nxt), np.maximum(el, nxt)
-    cut = above[lo] != above[hi]
+    el, case = mesh.elements[held], case[held]
+    caps = _snap(mesh.nodes)[el]
+    cut = np.flatnonzero(case != 7)
+
+    # the iso-line crosses the elements in `cut`: clip them
+    ce, case = el[cut], case[cut]
+    nxt = np.roll(ce, -1, axis=1)               # edge k joins corners k, k+1
+    lo, hi = np.minimum(ce, nxt), np.maximum(ce, nxt)
+    crossed = above[lo] != above[hi]
     # each crossing in canonical low->high node order, so both elements on
     # a cut edge get the same point
-    lo, hi = lo[cut], hi[cut]
+    lo, hi = lo[crossed], hi[crossed]
     s = (threshold - v[lo]) / (v[hi] - v[lo])
     nodes = mesh.nodes
-    points = np.full((len(el), 6, 2), np.nan)
-    points[:, :3] = _snap(nodes[el])
-    points[:, 3:][cut] = _snap(nodes[lo] + s[:, None] * (nodes[hi] - nodes[lo]))
+    points = np.full((len(cut), 6, 2), np.nan)
+    points[:, :3] = caps[cut]
+    points[:, 3:][crossed] = _snap(nodes[lo] + s[:, None] * (nodes[hi] - nodes[lo]))
+    k, c = np.nonzero(_CAP_TABLE[case, :, 0].T >= 0)    # cut element c's cap k
+    clipped = points[c[:, None], _CAP_TABLE[case[c], k]]
 
-    k, e = np.nonzero(_CAP_TABLE[case, :, 0].T >= 0)    # element e's cap k
-    caps = points[e[:, None], _CAP_TABLE[case[e], k]]
-    clipped = np.flatnonzero(case[e] != 7)
-    a, b, c = caps[clipped, 0], caps[clipped, 1], caps[clipped, 2]
-    keep = np.ones(len(caps), dtype=bool)
-    keep[clipped] = ~((a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1))
-    return caps[keep]
+    # caps in k-major, then element order: each first cap takes its
+    # element's place, the second caps follow
+    caps[cut] = clipped[:len(cut)]
+    caps = np.concatenate([caps, clipped[len(cut):]])
+    place = np.concatenate([cut, len(el) + np.arange(len(clipped) - len(cut))])
+    a, b, c = clipped[:, 0], clipped[:, 1], clipped[:, 2]
+    repeated = (a == b).all(axis=1) | (b == c).all(axis=1) | (c == a).all(axis=1)
+    return np.delete(caps, place[repeated], axis=0)
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +180,6 @@ def region_caps(field: np.ndarray, mesh, threshold: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 _STL_RECORD = np.dtype([("normal", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
-
-
-def _lift(p: np.ndarray, z: float) -> np.ndarray:
-    return np.concatenate([p, np.full(p.shape[:-1] + (1,), z)], axis=-1)
 
 
 def stl_height(height: float) -> np.float32:
@@ -202,26 +208,43 @@ def extrude_to_stl(caps, height: float, path: str) -> int:
     caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
     if not len(caps):
         raise GeometryError("no caps to extrude")
-    # wall edges a -> b in their cap's counter-clockwise order: the region
-    # lies on their left, so the walls wind outward
-    keys, ids = np.unique(_xy_keys(caps), return_inverse=True)
+    # one id per distinct float32 point: its rank among the sorted keys
+    xy = _xy_keys(caps).ravel()
+    order = np.argsort(xy)
+    xy = xy[order]
+    first = np.concatenate([[True], xy[1:] != xy[:-1]])
+    keys = xy[first]
+    ids = np.empty(len(xy), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
     ids = ids.reshape(-1, 3)
-    _, edge, uses = np.unique(_edge_keys(ids), return_inverse=True, return_counts=True)
-    wall = (uses[edge] == 1).reshape(-1, 3)
-    a, b = caps[wall], np.roll(caps, -1, axis=1)[wall]
-    a0, a1, b0, b1 = _lift(a, 0.0), _lift(a, height), _lift(b, 0.0), _lift(b, height)
-    # top cap (normal +z), mirrored bottom cap (normal -z), walls
-    tris = np.concatenate([_lift(caps, height), _lift(caps[:, ::-1], 0.0),
-                           np.stack([a0, b0, b1], axis=1),
-                           np.stack([a0, b1, a1], axis=1)])
+    # the walls stand on the edges used once: a key that differs from both
+    # neighbours in the sorted edge keys
+    edge = _edge_keys(ids).ravel()
+    order = np.argsort(edge)
+    edge = edge[order]
+    bound = np.concatenate([[True], edge[1:] != edge[:-1], [True]])
+    wall = np.empty(len(edge), dtype=bool)
+    wall[order] = bound[:-1] & bound[1:]
+    wall = wall.reshape(-1, 3)
+    # wall edges a -> b, from corner k to k + 1 of cap t in its
+    # counter-clockwise order: the region lies on their left, so the walls
+    # wind outward
+    t, k = np.nonzero(wall)
+    k1 = (k + 1) % 3
+    level = np.repeat(np.array([[1, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]], dtype=np.int8),
+                      [len(caps), len(caps), len(t), len(t)], axis=0)
+    tris = np.empty(level.shape + (3,))
+    _prism(tris[..., :2], caps, caps[t, k], caps[t, k1])
+    np.multiply(level, float(height), out=tris[..., 2])
     # the same vertices as 2 * (cap point id) + level, level 1 at z = height
-    ia, ib = 2 * ids[wall], 2 * np.roll(ids, -1, axis=1)[wall]
-    vertex = np.concatenate([2 * ids + 1, 2 * ids[:, ::-1],
-                             np.stack([ia, ib, ib + 1], axis=1),
-                             np.stack([ia, ib + 1, ia + 1], axis=1)])
+    vertex = np.empty(level.shape, dtype=np.int64)
+    _prism(vertex, ids, ids[t, k], ids[t, k1])
+    vertex *= 2
+    vertex += level
+    stored = tris.astype(np.float32)
+    _check_closed(stored, vertex, keys, z)
     records = np.zeros(len(tris), dtype=_STL_RECORD)
-    records["v"] = tris
-    _check_closed(records["v"], vertex, keys, z)
+    records["v"] = stored
     # the normal as np.cross and np.linalg.norm compute it, component-wise
     d1, d2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     normal = (d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1],
@@ -237,6 +260,20 @@ def extrude_to_stl(caps, height: float, path: str) -> int:
     return len(tris)
 
 
+def _prism(out: np.ndarray, cap: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Fill `out` (n,3,...) with the prism's triangles, as values per vertex,
+    from its caps' (T,3,...) and its wall edges' ends' (W,...): top caps
+    (normal +z), mirrored bottom caps (normal -z), then the walls (a, b, b)
+    and (a, b, a)."""
+    top, bottom, wall = len(cap), 2 * len(cap), 2 * len(cap) + len(a)
+    out[:top] = cap
+    out[top:bottom] = cap[:, ::-1]
+    out[bottom:, 0] = np.concatenate([a, a])
+    out[bottom:, 1] = np.concatenate([b, b])
+    out[bottom:wall, 2] = b
+    out[wall:, 2] = a
+
+
 def _check_closed(v: np.ndarray, vertex: np.ndarray, keys: np.ndarray, z: np.float32) -> None:
     """GeometryError unless every edge of the stored triangles `v` (T,3,3)
     is used by exactly two of them.
@@ -245,15 +282,24 @@ def _check_closed(v: np.ndarray, vertex: np.ndarray, keys: np.ndarray, z: np.flo
     xy bits keys[p], at z = 0 (level 0) or z (level 1).  Each stored vertex
     is checked against its name bit for bit; since the keys are distinct
     and z > 0, two stored vertices are then equal exactly when their names
-    are, and the edges are counted on the names.
+    are, and the edges are counted on the names: in the sorted edge keys,
+    every edge is used twice exactly when the keys come in equal pairs and
+    no pair equals the next.
     """
-    v = v.reshape(-1, 3)
-    levels = _float32_bits([0.0, z])
-    if not (np.array_equal(_xy_keys(v), keys[vertex.ravel() >> 1])
-            and np.array_equal(_float32_bits(v[:, 2]), levels[vertex.ravel() & 1])):
+    # the float32 bits of every name: x and y from its key, z from its level
+    named = np.empty((len(keys), 2, 3), dtype=np.uint32)
+    named[..., 0] = (keys >> 32)[:, None]
+    named[..., 1] = (keys & 0xFFFFFFFF)[:, None]
+    named[..., 2] = _float32_bits([0.0, z])
+    stored = (np.asarray(v, dtype=np.float32) + np.float32(0.0)).view(np.uint32)
+    if not np.array_equal(stored.reshape(-1, 3),
+                          np.take(named.reshape(-1, 3), vertex.ravel(), axis=0)):
         raise GeometryError("a stored STL vertex is not the cap point it extrudes")
-    uses = np.unique(_edge_keys(vertex), return_counts=True)[1]
-    if np.any(uses != 2):
+    edge = _edge_keys(vertex).ravel()
+    edge.sort()
+    if not (len(edge) % 2 == 0 and np.array_equal(edge[0::2], edge[1::2])
+            and not np.any(edge[2::2] == edge[1:-1:2])):
+        uses = np.unique(edge, return_counts=True)[1]
         raise GeometryError(f"extruded solid is not closed: {np.count_nonzero(uses != 2)} "
                             f"of {len(uses)} edges are not used by exactly two triangles")
 
@@ -304,5 +350,8 @@ def _edge_keys(ids: np.ndarray) -> np.ndarray:
     integer ids: edge k joins vertices k and k+1, in either direction."""
     # the key fits an int64 while the id range stays under 3e9
     span = int(ids.max()) + 1
-    nxt = np.roll(ids, -1, axis=1)
-    return np.minimum(ids, nxt) * span + np.maximum(ids, nxt)
+    nxt = ids[:, [1, 2, 0]]
+    key = np.minimum(ids, nxt)
+    key *= span
+    key += np.maximum(ids, nxt, out=nxt)
+    return key

@@ -260,6 +260,10 @@ def test_bench_rejects_config(tmp_path, capsys):
     ("domain.traction_center=500", "traction_center"),
     ("domain.traction_center=-11", "traction_center"),
     ("domain.traction_length=0", "traction_length"),
+    ("domain.traction_length=nan", "traction_length"),
+    ("domain.traction_length=inf", "traction_length"),
+    ("domain.traction_center=nan", "traction_center"),
+    ("domain.traction_center=inf", "traction_center"),
     ("optimizer.kappa1=nan", "kappa1"),
     ("optimizer.kappa2=inf", "kappa2"),
     ("optimizer.kappa3=nan", "kappa3"),
@@ -272,6 +276,7 @@ def test_bench_rejects_config(tmp_path, capsys):
     ("domain.fixed_void=nan,0,10,10", "fixed_void"),
     ("domain.fixed_solid=0,0,10,inf", "fixed_solid"),
 ], ids=["seed", "perturb", "strip-above", "strip-below", "strip-length",
+        "strip-length-nan", "strip-length-inf", "strip-center-nan", "strip-center-inf",
         "kappa1-nan", "kappa2-inf", "kappa3-nan", "kappa4-inf", "kappa5-inf",
         "traction_x-inf", "traction_y-nan", "body_fx-nan", "body_fy-inf",
         "fixed_void-nan", "fixed_solid-inf"])
@@ -283,6 +288,9 @@ def test_run_rejects_unusable_values(tmp_path, capsys, caplog, override, name):
     assert [line for line in err.splitlines() if "error:" in line] \
         == ["error: invalid configuration:"]
     assert f"  {name}: " in err
+    # the one violation names the field that was set
+    assert [line.split(":")[0].strip() for line in err.splitlines()
+            if line.startswith("  ")] == [name]
     assert "run failed" not in caplog.text
     assert not out.exists()
 

@@ -273,6 +273,52 @@ def test_extrude_refuses_region_that_touches_itself_at_a_vertex(tmp_path):
     assert not path.exists()
 
 
+# Triangles as vertex names 2 * point + level (level 1 at z) whose edges are
+# not all used twice, and the uses of those edges.  A triangle with a
+# repeated vertex uses its loop edge there once and its other edge twice;
+# two flat pairs of triangles on one edge use it four times.
+OPEN_SOUPS = {
+    "once": ([[0, 0, 2]], [1]),
+    "three-times": ([[1, 1, 2], [1, 1, 4], [1, 1, 6]], [3]),
+    "four-times": ([[0, 2, 5], [0, 5, 2], [0, 2, 6], [0, 6, 2]], [4]),
+    "two-once": ([[0, 0, 2], [5, 5, 7]], [1, 1]),
+}
+
+
+@pytest.mark.parametrize("soup", sorted(OPEN_SOUPS))
+def test_check_closed_counts_the_edges_not_used_twice(soup):
+    names, bad_uses = OPEN_SOUPS[soup]
+    names = np.array(names)
+    xy = np.column_stack([np.arange(4.0), np.arange(4.0) ** 2 - 1.5])
+    z = np.float32(2.5)
+    stored = np.concatenate([xy[names >> 1], (names & 1)[..., None] * z],
+                            axis=-1).astype(np.float32)
+    counts = reference.stl_edge_use_counts(stored)
+    assert sorted(c for c in counts.values() if c != 2) == bad_uses
+    with pytest.raises(export.GeometryError,
+                       match=f"not closed: {len(bad_uses)} of {len(counts)} edges"):
+        export._check_closed(stored, names, export._xy_keys(xy), z)
+
+
+@pytest.mark.parametrize("caps, bad_uses", [
+    # the wall on the loop edge of the repeated vertex: its vertical edge
+    # there is used four times
+    ([((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))], [4]),
+    # three caps on one edge: no wall stands on it, and its top and bottom
+    # copies and the vertical edges at its ends are used three times each
+    ([((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 0.0), (0.0, -1.0)),
+      ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))], [3, 3, 3, 3]),
+], ids=["repeated-vertex", "three-caps-on-an-edge"])
+def test_extrude_refusal_reports_the_reference_counts(tmp_path, caps, bad_uses):
+    counts = reference.stl_edge_use_counts(reference.extruded_prism(caps, 1.0))
+    assert sorted(c for c in counts.values() if c != 2) == bad_uses
+    path = tmp_path / "x.stl"
+    with pytest.raises(export.GeometryError,
+                       match=f"not closed: {len(bad_uses)} of {len(counts)} edges"):
+        export.extrude_to_stl(caps, 1.0, str(path))
+    assert not path.exists()
+
+
 def random_soup(rng, count):
     """Triangles drawn from a small vertex pool: shared vertices, vertices
     that differ only in z, zeros of either sign, and coordinates that round
@@ -310,6 +356,38 @@ def p1_field(kind, mesh, seed):
     return 0.5 + 0.45 * np.sin(x / rng.uniform(15.0, 30.0)) * np.cos(y / rng.uniform(8.0, 15.0))
 
 
+# sha256 of region_caps(field, mesh, 0.5).tobytes() and of below_caps on the
+# 12x6 mesh: the random fields cut most elements, and the quarter fields put
+# nodes on the threshold, so their caps go through the repeated-vertex drop
+PINNED_CAPS = {
+    ("random", 0): ("5bc8c29520a680054dfd08e8c54f00572a773caba2f473cc4cdeddff74a7a229",
+                    "a7f8f150d4af6a9637ea473c6df59d958dd585b88616237b8d55b0957d8c78b9"),
+    ("random", 1): ("d0300e75c1f8e900c5aeedaf763ce3a271a0a842528c8eab47bd97674a016639",
+                    "6af23cdbace92130e7022e37956cd05a5ea54e7a3c699cf5621833f6bdadecae"),
+    ("random", 2): ("e98766fac287018f2475a215032cd1de9c46c610a01341f66814eba9085faca7",
+                    "26157969ab984dc03931fac7ccdac43e3d0f1e8234a0eca684cc2ffe4070a3cb"),
+    ("random", 3): ("96c60de314cca146bc85893bf0444221c43e66ea95a67906c3f832a5e54409bf",
+                    "f7ba69d747b57f705cbd0b8bb85159dc9eac024a57a26b780428f6924820902a"),
+    ("quarter", 0): ("78d3fa08ded8f2ab04f8690dd581960674be49bcb8122ec7d70b48558637ab61",
+                     "53b0decf07f266647f87bc7e349ebef05cbeddcf6d4ccfff435149ccd8249746"),
+    ("quarter", 1): ("b38030c4cfba4ab70cf88b1cf74ece51bf333d61532af6450c1a846416e637c7",
+                     "e62923e6fab5e28556c8965a22921c34cac1b2b0f9b3078ae8497f7e453b1820"),
+    ("quarter", 2): ("0d65419b361d932a9e8e3a876ee5debfcc453184adb29bb42c8cad01315ed13b",
+                     "3c90950f07267044f56e0180dd3a5be6d63d1697aef2000c1638441a94eb36ff"),
+    ("quarter", 3): ("4d35d6270d8a08ce943658cbd6f405ec08e92773a7ccce6d166aa70720924662",
+                     "d7b7188eb98434dbe2b99a8d4a648b563010d359e5c317e9930c3a986b2c1279"),
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(PINNED_CAPS))
+def test_region_caps_bytes_pinned(kind, seed):
+    mesh = make_mesh(12, 6)
+    field = p1_field(kind, mesh, seed)
+    digests = tuple(hashlib.sha256(caps.tobytes()).hexdigest()
+                    for caps in (export.region_caps(field, mesh, 0.5), below_caps(field, mesh)))
+    assert digests == PINNED_CAPS[kind, seed]
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("kind", ["random", "quarter", "smooth"])
 def test_extrude_refuses_exactly_the_open_solids(tmp_path, kind, seed):
@@ -344,6 +422,14 @@ def test_extrude_rejects_bad_height_and_empty(tmp_path):
     with pytest.raises(export.GeometryError, match="no caps"):
         export.extrude_to_stl(np.zeros((0, 3, 2)), 1.0, str(tmp_path / "x.stl"))
     assert not (tmp_path / "x.stl").exists()
+
+
+def test_extrude_integer_height_writes_the_float_bytes(tmp_path):
+    tri = [((0.0, 0.0), (6.0, 0.0), (0.0, 6.0))]
+    paths = tmp_path / "int.stl", tmp_path / "float.stl"
+    for path, height in zip(paths, (1000, 1000.0)):
+        export.extrude_to_stl(tri, height, str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_stl_volume_sign_convention(tmp_path):
