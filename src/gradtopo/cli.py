@@ -1,7 +1,8 @@
 """Command-line entry point: config -> optimize -> export.
 
 Exit codes: 0 converged, 2 iteration cap reached, 1 error.  The environment
-variable GRADTOPO_LOG selects the log level (DEBUG/INFO/WARNING).
+variable GRADTOPO_LOG selects the log level: DEBUG, INFO (the default),
+WARNING, ERROR or CRITICAL; any other value is an error.
 """
 
 from __future__ import annotations
@@ -27,11 +28,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
 
 def _setup_logging():
-    level = os.environ.get("GRADTOPO_LOG", "INFO").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.INFO),
-                        format="%(levelname)s %(message)s")
+    """Log at GRADTOPO_LOG's level (INFO when unset or empty)."""
+    level = (os.environ.get("GRADTOPO_LOG") or "INFO").upper()
+    if level not in LOG_LEVELS:
+        raise ConfigError(f"GRADTOPO_LOG must be one of {', '.join(LOG_LEVELS)}, "
+                          f"got {os.environ['GRADTOPO_LOG']!r}")
+    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
 
 
 def _load(args, default_builtin=False):
@@ -109,20 +115,25 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     if "=" not in args.sweep:
         raise ConfigError("sweep spec must look like section.key=v1,v2,...")
-    key, raw = args.sweep.split("=", 1)
-    values = [v for v in raw.split(",") if v.strip()]
+    key, raw = (part.strip() for part in args.sweep.split("=", 1))
+    values = [v.strip() for v in raw.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep value list is empty")
+    # (label, output subdirectory, overrides)
+    variants = [(f"{key}={v}", f"{key}_{v}".replace(".", "_").replace("=", "_"),
+                 [f"{key}={v}"]) for v in values]
+    if args.reference_beta1:
+        variants.append(("beta=1 (single material)", "beta_1", ["material.beta=1"]))
+    subdirs = [subdir for _, subdir, _ in variants]
+    shared = sorted({subdir for subdir in subdirs if subdirs.count(subdir) > 1})
+    if shared:
+        raise ConfigError(f"sweep variants share an output directory: {', '.join(shared)}")
     base = _load(args, default_builtin=True)
     rows = []
-    variants = [(f"{key}={v}", [f"{key}={v}"]) for v in values]
-    if args.reference_beta1:
-        variants.append(("beta=1 (single material)", ["material.beta=1"]))
-    for label, overrides in variants:
+    for label, name, overrides in variants:
         try:
             config = apply_overrides(base, overrides)
-            subdir = os.path.join(config.output_dir,
-                                  label.split()[0].replace(".", "_").replace("=", "_"))
+            subdir = os.path.join(config.output_dir, name)
             state, _ = _optimize(
                 apply_overrides(config, [f"output.directory={subdir}"]))
             rows.append((label, f"{state.compliance:.6g}", f"{state.m_chi:.4g}",
@@ -221,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
+        _setup_logging()
         return args.func(args)
     except (ConfigError, export.GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

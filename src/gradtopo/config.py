@@ -88,7 +88,6 @@ class RunConfig:
     tol: float = 0.02
     seed: int = 0
     perturb: float = 0.0                 # amplitude of seeded initial noise
-    safeguard: bool = False              # tau-halving on objective increase
 
     # [stress]
     pnorm_p: int = 8
@@ -204,16 +203,6 @@ def validated(config: RunConfig) -> RunConfig:
 
 # --- file format -----------------------------------------------------------
 
-# (section, key) -> (field name, parser)
-def _parse_bool(s: str) -> bool:
-    s = s.strip().lower()
-    if s in ("1", "true", "yes", "on"):
-        return True
-    if s in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_boxes(s: str) -> tuple[Box, ...]:
     boxes = []
     for part in s.split(";"):
@@ -228,9 +217,10 @@ def _parse_boxes(s: str) -> tuple[Box, ...]:
 
 
 def _fmt_boxes(boxes) -> str:
-    return "; ".join(f"{b.x0:g},{b.y0:g},{b.x1:g},{b.y1:g}" for b in boxes)
+    return "; ".join(",".join(repr(float(c)) for c in astuple(b)) for b in boxes)
 
 
+# (section, key) -> (field name, parser)
 _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("domain", "width"): ("domain_width", float),
     ("domain", "height"): ("domain_height", float),
@@ -263,7 +253,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("optimizer", "tol"): ("tol", float),
     ("optimizer", "seed"): ("seed", int),
     ("optimizer", "perturb"): ("perturb", float),
-    ("optimizer", "safeguard"): ("safeguard", _parse_bool),
     ("stress", "pnorm_p"): ("pnorm_p", int),
     ("stress", "yield_stress"): ("yield_stress", float),
     ("output", "directory"): ("output_dir", str),
@@ -329,8 +318,6 @@ def serialize(config: RunConfig) -> str:
             if not value:
                 continue
             rendered = _fmt_boxes(value)
-        elif parser_fn is _parse_bool:
-            rendered = "true" if value else "false"
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
         if not parser.has_section(section):

@@ -95,12 +95,14 @@ class Optimizer:
         # two-scale field degenerates and chi stays at the uniform fraction m
         self.single_material = config.beta == 1.0
 
-        # A_chi does not depend on tau, so the chi solve is factored once
-        gc = config.gamma_chi_eff
+        # the phase operators are constant, so each is factored once; the
+        # solved volume row is reused by every saddle solve
+        gp, gc = config.gamma_phi, config.gamma_chi_eff
+        self.solve_phi = self._factor(
+            (gp / config.tau) * self.M_raw + config.kappa1 * gp * self.K_raw)
+        self.weights_solved = self.solve_phi(self.weights)
         self.solve_chi = None if self.single_material else self._factor(
             (gc / config.tau_chi_eff) * self.M_raw + config.kappa2 * gc * self.K_raw)
-        self._phase_factor_cache: dict[float, tuple] = {}
-        self._phase_ops(config.tau)
 
         # line load g [N/mm] acts on the thickness-t edge: the plane-stress
         # solve sees the per-thickness traction g / t
@@ -123,16 +125,6 @@ class Optimizer:
         """Banded Cholesky solve of an SPD scalar-field operator."""
         order = self.band_order
         return fem.BandCholesky(fem.lower_band(A, order), order).solve
-
-    def _phase_ops(self, tau: float):
-        """(solve_phi, A_phi^-1 w) for the pseudo-time step tau: the factored
-        phi operator and the solved volume row, reused by every saddle solve."""
-        if tau not in self._phase_factor_cache:
-            gp = self.config.gamma_phi
-            solve_phi = self._factor((gp / tau) * self.M_raw
-                                     + self.config.kappa1 * gp * self.K_raw)
-            self._phase_factor_cache[tau] = (solve_phi, solve_phi(self.weights))
-        return self._phase_factor_cache[tau]
 
     # --- the admissible set -------------------------------------------------
 
@@ -211,7 +203,7 @@ class Optimizer:
             -cfg.kappa2 * cfg.gamma_chi_eff * (self.K_raw @ iterate.chi))
         return -rhs_phi, -rhs_chi
 
-    def phase_field_step(self, iterate: Iterate, U, tau=None):
+    def phase_field_step(self, iterate: Iterate, U):
         """One semi-implicit gradient-flow step; returns (phi*, chi*, lambda).
 
         With (g_phi, g_chi) = gradient(iterate, U), phi* and lambda solve
@@ -220,13 +212,11 @@ class Optimizer:
         + k2 gc K (chi* - chi) + g_chi = 0.  The caller projects (phi*, chi*).
         """
         cfg = self.config
-        tau = cfg.tau if tau is None else tau
-        solve_phi, weights_solved = self._phase_ops(tau)
         rhs_phi, rhs_chi = self._flow_rhs(
-            iterate, U, (cfg.gamma_phi / tau) * (self.M_raw @ iterate.phi),
+            iterate, U, (cfg.gamma_phi / cfg.tau) * (self.M_raw @ iterate.phi),
             (cfg.gamma_chi_eff / cfg.tau_chi_eff) * (self.M_raw @ iterate.chi))
-        phi_new, lam = fem.solve_saddle(solve_phi, self.weights, rhs_phi,
-                                        self.volume_target, weights_solved)
+        phi_new, lam = fem.solve_saddle(self.solve_phi, self.weights, rhs_phi,
+                                        self.volume_target, self.weights_solved)
         if self.single_material:
             return phi_new, iterate.chi, lam
         return phi_new, self.solve_chi(rhs_chi), lam
@@ -265,9 +255,9 @@ class Optimizer:
     def run(self, callback=None) -> tuple[Iterate, list[IterationRecord]]:
         """Step until the increments fall below tol or max_iter is reached.
 
-        Each attempt evaluates its trial design once; the accepted trial is
-        row k of the history, the Iterate passed to the callback, and the
-        iterate that iteration k+1 steps from.  Returns the last one.
+        Iteration k evaluates its trial design once; that trial is row k of
+        the history, the Iterate passed to the callback, and the iterate that
+        iteration k+1 steps from.  Returns the last one.
         """
         cfg = self.config
         t0 = time.perf_counter()
@@ -278,17 +268,10 @@ class Optimizer:
             _require_finite(it, displacement=cur.u)
             U = self.adjoint_solve(cur)
 
-            tau = cfg.tau
-            for attempt in range(6):
-                phi_star, chi_star, lam = self.phase_field_step(cur, U, tau=tau)
-                phi, chi = self.project(phi_star, chi_star)
-                _require_finite(it, phi=phi, chi=chi)
-                nxt = self.state_solve(phi, chi)
-                if not cfg.safeguard or it == 1 or attempt == 5 \
-                        or nxt.objective <= cur.objective * 1.01:
-                    break
-                tau *= 0.5
-
+            phi_star, chi_star, lam = self.phase_field_step(cur, U)
+            phi, chi = self.project(phi_star, chi_star)
+            _require_finite(it, phi=phi, chi=chi)
+            nxt = self.state_solve(phi, chi)
             _require_finite(it, objective=nxt.objective)
             nxt.iter, nxt.lam = it, lam
             nxt.volume_presnap = float(self.weights @ phi_star)

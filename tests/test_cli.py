@@ -230,6 +230,61 @@ def test_sweep_bad_spec(capsys):
     assert "sweep spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["optimizer.kappa2 =40,4000",
+                                  "optimizer.kappa2=40, 4000"])
+def test_sweep_names_directories_from_the_stripped_key_and_value(
+        tmp_path, monkeypatch, spec):
+    seen = []
+    state = SimpleNamespace(compliance=1.0, m_chi=0.5, converged=True)
+    monkeypatch.setattr("gradtopo.cli._optimize",
+                        lambda config: seen.append(config) or (state, []))
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", spec, "--out", out]) == EXIT_OK
+    assert [config.output_dir for config in seen] == [
+        os.path.join(out, "optimizer_kappa2_40"),
+        os.path.join(out, "optimizer_kappa2_4000")]
+    assert [config.kappa2 for config in seen] == [40.0, 4000.0]
+
+
+@pytest.mark.parametrize("spec, extra, shared", [
+    ("optimizer.kappa2=40,40", [], "optimizer_kappa2_40"),
+    ("optimizer.kappa2=40, 40 ", [], "optimizer_kappa2_40"),
+    ("optimizer.kappa2=4.0,4_0", [], "optimizer_kappa2_4_0"),
+    ("beta=1,2", ["--reference-beta1"], "beta_1"),
+], ids=["repeat", "repeat-spaced", "dot-underscore", "reference"])
+def test_sweep_refuses_variants_that_share_a_directory(monkeypatch, capsys, spec,
+                                                       extra, shared):
+    monkeypatch.setattr("gradtopo.cli._optimize",
+                        lambda config: pytest.fail("a variant was run"))
+    assert main(["sweep", spec, *extra]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"error: sweep variants share an output directory: {shared}\n"
+
+
+@pytest.mark.parametrize("value", ["VERBOSE", "basic_format", "10"])
+def test_unknown_log_level_is_refused(monkeypatch, capsys, value):
+    monkeypatch.setenv("GRADTOPO_LOG", value)
+    monkeypatch.setattr("gradtopo.cli.cmd_validate",
+                        lambda args: pytest.fail("the command was run"))
+    assert main(["validate"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: GRADTOPO_LOG must be one of DEBUG, INFO, ")
+    assert repr(value) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level, progress", [(None, True), ("WARNING", False)])
+def test_log_level_gates_the_progress_lines(tmp_path, level, progress):
+    env = {k: v for k, v in os.environ.items() if k != "GRADTOPO_LOG"}
+    if level is not None:
+        env["GRADTOPO_LOG"] = level
+    proc = subprocess.run([sys.executable, "-m", "gradtopo.cli", "bench", *TINY,
+                           "--set", "output.log_every=1", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_NOT_CONVERGED
+    assert ("iter=" in proc.stderr) == progress
+    assert "iterations=3" in proc.stdout
+
+
 def test_console_script_installed(tmp_path):
     # end-to-end through the installed entry point
     proc = subprocess.run([sys.executable, "-m", "gradtopo.cli", "validate",

@@ -1,8 +1,9 @@
+import dataclasses
 import textwrap
 
 import pytest
 
-from gradtopo.config import (Box, ConfigError, RunConfig, apply_overrides,
+from gradtopo.config import (_SCHEMA, Box, ConfigError, RunConfig, apply_overrides,
                              benchmark_config, cantilever_config, load_config,
                              loads_config, serialize, validate)
 from gradtopo.optimizer import Optimizer
@@ -82,13 +83,13 @@ def test_unknown_key_rejected():
 
 
 # keys of deleted variants: the Jacobi-PCG solve, the printed-sign double-well
-# right-hand side, the unnormalized p-norm and the STL settings that
-# export-stl takes as flags
+# right-hand side, the unnormalized p-norm, the STL settings that export-stl
+# takes as flags and the tau-halving loop
 REMOVED_KEYS = ["optimizer.solver=pcg", "optimizer.linear_tol=1e-8",
                 "optimizer.literal_rhs=true", "stress.normalized=false",
                 "output.chi_threshold=0.4", "output.extrude_height=5",
                 "material.literal_km=true", "optimizer.stabilization=0",
-                "optimizer.chi_solver=clamp"]
+                "optimizer.chi_solver=clamp", "optimizer.safeguard=true"]
 
 
 @pytest.mark.parametrize("item", REMOVED_KEYS)
@@ -143,10 +144,41 @@ def test_disjoint_fixed_regions_ok():
 def test_round_trip_identity():
     cfg = cantilever_config(mesh_nx=17, mesh_ny=9, kappa2=40.0,
                             fixed_solid=(Box(0, 0, 5, 100),),
-                            safeguard=True, perturb=0.01, seed=3)
+                            perturb=0.01, seed=3)
     again = loads_config(serialize(cfg))
     assert again == cfg
     assert loads_config(serialize(again)) == again
+
+
+def test_schema_covers_every_field():
+    """Each RunConfig field has an INI key (a pair has one per half), and
+    each key names a field."""
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    keyed = {fieldname.split(".")[0] for fieldname, _ in _SCHEMA.values()}
+    assert keyed == names
+
+
+# a valid value away from the default for every RunConfig field; floats that
+# need all 17 digits, so that serialize must write them exactly
+EVERY_FIELD = dict(
+    domain_width=150.0, domain_height=80.0, mesh_nx=17, mesh_ny=9,
+    traction=(0.5, -40.0), traction_length=12.0, traction_center=30.0 + 1 / 3,
+    thickness=2.5, body_force=(0.01, -0.05),
+    fixed_void=(Box(0, 0, 5 + 1 / 3, 80),),
+    fixed_solid=(Box(140, 30, 150, 50), Box(100, 0, 110, 1 / 7)),
+    youngs_modulus=1000.0, poisson=0.3, beta=1 / 3, gamma_phi=2.0, gamma_chi=5e-4,
+    ersatz=0.01, volume_fraction=0.6, kappa1=20.0, kappa2=40.0, kappa3=0.5,
+    kappa4=2.0, kappa5=0.0, tau=3.5e-3, tau_chi=2e-7, max_iter=80, tol=0.055,
+    seed=3, perturb=0.01, pnorm_p=6, yield_stress=41.0, output_dir="runs/every",
+    log_every=7)
+
+
+def test_round_trip_with_every_field_set():
+    default = RunConfig()
+    assert set(EVERY_FIELD) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert all(value != getattr(default, name) for name, value in EVERY_FIELD.items())
+    cfg = cantilever_config(**EVERY_FIELD)
+    assert loads_config(serialize(cfg)) == cfg
 
 
 def test_apply_overrides():

@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, note, settings
+from hypothesis import strategies as st
 
 import reference
 from gradtopo import fem, stress
-from gradtopo.config import Box, benchmark_config, cantilever_config
+from gradtopo.config import (Box, ConfigError, benchmark_config, cantilever_config,
+                             validate)
 from gradtopo.material import dW
+from gradtopo.mesh import locate_region_nodes
 from gradtopo.optimizer import Optimizer, rescale, run
 
 
@@ -214,15 +218,17 @@ def test_phase_step_solves_the_gradient_flow():
                          ids=["two-scale", "beta1"])
 def test_phase_step_keeps_its_float_order(beta):
     """phase_field_step does, bit for bit, the arithmetic written out here
-    (stress on, a body force): a reordered right-hand side changes the
-    rounding, which the benchmark's transient amplifies."""
-    cfg = benchmark_config(mesh_nx=12, mesh_ny=6, body_force=(0.0, -0.05), beta=beta)
+    (stress on, a body force, a step tau that is not the benchmark's): a
+    reordered right-hand side changes the rounding, which the benchmark's
+    transient amplifies."""
+    cfg = benchmark_config(mesh_nx=12, mesh_ny=6, body_force=(0.0, -0.05), beta=beta,
+                           tau=0.5 * benchmark_config().tau)
     assert cfg.kappa5 == 1.0
     opt = Optimizer(cfg)
     x = opt.state_solve(*interior_fields(opt, seed=8))
     U = opt.adjoint_solve(x)
 
-    gp, gc, tau = cfg.gamma_phi, cfg.gamma_chi_eff, 0.5 * cfg.tau
+    gp, gc, tau = cfg.gamma_phi, cfg.gamma_chi_eff, cfg.tau
     Sigma = opt.elastic.strains(U) \
         - cfg.kappa5 * stress.pointwise_penalty_gradient(x.aggregate, opt.mesh)
     share = opt.mesh.element_areas / 3.0 * np.einsum("ej,ej->e", Sigma, x.unit_stress)
@@ -242,7 +248,7 @@ def test_phase_step_keeps_its_float_order(beta):
     chi_new = x.chi if beta == 1.0 else factor(
         (gc / cfg.tau_chi_eff) * opt.M_raw + cfg.kappa2 * gc * opt.K_raw)(rhs_chi)
 
-    phi_star, chi_star, lam_star = opt.phase_field_step(x, U, tau=tau)
+    phi_star, chi_star, lam_star = opt.phase_field_step(x, U)
     assert np.array_equal(phi_star, phi_new) and lam_star == lam
     assert np.array_equal(chi_star, chi_new)
 
@@ -279,13 +285,12 @@ def test_chi_driving_matches_compliance_sensitivity():
         assert float(mechanical @ d) == pytest.approx(fd, rel=1e-4)
 
 
-# --- the phase-field operators and the safeguard ---------------------------
+# --- the phase-field operators ---------------------------------------------
 
 @pytest.mark.parametrize("kw, factorizations", [
     ({}, 2),                            # A_phi and A_chi
-    (dict(beta=1.0, safeguard=True), 1),  # no trial tau factored up front
     (dict(beta=1.0), 1),                # chi never updates
-])
+], ids=["kw0-2", "kw2-1"])
 def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
                                                        factorizations):
     calls = []
@@ -296,75 +301,19 @@ def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
     assert len(calls) == factorizations
 
 
-def safeguard_taus(monkeypatch, objectives, opt=None):
-    """tau of every phase step in a 2-iteration safeguarded run, with
-    objective_of replaced by successive values of `objectives`."""
-    opt = opt or Optimizer(small_config(safeguard=True, max_iter=2))
-    taus = []
-    step = opt.phase_field_step
-
-    def recording_step(iterate, U, tau=None):
-        taus.append(tau)
-        return step(iterate, U, tau=tau)
-
-    values = iter(objectives)
-    monkeypatch.setattr(opt, "phase_field_step", recording_step)
-    monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
-    opt.run()
-    return opt.config.tau, taus
-
-
-def test_safeguard_halves_tau_until_sixth_attempt(monkeypatch):
-    # every trial objective rises: tau is halved five times and the sixth
-    # attempt is accepted
-    tau, taus = safeguard_taus(monkeypatch, (2.0 ** k for k in range(100)))
-    assert taus == [tau] + [tau / 2 ** k for k in range(6)]
-
-
-def test_safeguard_factors_A_chi_once(monkeypatch):
-    # five halvings factor A_phi for six taus; A_chi does not depend on tau
-    # and is factored once, at set-up
-    calls = []
-    factor = fem.BandCholesky
-    monkeypatch.setattr(fem, "BandCholesky",
-                        lambda ab, rows: calls.append(rows) or factor(ab, rows))
-    opt = Optimizer(small_config(safeguard=True, max_iter=2))
-    tau, taus = safeguard_taus(monkeypatch, (2.0 ** k for k in range(100)), opt)
-    assert len(set(taus)) == 6
-    assert sum(rows is opt.band_order for rows in calls) == 1 + 6
-
-
-def test_safeguard_accepts_a_descending_step(monkeypatch):
-    tau, taus = safeguard_taus(monkeypatch, (2.0 ** -k for k in range(100)))
-    assert taus == [tau, tau]
-
-
-def test_safeguard_reuses_the_accepted_trial_state_solve(monkeypatch):
-    """Each trial is evaluated once and, if accepted, is the next iterate:
-    counted as factorizations of the elastic operator K."""
+def test_run_factors_the_elastic_operator_once_per_iteration(monkeypatch):
+    """Each trial is evaluated once and is the next iterate: the initial
+    field, then one factorization of the elastic operator K per iteration;
+    the phase operators are not factored again."""
     factored = []
     factor = fem.BandCholesky
     monkeypatch.setattr(fem, "BandCholesky",
                         lambda ab, rows: factored.append(rows) or factor(ab, rows))
-
-    def elastic_factorizations(objectives=None, **kw):
-        opt = Optimizer(small_config(**kw))
-        if objectives is not None:
-            values = iter(objectives)
-            monkeypatch.setattr(opt, "objective_of", lambda *args: next(values))
-        factored.clear()
-        opt.run()
-        return sum(rows is opt.elastic.dofs for rows in factored)
-
-    # every trial accepted: the initial field, then one trial per iteration
-    assert elastic_factorizations((2.0 ** -k for k in range(100)),
-                                  safeguard=True, max_iter=4) == 1 + 4
-    # every trial rises: iteration 1 is not checked, iteration 2 tries six
-    # taus and keeps the sixth trial without solving it again
-    assert elastic_factorizations((2.0 ** k for k in range(100)),
-                                  safeguard=True, max_iter=2) == 1 + 1 + 6
-    # without the safeguard: the initial field, then one per iteration
-    assert elastic_factorizations(max_iter=5) == 1 + 5
+    opt = Optimizer(small_config(max_iter=5))
+    factored.clear()
+    opt.run()
+    assert len(factored) == 1 + 5
+    assert all(rows is opt.elastic.dofs for rows in factored)
 
 
 # --- the loop ---------------------------------------------------------------
@@ -500,20 +449,81 @@ def test_run_rejects_non_finite_displacement(monkeypatch):
         opt.run()
 
 
-@pytest.mark.parametrize("safeguard", [False, True])
-def test_run_rejects_a_non_finite_trial_before_solving_it(monkeypatch, safeguard):
-    """A NaN phase step is reported as such, on the safeguard's trial path
-    too, before its elastic operator is factored."""
-    opt = Optimizer(small_config(safeguard=safeguard))
+def test_run_rejects_a_non_finite_trial_before_solving_it(monkeypatch):
+    """A NaN phase step is reported as such, before its elastic operator is
+    factored."""
+    opt = Optimizer(small_config())
     step = opt.phase_field_step
     calls = []
 
-    def nan_step(iterate, U, tau=None):
-        phi_star, chi_star, lam = step(iterate, U, tau=tau)
-        calls.append(tau)
+    def nan_step(iterate, U):
+        phi_star, chi_star, lam = step(iterate, U)
+        calls.append(lam)
         return (np.full_like(phi_star, np.nan) if len(calls) == 2 else phi_star,
                 chi_star, lam)
 
     monkeypatch.setattr(opt, "phase_field_step", nan_step)
     with pytest.raises(fem.SolverError, match="iteration 2: non-finite phi"):
         opt.run()
+
+
+# --- the loop over the config space -----------------------------------------
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def runnable_configs(draw):
+    """Configs that validate accepts on meshes up to 12x6: the benchmark or
+    the default base, with the optimizer's weights, steps and volume drawn
+    over wide ranges, a body force in some draws and a frozen void box in
+    others."""
+    base = draw(st.sampled_from([benchmark_config, cantilever_config]))()
+    body_force, fixed_void = (0.0, 0.0), ()
+    if draw(st.booleans()):
+        body_force = (draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
+    if draw(st.booleans()):
+        x0, y0 = draw(st.floats(0.0, 150.0)), draw(st.floats(0.0, 80.0))
+        fixed_void = (Box(x0, y0, x0 + draw(st.floats(5.0, 50.0)),
+                          y0 + draw(st.floats(5.0, 40.0))),)
+    config = dataclasses.replace(
+        base, mesh_nx=draw(st.integers(2, 12)), mesh_ny=draw(st.integers(1, 6)),
+        kappa2=draw(log_uniform(1, 6)), kappa5=draw(st.sampled_from([0.0, 1.0, 10.0])),
+        beta=draw(st.sampled_from([1 / 6, 1 / 2, 1.0])), tau=draw(log_uniform(-7, -2)),
+        volume_fraction=draw(st.floats(0.3, 0.9)), body_force=body_force,
+        fixed_void=fixed_void, max_iter=30)
+    assume(validate(config) == [])
+    return config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(config=runnable_configs())
+def test_every_accepted_iterate_is_finite_and_admissible(config):
+    """Each iterate the loop accepts has finite fields, the exact volume
+    before the projection, 0 <= phi <= 1, 0 <= chi <= phi (chi = m for
+    beta = 1) and phi = 0 on the frozen void; a run that cannot go on
+    raises SolverError or ConfigError."""
+    note(repr(config))
+    opt = Optimizer(config)
+    V = opt.volume_target
+    void = np.zeros(opt.mesh.node_count, dtype=bool)
+    for box in config.fixed_void:
+        void[locate_region_nodes(opt.mesh, box)] = True
+
+    def check(x, record):
+        for name in ("phi", "chi", "u", "sigma", "objective"):
+            assert np.all(np.isfinite(getattr(x, name))), name
+        assert abs(x.volume_presnap - V) <= 1e-9 * V
+        assert np.all((x.phi >= 0.0) & (x.phi <= 1.0))
+        if opt.single_material:
+            assert np.all(x.chi == config.volume_fraction)
+        else:
+            assert np.all((x.chi >= 0.0) & (x.chi <= x.phi))
+        assert np.all(x.phi[void] == 0.0)
+
+    try:
+        opt.run(callback=check)
+    except (fem.SolverError, ConfigError) as exc:
+        note(f"raised {exc!r}")
+
