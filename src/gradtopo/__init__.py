@@ -19,7 +19,7 @@ from gradtopo.config import (RunConfig, benchmark_config, cantilever_config,
                              load_config, validate)
 from gradtopo.mesh import Mesh, build_rect_mesh
 from gradtopo.material import MaterialModel
-from gradtopo.optimizer import Iterate, Optimizer, run
+from gradtopo.optimizer import Iterate, Optimizer
 
 __all__ = [
     "RunConfig",
@@ -32,5 +32,4 @@ __all__ = [
     "MaterialModel",
     "Optimizer",
     "Iterate",
-    "run",
 ]

@@ -32,12 +32,14 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _setup_logging():
-    """Log at GRADTOPO_LOG's level (INFO when unset or empty)."""
+    """Log at GRADTOPO_LOG's level (INFO when unset or empty), read on every
+    call: basicConfig only installs the handler, once per process."""
     level = (os.environ.get("GRADTOPO_LOG") or "INFO").upper()
     if level not in LOG_LEVELS:
         raise ConfigError(f"GRADTOPO_LOG must be one of {', '.join(LOG_LEVELS)}, "
                           f"got {os.environ['GRADTOPO_LOG']!r}")
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+    logging.basicConfig(format="%(levelname)s %(message)s")
+    log.setLevel(level)
 
 
 def _load(args, default_builtin=False):
@@ -53,13 +55,11 @@ def _load(args, default_builtin=False):
 
 
 def _apply_overrides(config, args):
-    """Apply --set, then --out and --seed, on top of a base config."""
-    if getattr(args, "set", None):
+    """Apply --set, then --out, on top of a base config."""
+    if args.set:
         config = apply_overrides(config, args.set)
-    if getattr(args, "out", None):
+    if args.out:
         config = apply_overrides(config, [f"output.directory={args.out}"])
-    if getattr(args, "seed", None) is not None:
-        config = apply_overrides(config, [f"optimizer.seed={args.seed}"])
     return config
 
 
@@ -191,13 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p):
         p.add_argument("--config", help="configuration file path")
         p.add_argument("--set", action="append", default=[],
                        metavar="section.key=value", help="override a config key")
         p.add_argument("--out", help="output directory override")
-        if seed:        # export-stl runs no optimization, so it has no seed
-            p.add_argument("--seed", type=int, help="RNG seed override")
 
     p = sub.add_parser("run", help="run one optimization")
     common(p)
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-stl", help="threshold-split a snapshot into STLs")
-    common(p, seed=False)
+    common(p)
     p.add_argument("--snapshot", required=True, help="fields.npz from a run")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--height", type=float, default=10.0)
@@ -236,10 +234,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         return args.func(args)
-    except (ConfigError, export.GeometryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigError, export.GeometryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

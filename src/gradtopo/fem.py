@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 __all__ = [
     "SolverError",
@@ -284,15 +284,19 @@ class BandCholesky:
         self._rows = rows
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with x[rows] = A^-1 b[rows], and zero at every other entry of b."""
-        y = b[self._rows]
-        r0 = int(np.argmax(y != 0.0))           # first nonzero row (0 if none)
-        if r0 == 0:
-            y, _ = lapack.dpbtrs(self._factor, y, lower=1)
-        else:   # y = L^-1 b is zero above r0: sweep the trailing factor only
-            y[r0:], _ = lapack.dtbtrs(self._factor[:, r0:], y[r0:], uplo="L")
-            y, _ = lapack.dtbtrs(self._factor, y, uplo="L", trans="T")
-        x = np.zeros_like(b)
+        """x with x[rows] = A^-1 b[rows], and zero at every other entry of b.
+
+        y = L^-1 b[rows] is zero above b's first nonzero row r0 (0 if none),
+        so the forward sweep runs on the trailing factor only; both sweeps
+        overwrite y in place, so it is float64 whatever b's dtype.
+        """
+        y = b[self._rows].astype(float, copy=False)
+        r0 = int(np.argmax(y != 0.0))
+        L = self._factor
+        kd = L.shape[0] - 1
+        blas.dtbsv(kd, L[:, r0:], y[r0:], lower=1, overwrite_x=1)
+        blas.dtbsv(kd, L, y, lower=1, trans=1, overwrite_x=1)
+        x = np.zeros(b.shape)
         x[self._rows] = y
         return x
 

@@ -47,7 +47,7 @@ class Mesh:
     def element_count(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def area(self) -> float:
         return float(self.element_areas.sum())
 

@@ -6,10 +6,10 @@ phase fields under the exact volume constraint, the projection
 `Optimizer.project` onto the admissible set 0 <= chi <= phi <= 1 with the
 frozen regions, and the evaluation of the new design into an `Iterate`
 (elastic state, stress aggregate, objective).  The accepted Iterate carries
-its step's fields, is recorded, and is stepped from next; `run` returns the
-last one.  `Optimizer.gradient` is the exact gradient of the objective, and
-the KKT step is its semi-implicit flow: both read the explicit force terms
-from `_flow_rhs`.
+its step's fields, is recorded, and is stepped from next; `Optimizer.run`
+returns the last one.  `Optimizer.gradient` is the exact gradient of the
+objective, and the KKT step is its semi-implicit flow: both read the
+explicit force terms from `_flow_rhs`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from gradtopo.config import RunConfig, validated
 from gradtopo.material import MaterialModel, W, dW
 from gradtopo.mesh import build_rect_mesh, locate_region_nodes
 
-__all__ = ["Iterate", "IterationRecord", "Optimizer", "run", "rescale"]
+__all__ = ["Iterate", "IterationRecord", "Optimizer"]
 
 
 @dataclass
@@ -73,11 +73,6 @@ class IterationRecord:
                   "delta_chi", "lam", "max_von_mises")
 
 
-def rescale(values: np.ndarray, lower, upper) -> np.ndarray:
-    """Entrywise clamp onto [lower, upper] (idempotent)."""
-    return np.minimum(np.maximum(values, lower), upper)
-
-
 class Optimizer:
     """Holds the mesh, material, and prefactorized constant operators."""
 
@@ -88,9 +83,8 @@ class Optimizer:
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
         self.weights = fem.lumped_weights(self.mesh)           # volume row
         self.M_raw, self.K_raw = fem.assemble_scalar_operators(self.mesh)
-        self.area = self.mesh.area
         self.band_order = fem.band_order(self.mesh)     # scalar-field band rows
-        self.volume_target = config.volume_fraction * self.area
+        self.volume_target = config.volume_fraction * self.mesh.area
         # beta = 1: chi never enters the physics (dK/dchi = 0), so the
         # two-scale field degenerates and chi stays at the uniform fraction m
         self.single_material = config.beta == 1.0
@@ -132,8 +126,8 @@ class Optimizer:
         """Nearest admissible design: phi clamped to [0, 1] (or a frozen
         region's value), then chi to [0, phi].  For beta = 1 chi is inert
         (dK/dchi = 0) and is returned unchanged."""
-        phi = rescale(phi, self.phi_lower, self.phi_upper)
-        return phi, (chi if self.single_material else rescale(chi, 0.0, phi))
+        phi = np.minimum(np.maximum(phi, self.phi_lower), self.phi_upper)
+        return phi, (chi if self.single_material else np.minimum(np.maximum(chi, 0.0), phi))
 
     def initial_design(self):
         """Uniform phi = chi = m with optional seeded noise on phi, projected."""
@@ -229,7 +223,7 @@ class Optimizer:
         return c * self.config.thickness
 
     def m_chi_of(self, chi) -> float:
-        return float(self.weights @ chi) / self.area
+        return float(self.weights @ chi) / self.mesh.area
 
     def objective_of(self, phi, chi, u, aggregate) -> float:
         """Discrete cost: Ginzburg-Landau + chi-gradient + load work + stress.
@@ -244,7 +238,7 @@ class Optimizer:
         grad_chi = 0.5 * cfg.kappa2 * gc * float(chi @ (self.K_raw @ chi))
         work = cfg.kappa4 * float(self.traction_load @ u) \
             + cfg.kappa3 * float(phi @ (self.C @ u))
-        stress_term = cfg.kappa5 * self.area * aggregate.F_value
+        stress_term = cfg.kappa5 * self.mesh.area * aggregate.F_value
         return gl + grad_chi + work + stress_term
 
     def l2_norm(self, v) -> float:
@@ -297,8 +291,3 @@ def _require_finite(it: int, **fields) -> None:
     for name, value in fields.items():
         if not np.all(np.isfinite(value)):
             raise fem.SolverError(f"iteration {it}: non-finite {name}")
-
-
-def run(config: RunConfig, callback=None):
-    """Convenience wrapper: build an Optimizer and execute the loop."""
-    return Optimizer(config).run(callback=callback)

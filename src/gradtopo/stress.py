@@ -39,10 +39,9 @@ def von_mises(sigma: np.ndarray) -> np.ndarray:
     return np.sqrt(s11 * s11 - s11 * s22 + s22 * s22 + 3.0 * s12 * s12)
 
 
-def von_mises_gradient(sigma: np.ndarray, vm: np.ndarray | None = None) -> np.ndarray:
-    """d(sigma_vm)/d(sigma Voigt), zero at the sigma_vm = 0 kink; vm, when
-    given, is von_mises(sigma)."""
-    vm = von_mises(sigma) if vm is None else vm
+def von_mises_gradient(sigma: np.ndarray, vm: np.ndarray) -> np.ndarray:
+    """d(sigma_vm)/d(sigma Voigt) for vm = von_mises(sigma), zero at the
+    sigma_vm = 0 kink."""
     inv = np.divide(0.5, vm, out=np.zeros_like(vm), where=vm > 0.0)
     s11, s22, s12 = sigma[..., 0], sigma[..., 1], sigma[..., 2]
     return np.stack([(2.0 * s11 - s22) * inv, (2.0 * s22 - s11) * inv,

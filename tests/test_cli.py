@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 import reference
-from gradtopo.cli import (EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser,
-                           main)
+from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from gradtopo.config import apply_overrides, benchmark_config
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
@@ -285,6 +284,17 @@ def test_log_level_gates_the_progress_lines(tmp_path, level, progress):
     assert "iterations=3" in proc.stdout
 
 
+@pytest.mark.parametrize("first, second", [("INFO", "WARNING"), ("WARNING", "INFO")])
+def test_log_level_is_read_on_every_call(tmp_path, monkeypatch, caplog, first, second):
+    """Each main call in one process logs at its own GRADTOPO_LOG."""
+    argv = ["bench", *TINY, "--set", "output.log_every=1"]
+    for run, level in enumerate((first, second)):
+        caplog.clear()
+        monkeypatch.setenv("GRADTOPO_LOG", level)
+        assert main([*argv, "--out", str(tmp_path / str(run))]) == EXIT_NOT_CONVERGED
+        assert ("iter=" in caplog.text) == (level == "INFO")
+
+
 def test_console_script_installed(tmp_path):
     # end-to-end through the installed entry point
     proc = subprocess.run([sys.executable, "-m", "gradtopo.cli", "validate",
@@ -298,7 +308,8 @@ def test_bench_applies_seed(monkeypatch):
     seen = []
     monkeypatch.setattr("gradtopo.cli._execute",
                         lambda config: seen.append(config) or EXIT_OK)
-    assert main(["bench", "--seed", "7", "--set", "optimizer.max_iter=1"]) == EXIT_OK
+    assert main(["bench", "--set", "optimizer.seed=7",
+                 "--set", "optimizer.max_iter=1"]) == EXIT_OK
     assert seen[0].seed == 7
     assert seen[0].max_iter == 1
     assert seen[0].perturb > 0.0          # still the benchmark scenario
@@ -350,19 +361,15 @@ def test_run_rejects_unusable_values(tmp_path, capsys, caplog, override, name):
     assert not out.exists()
 
 
-def test_export_stl_takes_no_seed(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["run"], ["bench"], ["sweep", "optimizer.kappa2=40"],
+                                  ["validate"], ["export-stl", "--snapshot", "fields.npz"]],
+                         ids=["run", "bench", "sweep", "validate", "export-stl"])
+def test_seed_flag_refused(capsys, argv):
+    """The seed is set as optimizer.seed=N with --set, on every command."""
     with pytest.raises(SystemExit) as exc:
-        main(["export-stl", "--snapshot", str(tmp_path / "fields.npz"),
-              "--seed", "3"])
+        main([*argv, "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["run", "bench", "sweep", "validate"])
-def test_seed_flag_registered(command):
-    args = build_parser().parse_args([command, "--seed", "3"]
-                                     + (["optimizer.kappa2=40"] if command == "sweep" else []))
-    assert args.seed == 3
 
 
 def test_threads_flag_removed(capsys):

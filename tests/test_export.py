@@ -12,7 +12,7 @@ import reference
 from gradtopo import export, stress
 from gradtopo.config import cantilever_config
 from gradtopo.mesh import build_rect_mesh
-from gradtopo.optimizer import IterationRecord, run
+from gradtopo.optimizer import IterationRecord, Optimizer
 
 
 def make_mesh(nx=20, ny=10):
@@ -23,7 +23,7 @@ def make_mesh(nx=20, ny=10):
 
 def test_vtk_round_trip(tmp_path):
     cfg = cantilever_config(mesh_nx=6, mesh_ny=3, max_iter=2)
-    state, _ = run(cfg)
+    state, _ = Optimizer(cfg).run()
     mesh = build_rect_mesh(cfg)
     path = str(tmp_path / "fields.vtk")
     export.write_fields(state, mesh, path)

@@ -423,6 +423,19 @@ def test_band_solve_from_the_first_nonzero_row(rhs):
     assert not np.delete(x, op.dofs).any()
 
 
+@pytest.mark.parametrize("rhs", ["full", "weights"])
+def test_band_solve_of_a_phase_operator_matches_dpbtrs(rhs):
+    cfg, mesh, mat = setup(20, 10)
+    M, K = fem.assemble_scalar_operators(mesh)
+    rows = fem.band_order(mesh)
+    ab = fem.lower_band(1e3 * M + K, rows)
+    b = (fem.lumped_weights(mesh) if rhs == "weights"
+         else np.random.default_rng(4).standard_normal(mesh.node_count))
+    factor, _ = lapack.dpbtrf(ab, lower=1)
+    x = fem.BandCholesky(ab, rows).solve(b)
+    assert np.array_equal(x[rows], lapack.dpbtrs(factor, b[rows], lower=1)[0])
+
+
 def test_factor_spd_singular_is_a_solver_error():
     A = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(fem.SolverError, match="factorization"):

@@ -11,7 +11,7 @@ from gradtopo.config import (Box, ConfigError, benchmark_config, cantilever_conf
                              validate)
 from gradtopo.material import dW
 from gradtopo.mesh import locate_region_nodes
-from gradtopo.optimizer import Optimizer, rescale, run
+from gradtopo.optimizer import Optimizer
 
 
 def small_config(**kw):
@@ -33,7 +33,7 @@ def test_initialize_uniform():
     opt = Optimizer(cfg)
     phi, chi = opt.initial_design()
     assert np.all(phi == 0.8) and np.all(chi == 0.8)
-    assert float(opt.weights @ phi) == pytest.approx(0.8 * opt.area, rel=1e-14)
+    assert float(opt.weights @ phi) == pytest.approx(0.8 * opt.mesh.area, rel=1e-14)
 
 
 def test_initialize_frozen_regions():
@@ -55,17 +55,6 @@ def test_initialize_noise_deterministic():
     assert np.array_equal(phi1, phi2)
     assert np.any(phi1 != 0.8)
     assert np.all((phi1 >= 0.0) & (phi1 <= 1.0))
-
-
-def test_rescale_clamps_and_is_idempotent():
-    v = np.array([-0.5, 0.2, 0.8, 1.7])
-    out = rescale(v, 0.0, 1.0)
-    assert np.array_equal(out, [0.0, 0.2, 0.8, 1.0])
-    assert np.array_equal(rescale(out, 0.0, 1.0), out)
-    # array bounds (frozen regions)
-    lo = np.array([0.0, 0.5, 0.0, 0.0])
-    hi = np.array([1.0, 1.0, 0.1, 1.0])
-    assert np.array_equal(rescale(v, lo, hi), [0.0, 0.5, 0.1, 1.0])
 
 
 FROZEN = dict(mesh_nx=8, mesh_ny=4, fixed_void=(Box(0, 0, 50, 100),),
@@ -94,6 +83,14 @@ def test_project_is_idempotent_and_admissible():
     assert np.all((chi >= 0.0) & (chi <= phi))
     again = opt.project(phi, chi)
     assert np.array_equal(again[0], phi) and np.array_equal(again[1], chi)
+
+
+def test_project_passes_in_range_values_through():
+    opt = Optimizer(small_config())
+    v = np.resize([-0.5, 0.2, 0.8, 1.7], opt.mesh.node_count)
+    phi, chi = opt.project(v, v)
+    expected = np.resize([0.0, 0.2, 0.8, 1.0], opt.mesh.node_count)
+    assert np.array_equal(phi, expected) and np.array_equal(chi, expected)
 
 
 def test_project_leaves_chi_alone_for_beta_one():
@@ -320,7 +317,7 @@ def test_run_factors_the_elastic_operator_once_per_iteration(monkeypatch):
 
 def test_run_reports_history_and_state():
     cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=5)
-    state, history = run(cfg)
+    state, history = Optimizer(cfg).run()
     assert len(history) == 5 and state.iter == 5
     assert not state.converged
     assert np.all(np.isfinite(state.phi)) and np.all(np.isfinite(state.u))
@@ -337,7 +334,7 @@ def test_history_records_each_iterate_with_its_own_state():
     final state is the last row's iterate."""
     cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=6)
     iterates = []
-    state, history = run(cfg, callback=lambda s, r: iterates.append(
+    state, history = Optimizer(cfg).run(callback=lambda s, r: iterates.append(
         (s.phi.copy(), s.chi.copy())))
     check = Optimizer(cfg)
     for (phi, chi), rec in zip(iterates, history, strict=True):
@@ -350,7 +347,7 @@ def test_history_records_each_iterate_with_its_own_state():
 
 
 def test_run_convergence_flag_with_loose_tolerance():
-    state, history = run(small_config(tol=1e6, max_iter=50))
+    state, history = Optimizer(small_config(tol=1e6, max_iter=50)).run()
     assert state.converged
     assert state.iter == 1
     assert history[-1].delta_phi < 1e6
@@ -358,8 +355,8 @@ def test_run_convergence_flag_with_loose_tolerance():
 
 def test_run_deterministic():
     cfg = small_config(mesh_nx=6, mesh_ny=3, max_iter=4)
-    s1, h1 = run(cfg)
-    s2, h2 = run(cfg)
+    s1, h1 = Optimizer(cfg).run()
+    s2, h2 = Optimizer(cfg).run()
     assert np.array_equal(s1.phi, s2.phi)
     assert np.array_equal(s1.chi, s2.chi)
     assert [r.objective for r in h1] == [r.objective for r in h2]
@@ -377,14 +374,14 @@ def test_run_honors_frozen_regions():
 
 def test_callback_invoked_each_iteration():
     seen = []
-    run(small_config(max_iter=3), callback=lambda s, r: seen.append(r.iter))
+    Optimizer(small_config(max_iter=3)).run(callback=lambda s, r: seen.append(r.iter))
     assert seen == [1, 2, 3]
 
 
 def test_run_returns_the_iterate_of_its_last_callback():
     seen = []
-    state, history = run(small_config(max_iter=3),
-                         callback=lambda s, r: seen.append((s, r)))
+    state, history = Optimizer(small_config(max_iter=3)).run(
+        callback=lambda s, r: seen.append((s, r)))
     assert state is seen[-1][0] and history[-1] is seen[-1][1]
     assert [s.iter for s, _ in seen] == [1, 2, 3]
     assert state.m_chi == history[-1].m_chi and state.lam == history[-1].lam
@@ -393,7 +390,7 @@ def test_run_returns_the_iterate_of_its_last_callback():
 def test_beta_one_keeps_chi_fraction_at_m():
     """Single material: chi has no driving force, so m_chi stays at m."""
     cfg = small_config(mesh_nx=8, mesh_ny=4, max_iter=5, beta=1.0, kappa5=0.0)
-    state, _ = run(cfg)
+    state, _ = Optimizer(cfg).run()
     assert state.m_chi == pytest.approx(0.8, abs=1e-6)
 
 

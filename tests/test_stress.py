@@ -37,7 +37,7 @@ def test_von_mises_hand_values():
 def test_von_mises_gradient_fd():
     rng = np.random.default_rng(3)
     sigma = 40.0 * rng.standard_normal((20, 3))
-    grad = stress.von_mises_gradient(sigma)
+    grad = stress.von_mises_gradient(sigma, stress.von_mises(sigma))
     h = 1e-6
     for k in range(3):
         dp = sigma.copy()
@@ -49,7 +49,8 @@ def test_von_mises_gradient_fd():
 
 
 def test_von_mises_gradient_zero_at_kink():
-    g = stress.von_mises_gradient(np.zeros((3, 3)))
+    sigma = np.zeros((3, 3))
+    g = stress.von_mises_gradient(sigma, stress.von_mises(sigma))
     assert np.all(g == 0.0)
 
 
