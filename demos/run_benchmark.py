@@ -19,7 +19,7 @@ def main():
     outdir = os.path.join("out", "benchmark")
     os.makedirs(outdir, exist_ok=True)
 
-    config = benchmark_config(output_dir=outdir)
+    config = benchmark_config()
     opt = Optimizer(config)
 
     def progress(state, rec):
@@ -34,7 +34,7 @@ def main():
           f"{state.iter} iterations: compliance {state.compliance:.1f}, "
           f"m_chi {state.m_chi:.3f}")
 
-    export.write_run(config, state, history, opt.mesh)
+    export.write_run(outdir, state, history, opt.mesh)
     # split the material region phi > 0.5 at chi = 0.5 into two printable
     # solids, extruded 10 mm
     for path, n in export.split_to_stl(state.phi, state.chi, opt.mesh,

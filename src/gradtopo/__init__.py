@@ -14,22 +14,3 @@ import os
 # only when numpy is not loaded yet, as under the gradtopo command.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-from gradtopo.config import (RunConfig, benchmark_config, cantilever_config,
-                             load_config, validate)
-from gradtopo.mesh import Mesh, build_rect_mesh
-from gradtopo.material import MaterialModel
-from gradtopo.optimizer import Iterate, Optimizer
-
-__all__ = [
-    "RunConfig",
-    "cantilever_config",
-    "benchmark_config",
-    "load_config",
-    "validate",
-    "Mesh",
-    "build_rect_mesh",
-    "MaterialModel",
-    "Optimizer",
-    "Iterate",
-]

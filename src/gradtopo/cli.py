@@ -1,8 +1,9 @@
 """Command-line entry point: config -> optimize -> export.
 
 Exit codes: 0 converged, 2 iteration cap reached, 1 error.  The environment
-variable GRADTOPO_LOG selects the log level: DEBUG, INFO (the default),
-WARNING, ERROR or CRITICAL; any other value is an error.
+variable GRADTOPO_LOG selects the log level: DEBUG, INFO (the default, with a
+progress line every PROGRESS_EVERY iterations), WARNING, ERROR or CRITICAL;
+any other value is an error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+PROGRESS_EVERY = 50
 
 
 def _setup_logging():
@@ -44,44 +46,36 @@ def _setup_logging():
 
 def _load(args, default_builtin=False):
     """The --config file, or the built-in benchmark scenario if default_builtin,
-    with the command-line overrides applied."""
+    with the --set overrides applied."""
     if args.config:
         config = load_config(args.config)
     elif default_builtin:
         config = benchmark_config()
     else:
         raise ConfigError("--config is required (or use the bench subcommand)")
-    return _apply_overrides(config, args)
+    return apply_overrides(config, args.set)
 
 
-def _apply_overrides(config, args):
-    """Apply --set, then --out, on top of a base config."""
-    if args.set:
-        config = apply_overrides(config, args.set)
-    if args.out:
-        config = apply_overrides(config, [f"output.directory={args.out}"])
-    return config
-
-
-def _optimize(config, callback=None):
-    """Run the optimizer on config and write its outputs; (state, history)."""
-    os.makedirs(config.output_dir, exist_ok=True)
+def _optimize(config, outdir, callback=None):
+    """Run the optimizer on config and write its outputs to outdir;
+    (state, history)."""
+    os.makedirs(outdir, exist_ok=True)
     opt = Optimizer(config)
     state, history = opt.run(callback=callback)
-    export.write_run(config, state, history, opt.mesh)
+    export.write_run(outdir, state, history, opt.mesh)
     return state, history
 
 
-def _execute(config) -> int:
+def _execute(config, outdir) -> int:
     t0 = time.perf_counter()
 
     def progress(state, rec):
-        if config.log_every and state.iter % config.log_every == 0:
+        if state.iter % PROGRESS_EVERY == 0:
             log.info("iter=%d objective=%.6g compliance=%.6g m_chi=%.4f "
                      "delta_phi=%.3e delta_chi=%.3e", rec.iter, rec.objective,
                      rec.compliance, rec.m_chi, rec.delta_phi, rec.delta_chi)
 
-    state, history = _optimize(config, progress)
+    state, history = _optimize(config, outdir, progress)
     last = history[-1]
     # iterations over the loop's wall time (set-up and export excluded)
     iters_per_s = state.iter / last.wall_time
@@ -94,14 +88,14 @@ def _execute(config) -> int:
 
 
 def cmd_run(args) -> int:
-    return _execute(_load(args))
+    return _execute(_load(args), args.out)
 
 
 def cmd_bench(args) -> int:
     if args.config:
         raise ConfigError("bench runs the built-in benchmark scenario and takes "
                           "no --config (use run --config)")
-    return _execute(_apply_overrides(benchmark_config(), args))
+    return _execute(_load(args, default_builtin=True), args.out)
 
 
 def cmd_validate(args) -> int:
@@ -132,10 +126,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for label, name, overrides in variants:
         try:
-            config = apply_overrides(base, overrides)
-            subdir = os.path.join(config.output_dir, name)
-            state, _ = _optimize(
-                apply_overrides(config, [f"output.directory={subdir}"]))
+            state, _ = _optimize(apply_overrides(base, overrides),
+                                 os.path.join(args.out, name))
             rows.append((label, f"{state.compliance:.6g}", f"{state.m_chi:.4g}",
                          "YES" if state.converged else "NO"))
         except Exception as exc:  # per-run failures recorded, sweep continues
@@ -180,7 +172,7 @@ def cmd_export_stl(args) -> int:
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
         raise ConfigError("snapshot holds non-finite phi or chi values")
     for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
-                                       args.height, args.out or "."):
+                                       args.height, args.out):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -191,18 +183,20 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=None):
         p.add_argument("--config", help="configuration file path")
         p.add_argument("--set", action="append", default=[],
                        metavar="section.key=value", help="override a config key")
-        p.add_argument("--out", help="output directory override")
+        if out is not None:     # validate writes nothing
+            p.add_argument("--out", default=out,
+                           help="output directory (default: %(default)s)")
 
     p = sub.add_parser("run", help="run one optimization")
-    common(p)
+    common(p, "out")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run the tuned built-in cantilever benchmark")
-    common(p)
+    common(p, "out")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("validate", help="validate a configuration file")
@@ -211,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="run a one-key parameter sweep")
-    common(p)
+    common(p, "out")
     p.add_argument("sweep", metavar="section.key=v1,v2,...",
                    help="key and comma-separated values to sweep")
     p.add_argument("--reference-beta1", action="store_true",
@@ -220,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-stl", help="threshold-split a snapshot into STLs")
-    common(p)
+    common(p, ".")
     p.add_argument("--snapshot", required=True, help="fields.npz from a run")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--height", type=float, default=10.0)
@@ -234,7 +228,7 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         return args.func(args)
-    except (ConfigError, export.GeometryError, FileNotFoundError) as exc:
+    except (ConfigError, export.GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

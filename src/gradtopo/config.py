@@ -1,9 +1,9 @@
 """Problem description: the RunConfig data model and its INI-style file format.
 
 The configuration file uses plain ``key = value`` entries grouped under the
-section headers ``[domain]``, ``[material]``, ``[optimizer]``, ``[stress]``
-and ``[output]``.  Any key can be overridden on the command line with
-``--set section.key=value``.
+section headers ``[domain]``, ``[material]``, ``[optimizer]`` and
+``[stress]``, one field of RunConfig per key.  Any key can be overridden on
+the command line with ``--set section.key=value``.
 """
 
 from __future__ import annotations
@@ -59,11 +59,13 @@ class RunConfig:
     domain_height: float = 100.0         # b [mm]
     mesh_nx: int = 100
     mesh_ny: int = 50
-    traction: tuple[float, float] = (0.0, -600.0)   # g [N/mm]
+    traction_x: float = 0.0              # g [N/mm]
+    traction_y: float = -600.0
     traction_length: float | None = None  # default b/10, right edge
     traction_center: float | None = None  # default b/2
     thickness: float = 1.0               # out-of-plane plate thickness [mm]
-    body_force: tuple[float, float] = (0.0, 0.0)    # f [N/mm^3]
+    body_fx: float = 0.0                 # f [N/mm^3]
+    body_fy: float = 0.0
     fixed_void: tuple[Box, ...] = ()      # phi = 0 regions
     fixed_solid: tuple[Box, ...] = ()     # phi = 1 regions
 
@@ -92,10 +94,6 @@ class RunConfig:
     # [stress]
     pnorm_p: int = 8
     yield_stress: float = 45.0           # sigma_y [MPa]
-
-    # [output]
-    output_dir: str = "out"
-    log_every: int = 50
 
     @property
     def traction_length_eff(self) -> float:
@@ -152,8 +150,8 @@ def validate(config: RunConfig) -> list[str]:
     for name in ("kappa1", "kappa2", "kappa3", "kappa4", "kappa5"):
         if not (0.0 <= getattr(config, name) < math.inf):
             v.append(f"{name}: must be >= 0 and finite, got {getattr(config, name)}")
-    for name in ("traction", "body_force"):
-        if not all(map(math.isfinite, getattr(config, name))):
+    for name in ("traction_x", "traction_y", "body_fx", "body_fy"):
+        if not math.isfinite(getattr(config, name)):
             v.append(f"{name}: must be finite, got {getattr(config, name)}")
     positive("tau", config.tau)
     if config.tau_chi is not None:
@@ -226,13 +224,13 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("domain", "height"): ("domain_height", float),
     ("domain", "nx"): ("mesh_nx", int),
     ("domain", "ny"): ("mesh_ny", int),
-    ("domain", "traction_x"): ("traction.0", float),
-    ("domain", "traction_y"): ("traction.1", float),
+    ("domain", "traction_x"): ("traction_x", float),
+    ("domain", "traction_y"): ("traction_y", float),
     ("domain", "traction_length"): ("traction_length", float),
     ("domain", "traction_center"): ("traction_center", float),
     ("domain", "thickness"): ("thickness", float),
-    ("domain", "body_fx"): ("body_force.0", float),
-    ("domain", "body_fy"): ("body_force.1", float),
+    ("domain", "body_fx"): ("body_fx", float),
+    ("domain", "body_fy"): ("body_fy", float),
     ("domain", "fixed_void"): ("fixed_void", _parse_boxes),
     ("domain", "fixed_solid"): ("fixed_solid", _parse_boxes),
     ("material", "youngs_modulus"): ("youngs_modulus", float),
@@ -255,41 +253,36 @@ _SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("optimizer", "perturb"): ("perturb", float),
     ("stress", "pnorm_p"): ("pnorm_p", int),
     ("stress", "yield_stress"): ("yield_stress", float),
-    ("output", "directory"): ("output_dir", str),
-    ("output", "log_every"): ("log_every", int),
 }
 
 
-def _apply_entry(values: dict, base: RunConfig, section: str, key: str, raw: str) -> None:
-    """Parse one entry into values; a pair's other half is kept from base."""
+def _apply_entry(values: dict, section: str, key: str, raw: str) -> None:
+    """Parse one entry into values, keyed by its field name."""
     try:
         fieldname, parser = _SCHEMA[(section, key)]
     except KeyError:
         raise ConfigError(f"unknown key [{section}] {key}") from None
     try:
-        parsed = parser(raw)
+        values[fieldname] = parser(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
-    if "." in fieldname:
-        name, idx = fieldname.split(".")
-        pair = list(values.get(name, getattr(base, name)))
-        pair[int(idx)] = parsed
-        values[name] = tuple(pair)
-    else:
-        values[fieldname] = parsed
 
 
 def loads_config(text: str) -> RunConfig:
     """Parse configuration text; raises ConfigError on parse or validation failure."""
-    parser = configparser.ConfigParser()
+    # no interpolation: a value is taken as written, '%' included
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"parse failure: {exc}") from None
+    if parser.defaults():
+        raise ConfigError("a [DEFAULT] section is not supported (configparser "
+                          "would copy its keys into every section)")
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            _apply_entry(values, RunConfig(), section, key, raw)
+            _apply_entry(values, section, key, raw)
     return validated(RunConfig(**values))
 
 
@@ -307,11 +300,7 @@ def serialize(config: RunConfig) -> str:
     """Render a RunConfig back to its file format (round-trips via loads_config)."""
     parser = configparser.ConfigParser()
     for (section, key), (fieldname, parser_fn) in _SCHEMA.items():
-        if "." in fieldname:
-            base, idx = fieldname.split(".")
-            value = getattr(config, base)[int(idx)]
-        else:
-            value = getattr(config, fieldname)
+        value = getattr(config, fieldname)
         if value is None:
             continue
         if parser_fn is _parse_boxes:
@@ -336,7 +325,7 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
         lhs, raw = item.split("=", 1)
         section, key = lhs.split(".", 1)
-        _apply_entry(values, config, section.strip(), key.strip(), raw.strip())
+        _apply_entry(values, section.strip(), key.strip(), raw.strip())
     return validated(replace(config, **values))
 
 
@@ -356,7 +345,7 @@ def cantilever_config(**overrides) -> RunConfig:
 # stopping tolerance is chosen so the kappa2 sweep terminates while the
 # graded designs are well differentiated.
 BENCHMARK_OVERRIDES: dict = {
-    "traction": (0.0, -38.0),
+    "traction_y": -38.0,
     "traction_length": 20.0,
     "gamma_phi": 2.0,
     "gamma_chi": 5e-4,

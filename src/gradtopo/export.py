@@ -82,10 +82,9 @@ def write_history_csv(history: list, path: str) -> None:
                              else getattr(rec, f) for f in IterationRecord.CSV_FIELDS])
 
 
-def write_run(config, state, history: list, mesh) -> None:
-    """The outputs of one run in config.output_dir: history.csv, fields.vtk
-    and the fields.npz snapshot that export-stl reads."""
-    outdir = config.output_dir
+def write_run(outdir: str, state, history: list, mesh) -> None:
+    """The outputs of one run in outdir: history.csv, fields.vtk and the
+    fields.npz snapshot that export-stl reads."""
     write_history_csv(history, os.path.join(outdir, "history.csv"))
     write_fields(state, mesh, os.path.join(outdir, "fields.vtk"))
     np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi,

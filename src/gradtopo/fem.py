@@ -203,9 +203,9 @@ def _traction_edge_contributions(mesh, config):
 def assemble_load(mesh, config) -> np.ndarray:
     """Traction load vector [2N] of the line load g on the load strip."""
     nodes, w = _traction_edge_contributions(mesh, config)
-    gx, gy = config.traction
     return np.bincount(np.concatenate([2 * nodes, 2 * nodes + 1]),
-                       np.concatenate([w * gx, w * gy]), minlength=2 * mesh.node_count)
+                       np.concatenate([w * config.traction_x, w * config.traction_y]),
+                       minlength=2 * mesh.node_count)
 
 
 def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
@@ -216,11 +216,12 @@ def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
     of each node's phi, and A_e/3 of the element's load goes to each node.
     A zero body force gives an empty C.
     """
-    if not any(config.body_force):
+    f = np.array([[config.body_fx, config.body_fy]], dtype=float)
+    if not f.any():
         return sp.csr_matrix((mesh.node_count, 2 * mesh.node_count))
     P = node_incidence(mesh)
     share = P.multiply(mesh.element_areas / 9.0) @ P.T
-    return sp.kron(share, np.array([config.body_force], dtype=float), format="csr")
+    return sp.kron(share, f, format="csr")
 
 
 def assemble_scalar_operators(mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradtopo import fem, stress
-from gradtopo.config import RunConfig, validated
+from gradtopo.config import ConfigError, RunConfig, validated
 from gradtopo.material import MaterialModel, W, dW
 from gradtopo.mesh import build_rect_mesh, locate_region_nodes
 
@@ -112,6 +112,13 @@ class Optimizer:
             self.phi_upper[locate_region_nodes(self.mesh, box)] = 0.0
         for box in config.fixed_solid:
             self.phi_lower[locate_region_nodes(self.mesh, box)] = 1.0
+        # the step holds w.phi = V before the projection, so a V that no
+        # admissible phi has would pass every per-iterate check
+        lo, hi = float(self.weights @ self.phi_lower), float(self.weights @ self.phi_upper)
+        if not lo <= self.volume_target <= hi:
+            raise ConfigError(
+                f"volume_fraction: the target volume {self.volume_target:g} lies "
+                f"outside [{lo:g}, {hi:g}], the volumes the frozen regions allow")
 
     # --- operators ---------------------------------------------------------
 

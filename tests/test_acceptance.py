@@ -161,7 +161,7 @@ def test_phi_gradient_oracle_ten_directions():
 
 def test_tip_deflection_matches_timoshenko():
     # full-material cantilever, uniform end shear over the whole right edge
-    cfg = cantilever_config(mesh_nx=200, mesh_ny=100, traction=(0.0, -1.0),
+    cfg = cantilever_config(mesh_nx=200, mesh_ny=100, traction_y=-1.0,
                             traction_length=100.0, kappa5=0.0)
     opt = Optimizer(cfg)
     ones = np.ones(opt.mesh.node_count)

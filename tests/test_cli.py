@@ -12,7 +12,7 @@ from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from gradtopo.config import apply_overrides, benchmark_config
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
-        "--set", "optimizer.max_iter=3", "--set", "output.log_every=0"]
+        "--set", "optimizer.max_iter=3"]
 
 
 def write_cfg(tmp_path, body=""):
@@ -177,6 +177,18 @@ def test_export_stl_rejects_a_snapshot_that_is_not_an_npz(tmp_path, capsys, capl
     assert not (tmp_path / "stl").exists()
 
 
+@pytest.mark.parametrize("command", ["export-stl", "bench"])
+def test_an_output_path_that_is_a_file_is_an_error(tmp_path, capsys, caplog, command):
+    snapshot, taken = str(tmp_path / "snap.npz"), tmp_path / "taken"
+    np.savez(snapshot, phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES, 0.3))
+    taken.write_text("")
+    argv = ["--snapshot", snapshot] if command == "export-stl" else []
+    assert main([command, *argv, *TINY, "--out", str(taken)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert "run failed" not in caplog.text        # no traceback logged
+
+
 def test_export_stl_rejects_empty_design(tmp_path, capsys):
     void = np.full(TINY_NODES, 0.2)       # no material anywhere
     assert export_fields(tmp_path, phi=void, chi=void) == EXIT_ERROR
@@ -216,12 +228,15 @@ def test_sweep_runs_the_benchmark_without_config(tmp_path, monkeypatch):
     seen = []
     state = SimpleNamespace(compliance=1.0, m_chi=0.5, converged=True)
     monkeypatch.setattr("gradtopo.cli._optimize",
-                        lambda config: seen.append(config) or (state, []))
+                        lambda config, outdir: seen.append((config, outdir)) or (state, []))
     out = str(tmp_path / "sweep")
     assert main(["sweep", "optimizer.kappa2=40", "--out", out]) == EXIT_OK
-    assert seen == [apply_overrides(benchmark_config(), [
-        f"output.directory={os.path.join(out, 'optimizer_kappa2_40')}",
-        "optimizer.kappa2=40"])]
+    assert seen == [(apply_overrides(benchmark_config(), ["optimizer.kappa2=40"]),
+                     os.path.join(out, "optimizer_kappa2_40"))]
+    seen.clear()
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "optimizer.kappa2=40"]) == EXIT_OK
+    assert [outdir for _, outdir in seen] == [os.path.join("out", "optimizer_kappa2_40")]
 
 
 def test_sweep_bad_spec(capsys):
@@ -236,13 +251,13 @@ def test_sweep_names_directories_from_the_stripped_key_and_value(
     seen = []
     state = SimpleNamespace(compliance=1.0, m_chi=0.5, converged=True)
     monkeypatch.setattr("gradtopo.cli._optimize",
-                        lambda config: seen.append(config) or (state, []))
+                        lambda config, outdir: seen.append((config, outdir)) or (state, []))
     out = str(tmp_path / "sweep")
     assert main(["sweep", spec, "--out", out]) == EXIT_OK
-    assert [config.output_dir for config in seen] == [
+    assert [outdir for _, outdir in seen] == [
         os.path.join(out, "optimizer_kappa2_40"),
         os.path.join(out, "optimizer_kappa2_4000")]
-    assert [config.kappa2 for config in seen] == [40.0, 4000.0]
+    assert [config.kappa2 for config, _ in seen] == [40.0, 4000.0]
 
 
 @pytest.mark.parametrize("spec, extra, shared", [
@@ -254,7 +269,7 @@ def test_sweep_names_directories_from_the_stripped_key_and_value(
 def test_sweep_refuses_variants_that_share_a_directory(monkeypatch, capsys, spec,
                                                        extra, shared):
     monkeypatch.setattr("gradtopo.cli._optimize",
-                        lambda config: pytest.fail("a variant was run"))
+                        lambda config, outdir: pytest.fail("a variant was run"))
     assert main(["sweep", spec, *extra]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err == f"error: sweep variants share an output directory: {shared}\n"
@@ -277,17 +292,18 @@ def test_log_level_gates_the_progress_lines(tmp_path, level, progress):
     if level is not None:
         env["GRADTOPO_LOG"] = level
     proc = subprocess.run([sys.executable, "-m", "gradtopo.cli", "bench", *TINY,
-                           "--set", "output.log_every=1", "--out", str(tmp_path)],
+                           "--set", "optimizer.max_iter=50", "--out", str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == EXIT_NOT_CONVERGED
     assert ("iter=" in proc.stderr) == progress
-    assert "iterations=3" in proc.stdout
+    assert proc.stderr.count("iter=") == int(progress)   # iteration 50 only
+    assert "iterations=50" in proc.stdout
 
 
 @pytest.mark.parametrize("first, second", [("INFO", "WARNING"), ("WARNING", "INFO")])
 def test_log_level_is_read_on_every_call(tmp_path, monkeypatch, caplog, first, second):
     """Each main call in one process logs at its own GRADTOPO_LOG."""
-    argv = ["bench", *TINY, "--set", "output.log_every=1"]
+    argv = ["bench", *TINY, "--set", "optimizer.max_iter=50"]
     for run, level in enumerate((first, second)):
         caplog.clear()
         monkeypatch.setenv("GRADTOPO_LOG", level)
@@ -307,7 +323,7 @@ def test_console_script_installed(tmp_path):
 def test_bench_applies_seed(monkeypatch):
     seen = []
     monkeypatch.setattr("gradtopo.cli._execute",
-                        lambda config: seen.append(config) or EXIT_OK)
+                        lambda config, outdir: seen.append(config) or EXIT_OK)
     assert main(["bench", "--set", "optimizer.seed=7",
                  "--set", "optimizer.max_iter=1"]) == EXIT_OK
     assert seen[0].seed == 7
@@ -335,10 +351,10 @@ def test_bench_rejects_config(tmp_path, capsys):
     ("optimizer.kappa3=nan", "kappa3"),
     ("optimizer.kappa4=inf", "kappa4"),
     ("optimizer.kappa5=inf", "kappa5"),
-    ("domain.traction_x=inf", "traction"),
-    ("domain.traction_y=nan", "traction"),
-    ("domain.body_fx=nan", "body_force"),
-    ("domain.body_fy=inf", "body_force"),
+    ("domain.traction_x=inf", "traction_x"),
+    ("domain.traction_y=nan", "traction_y"),
+    ("domain.body_fx=nan", "body_fx"),
+    ("domain.body_fy=inf", "body_fy"),
     ("domain.fixed_void=nan,0,10,10", "fixed_void"),
     ("domain.fixed_solid=0,0,10,inf", "fixed_solid"),
 ], ids=["seed", "perturb", "strip-above", "strip-below", "strip-length",
@@ -370,6 +386,14 @@ def test_seed_flag_refused(capsys, argv):
         main([*argv, "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_validate_takes_no_out(tmp_path, capsys):
+    """validate writes no file, so an --out would be silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", write_cfg(tmp_path), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
 
 
 def test_threads_flag_removed(capsys):

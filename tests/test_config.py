@@ -42,7 +42,7 @@ def test_load_cantilever_values(tmp_path):
     cfg = load_config(str(path))
     assert cfg.domain_width == 200
     assert cfg.domain_height == 100
-    assert cfg.traction == (0, -600)
+    assert (cfg.traction_x, cfg.traction_y) == (0, -600)
     assert cfg.volume_fraction == 0.8
     assert cfg.youngs_modulus == 12500
     assert cfg.poisson == 0.25
@@ -72,6 +72,26 @@ def test_parse_error_reports_diagnostic(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nkappa2 = 40\n",
+    "[DEFAULT]\nnx = 8\n[optimizer]\nkappa2 = 40\n",
+], ids=["alone", "with-a-section"])
+def test_default_section_is_refused(text):
+    """configparser would copy [DEFAULT]'s keys into every section, or drop
+    them when there is no other section."""
+    with pytest.raises(ConfigError, match=r"^a \[DEFAULT\] section is not supported"):
+        loads_config(text)
+
+
+def test_values_are_not_interpolated():
+    """A '%' is part of the value: '%(x)s' is an unparsable float, not a
+    lookup of the option x."""
+    with pytest.raises(ConfigError, match=r"^\[optimizer\] kappa2: .*'%\(x\)s'"):
+        loads_config("[optimizer]\nkappa2 = %(x)s\n")
+    with pytest.raises(ConfigError, match=r"^\[optimizer\] kappa2: .*'40%'"):
+        loads_config("[optimizer]\nkappa2 = 40%\n")
+
+
 def test_missing_file_raises():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/path.cfg")
@@ -84,12 +104,14 @@ def test_unknown_key_rejected():
 
 # keys of deleted variants: the Jacobi-PCG solve, the printed-sign double-well
 # right-hand side, the unnormalized p-norm, the STL settings that export-stl
-# takes as flags and the tau-halving loop
+# takes as flags, the tau-halving loop, and the output directory and progress
+# cadence (--out and GRADTOPO_LOG)
 REMOVED_KEYS = ["optimizer.solver=pcg", "optimizer.linear_tol=1e-8",
                 "optimizer.literal_rhs=true", "stress.normalized=false",
                 "output.chi_threshold=0.4", "output.extrude_height=5",
                 "material.literal_km=true", "optimizer.stabilization=0",
-                "optimizer.chi_solver=clamp", "optimizer.safeguard=true"]
+                "optimizer.chi_solver=clamp", "optimizer.safeguard=true",
+                "output.directory=runs", "output.log_every=1"]
 
 
 @pytest.mark.parametrize("item", REMOVED_KEYS)
@@ -151,26 +173,25 @@ def test_round_trip_identity():
 
 
 def test_schema_covers_every_field():
-    """Each RunConfig field has an INI key (a pair has one per half), and
-    each key names a field."""
-    names = {f.name for f in dataclasses.fields(RunConfig)}
-    keyed = {fieldname.split(".")[0] for fieldname, _ in _SCHEMA.values()}
-    assert keyed == names
+    """Each RunConfig field has exactly one INI key, and each key names a
+    field."""
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    keyed = [fieldname for fieldname, _ in _SCHEMA.values()]
+    assert sorted(keyed) == sorted(names)
 
 
 # a valid value away from the default for every RunConfig field; floats that
 # need all 17 digits, so that serialize must write them exactly
 EVERY_FIELD = dict(
     domain_width=150.0, domain_height=80.0, mesh_nx=17, mesh_ny=9,
-    traction=(0.5, -40.0), traction_length=12.0, traction_center=30.0 + 1 / 3,
-    thickness=2.5, body_force=(0.01, -0.05),
+    traction_x=0.5, traction_y=-40.0, traction_length=12.0,
+    traction_center=30.0 + 1 / 3, thickness=2.5, body_fx=0.01, body_fy=-0.05,
     fixed_void=(Box(0, 0, 5 + 1 / 3, 80),),
     fixed_solid=(Box(140, 30, 150, 50), Box(100, 0, 110, 1 / 7)),
     youngs_modulus=1000.0, poisson=0.3, beta=1 / 3, gamma_phi=2.0, gamma_chi=5e-4,
     ersatz=0.01, volume_fraction=0.6, kappa1=20.0, kappa2=40.0, kappa3=0.5,
     kappa4=2.0, kappa5=0.0, tau=3.5e-3, tau_chi=2e-7, max_iter=80, tol=0.055,
-    seed=3, perturb=0.01, pnorm_p=6, yield_stress=41.0, output_dir="runs/every",
-    log_every=7)
+    seed=3, perturb=0.01, pnorm_p=6, yield_stress=41.0)
 
 
 def test_round_trip_with_every_field_set():
@@ -190,21 +211,16 @@ def test_apply_overrides():
     assert cfg.kappa2 == 4000
 
 
-@pytest.mark.parametrize("key, name, index", [
-    ("traction_x", "traction", 0), ("traction_y", "traction", 1),
-    ("body_fx", "body_force", 0), ("body_fy", "body_force", 1)])
-def test_pair_key_keeps_the_other_half(key, name, index):
-    """An override of one half of a pair keeps the other half of the config
-    it overrides; a file's pair starts from the defaults."""
-    base = benchmark_config(body_force=(0.03, -0.05))
+@pytest.mark.parametrize("key", ["traction_x", "traction_y", "body_fx", "body_fy"])
+def test_load_key_sets_only_its_own_field(key):
+    """An override of one load component keeps every other field of the
+    config it overrides; a file's other components are the defaults."""
+    base = benchmark_config(body_fx=0.03, body_fy=-0.05)
     for start, out in ((base, apply_overrides(base, [f"domain.{key}=7"])),
                        (RunConfig(), loads_config(f"[domain]\n{key} = 7\n"))):
-        expected = list(getattr(start, name))
-        expected[index] = 7.0
-        assert getattr(out, name) == tuple(expected)
+        assert out == dataclasses.replace(start, **{key: 7.0})
     both = apply_overrides(base, [f"domain.{key}=7", f"domain.{key}=8"])
-    assert getattr(both, name)[index] == 8.0
-    assert getattr(both, name)[1 - index] == getattr(base, name)[1 - index]
+    assert both == dataclasses.replace(base, **{key: 8.0})
 
 
 def test_apply_overrides_rejects_bad_shape():

@@ -160,11 +160,11 @@ def test_clamped_dofs_are_the_nodes_at_x_0():
 
 
 def test_body_force_load_and_coupling_consistency():
-    cfg, mesh, mat = setup(5, 3, traction=(0.0, 0.0), body_force=(0.0, -0.1))
+    cfg, mesh, mat = setup(5, 3, traction_y=0.0, body_fy=-0.1)
     phi = np.random.default_rng(0).random(mesh.node_count)
     C = fem.assemble_body_coupling(mesh, cfg)
     # C^T phi must equal the per-element phi-weighted body load
-    f = reference.body_load(mesh, phi, cfg.body_force)
+    f = reference.body_load(mesh, phi, (cfg.body_fx, cfg.body_fy))
     assert np.allclose(C.T @ phi, f, atol=1e-12)
     # the traction load carries no body force
     assert not fem.assemble_load(mesh, cfg).any()
@@ -178,7 +178,7 @@ def test_body_force_load_and_coupling_consistency():
     exact = float((mesh.element_areas * phi_e).sum()) * (-0.1) * 2.0
     assert float(phi @ (C @ u)) == pytest.approx(exact, rel=1e-12)
     # no body force, no coupling entries
-    no_body = dataclasses.replace(cfg, body_force=(0.0, 0.0))
+    no_body = dataclasses.replace(cfg, body_fy=0.0)
     assert fem.assemble_body_coupling(mesh, no_body).nnz == 0
 
 
@@ -241,15 +241,15 @@ def test_volume_row_exact_for_linear_fields():
 def test_bincount_sums_match_add_at_bitwise():
     """lumped_weights and assemble_load add each dof's terms in the order of
     the np.add.at loops they replace, so the sums are bitwise equal."""
-    cfg, mesh, mat = setup(9, 5, traction_length=30.0, body_force=(0.3, -0.1))
+    cfg, mesh, mat = setup(9, 5, traction_length=30.0, body_fx=0.3, body_fy=-0.1)
     w = np.zeros(mesh.node_count)
     for i in range(3):
         np.add.at(w, mesh.elements[:, i], mesh.element_areas / 3.0)
     assert np.array_equal(fem.lumped_weights(mesh), w)
     f = np.zeros(2 * mesh.node_count)
     for node, wk in zip(*fem._traction_edge_contributions(mesh, cfg)):
-        f[2 * node] += wk * cfg.traction[0]
-        f[2 * node + 1] += wk * cfg.traction[1]
+        f[2 * node] += wk * cfg.traction_x
+        f[2 * node + 1] += wk * cfg.traction_y
     assert np.array_equal(fem.assemble_load(mesh, cfg), f)
 
 

@@ -37,7 +37,8 @@ def test_initialize_uniform():
 
 
 def test_initialize_frozen_regions():
-    cfg = small_config(fixed_void=(Box(0, 0, 50, 100),),
+    # the frozen regions allow volume fractions in [0.375, 0.625]
+    cfg = small_config(volume_fraction=0.5, fixed_void=(Box(0, 0, 50, 100),),
                        fixed_solid=(Box(150, 0, 200, 100),))
     opt = Optimizer(cfg)
     phi, chi = opt.initial_design()
@@ -57,7 +58,8 @@ def test_initialize_noise_deterministic():
     assert np.all((phi1 >= 0.0) & (phi1 <= 1.0))
 
 
-FROZEN = dict(mesh_nx=8, mesh_ny=4, fixed_void=(Box(0, 0, 50, 100),),
+# the frozen regions allow volume fractions in [0.083, 0.6875]
+FROZEN = dict(mesh_nx=8, mesh_ny=4, volume_fraction=0.5, fixed_void=(Box(0, 0, 50, 100),),
               fixed_solid=(Box(150, 40, 200, 60),))
 
 
@@ -71,6 +73,19 @@ def wild_fields(opt, seed=0):
     rng = np.random.default_rng(seed)
     return (-0.5 + 2.0 * rng.random(opt.mesh.node_count),
             -0.5 + 2.0 * rng.random(opt.mesh.node_count))
+
+
+@pytest.mark.parametrize("frozen", [dict(fixed_solid=(Box(0, 0, 200, 100),)),
+                                    dict(fixed_void=(Box(0, 0, 200, 90),))],
+                         ids=["solid-above-target", "void-below-target"])
+def test_setup_refuses_a_volume_the_frozen_regions_exclude(frozen):
+    """The step meets w.phi = V before the projection, so a V outside the
+    admissible volumes would pass every per-iterate check (the solid run
+    ends at 20000, the void run at 1000, against 10000)."""
+    cfg = benchmark_config(mesh_nx=20, mesh_ny=10, max_iter=5, volume_fraction=0.5,
+                           **frozen)
+    with pytest.raises(ConfigError, match=r"^volume_fraction: the target volume 10000 "):
+        Optimizer(cfg)
 
 
 def test_project_is_idempotent_and_admissible():
@@ -135,8 +150,8 @@ def test_adjoint_identity_without_stress_or_body():
 
 # kappa5 = 1 (the stress term on) in every set; kappa3, kappa4 and the body
 # force weight the other terms
-GRADIENT_KW = [{}, dict(kappa4=0.4), dict(body_force=(0.0, -0.05)),
-               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))]
+GRADIENT_KW = [{}, dict(kappa4=0.4), dict(body_fy=-0.05),
+               dict(kappa3=2.5, kappa4=0.4, body_fy=-0.1)]
 
 
 @pytest.mark.parametrize("kw", GRADIENT_KW,
@@ -169,7 +184,7 @@ def test_gradient_central_difference(block, kw):
 def test_phi_gradient_finite_difference():
     # the phi block along five more directions (seed 99) per kw set
     for kw in ({}, dict(kappa4=0.4),
-               dict(kappa3=2.5, kappa4=0.4, body_force=(0.0, -0.1))):
+               dict(kappa3=2.5, kappa4=0.4, body_fy=-0.1)):
         opt = Optimizer(small_config(**kw))
         phi, chi = interior_fields(opt, seed=5)
         x = opt.state_solve(phi, chi)
@@ -190,7 +205,7 @@ def test_phase_step_solves_the_gradient_flow():
     (gp/tau) M (phi* - phi) + k1 gp K (phi* - phi) + lam w + g_phi = 0,
     and chi*, with its own pseudo-time step tau_chi, satisfies
     (gc/tau_chi) M (chi* - chi) + k2 gc K (chi* - chi) + g_chi = 0."""
-    cfg = small_config(mesh_nx=8, mesh_ny=4, body_force=(0.0, -0.05),
+    cfg = small_config(mesh_nx=8, mesh_ny=4, body_fy=-0.05,
                        tau_chi=0.2 * cantilever_config().tau)
     assert cfg.kappa5 == 1.0 and cfg.tau_chi != cfg.tau
     opt = Optimizer(cfg)
@@ -218,7 +233,7 @@ def test_phase_step_keeps_its_float_order(beta):
     (stress on, a body force, a step tau that is not the benchmark's): a
     reordered right-hand side changes the rounding, which the benchmark's
     transient amplifies."""
-    cfg = benchmark_config(mesh_nx=12, mesh_ny=6, body_force=(0.0, -0.05), beta=beta,
+    cfg = benchmark_config(mesh_nx=12, mesh_ny=6, body_fy=-0.05, beta=beta,
                            tau=0.5 * benchmark_config().tau)
     assert cfg.kappa5 == 1.0
     opt = Optimizer(cfg)
@@ -477,9 +492,9 @@ def runnable_configs(draw):
     over wide ranges, a body force in some draws and a frozen void box in
     others."""
     base = draw(st.sampled_from([benchmark_config, cantilever_config]))()
-    body_force, fixed_void = (0.0, 0.0), ()
+    body_fx, body_fy, fixed_void = 0.0, 0.0, ()
     if draw(st.booleans()):
-        body_force = (draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
+        body_fx, body_fy = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
     if draw(st.booleans()):
         x0, y0 = draw(st.floats(0.0, 150.0)), draw(st.floats(0.0, 80.0))
         fixed_void = (Box(x0, y0, x0 + draw(st.floats(5.0, 50.0)),
@@ -488,7 +503,7 @@ def runnable_configs(draw):
         base, mesh_nx=draw(st.integers(2, 12)), mesh_ny=draw(st.integers(1, 6)),
         kappa2=draw(log_uniform(1, 6)), kappa5=draw(st.sampled_from([0.0, 1.0, 10.0])),
         beta=draw(st.sampled_from([1 / 6, 1 / 2, 1.0])), tau=draw(log_uniform(-7, -2)),
-        volume_fraction=draw(st.floats(0.3, 0.9)), body_force=body_force,
+        volume_fraction=draw(st.floats(0.3, 0.9)), body_fx=body_fx, body_fy=body_fy,
         fixed_void=fixed_void, max_iter=30)
     assume(validate(config) == [])
     return config
