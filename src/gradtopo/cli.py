@@ -100,9 +100,8 @@ def cmd_bench(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _load(args)        # raises ConfigError on any violation
-    print("config ok")
-    if args.dump:
-        sys.stdout.write(serialize(config))
+    # a dump is the whole output, so that it loads back as a config file
+    sys.stdout.write(serialize(config) if args.dump else "config ok\n")
     return EXIT_OK
 
 
@@ -201,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a configuration file")
     common(p)
-    p.add_argument("--dump", action="store_true", help="print the resolved config")
+    p.add_argument("--dump", action="store_true",
+                   help="print the resolved config in place of 'config ok'")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="run a one-key parameter sweep")

@@ -29,6 +29,7 @@ __all__ = [
     "assemble_body_coupling",
     "assemble_scalar_operators",
     "lumped_weights",
+    "LowerBand",
     "lower_band",
     "BandCholesky",
     "solve_saddle",
@@ -65,25 +66,43 @@ def element_averages(mesh, nodal: np.ndarray) -> np.ndarray:
 
 def _element_dofs(mesh) -> np.ndarray:
     el = mesh.elements
-    dofs = np.empty((mesh.element_count, 6), dtype=int)
+    dofs = np.empty((mesh.element_count, 6), dtype=np.int32)
     dofs[:, 0::2] = 2 * el
     dofs[:, 1::2] = 2 * el + 1
     return dofs
 
 
-def _unit_element_stiffness(mesh, K_A: np.ndarray, k, l) -> np.ndarray:
-    """Entries (k, l) of every element's K_e^A, (len(k), M), for element dofs
-    k = 2i + c (node i, component c): block (i, j) is A_e sum_pq g_ip g_jq
-    (E_p^T K_A E_q), symmetrized so every stiffness is bitwise symmetric."""
+def _unit_element_stiffness(mesh, K_A: np.ndarray) -> np.ndarray:
+    """(21, M) entries of every element's K_e^A: row t is the lower dof pair
+    t of np.tril_indices(6), for element dofs k = 2i + c (node i, component c).
+
+    Block (i, j) is A_e sum_pq g_ip g_jq (E_p^T K_A E_q), one (4, M) block
+    per node pair; entry (k, l) is the mean of K_e^A[k, l] and K_e^A[l, k],
+    so every stiffness is bitwise symmetric.
+    """
     E = _UNIT_STRAINS
     C = np.einsum("pvc,vw,qwd->pqcd", E, K_A, E).reshape(4, 4)
+    M = mesh.element_count
     g = np.ascontiguousarray(mesh.grads.transpose(1, 2, 0))    # [i,p,e], e last
-    gg = g[:, None, :, None] * g[None, :, None, :]              # [i,j,p,q,e]
-    Ke = (C.T @ gg.reshape(9, 4, -1)).reshape(gg.shape)         # [i,j,c,d,e]
-    Ke *= mesh.element_areas
-    i, c, j, d = k // 2, k % 2, l // 2, l % 2
-    lower = Ke[i, j, c, d]
-    lower += Ke[j, i, d, c]
+    gg = np.empty((2, 2, M))                                    # [p,q,e]
+
+    def block(i, j, out):
+        """Block (i, j) of every K_e^A into out, (4, M) with rows 2c + d."""
+        np.multiply(g[i, :, None], g[j, None, :], out=gg)
+        np.matmul(C.T, gg.reshape(4, M), out=out)
+        out *= mesh.element_areas
+        return out
+
+    Kij, Kji = np.empty((4, M)), np.empty((4, M))
+    lower = np.empty((21, M))
+    for i in range(3):
+        for j in range(i + 1):
+            block(i, j, Kij)
+            Kt = Kij if i == j else block(j, i, Kji)
+            for c in range(2):
+                for d in range(2 if i > j else c + 1):
+                    k, l = 2 * i + c, 2 * j + d
+                    np.add(Kij[2 * c + d], Kt[2 * d + c], out=lower[k * (k + 1) // 2 + l])
     lower *= 0.5
     return lower
 
@@ -130,6 +149,8 @@ class ElasticOperator:
 
     dofs            : band row k is the dof dofs[k] (0 to 2N-1); every dof
                       not in dofs is clamped
+    node_order      : every node in band_order, the row order of the
+                      scalar-field bands too
     strain_matrix   : (3M x 2N) strain operator (see strain_operator)
     node_incidence  : (N x M) element->node incidence (see node_incidence)
     """
@@ -139,31 +160,38 @@ class ElasticOperator:
         self.strain_matrix = strain_operator(mesh)
         self.node_incidence = node_incidence(mesh)
 
-        # the free dofs in band order; dof_rank is each one's band row
-        nodes = band_order(mesh)
-        nodes = nodes[mesh.nodes[nodes, 0] != 0.0]
+        # the free nodes in band order, and each one's rank among them (-1:
+        # clamped); node rank R puts the node's dofs at band rows 2R and 2R + 1
+        self.node_order = band_order(mesh)
+        nodes = self.node_order[mesh.nodes[self.node_order, 0] != 0.0]
         self.dofs = (2 * nodes[:, None] + [0, 1]).ravel()
         self.n = len(self.dofs)
-        dof_rank = np.full(2 * N, -1)
-        dof_rank[self.dofs] = np.arange(self.n)
+        rank = np.full(N, -1, dtype=np.int32)
+        rank[nodes] = np.arange(len(nodes), dtype=np.int32)
 
         # each element's 21 lower local pairs (k, l) go to the band entry (p, q)
-        # of their dofs' ranks, larger first, unless one is clamped (rank -1);
-        # the (21, M) arrays are read element by element (.T) into the scatter
+        # of their dofs' rows, larger first, unless one is clamped (row < 0)
+        rows = 2 * rank[mesh.elements][:, :, None] + np.arange(2, dtype=np.int32)
+        rows = rows.reshape(M, 6)
         k, l = np.tril_indices(6)
-        r = dof_rank[_element_dofs(mesh).T]
-        p, q = np.maximum(r[k], r[l]), np.minimum(r[k], r[l])
-        free = q >= 0
+        rk, rl = rows[:, k], rows[:, l]
+        q = np.minimum(rk, rl)
+        p = np.maximum(rk, rl, out=rk)
         p -= q                                                  # now p - q
+        free = q >= 0
         self.kd = int(p.max(where=free, initial=0))
+        if (self.kd + 1) * self.n > np.iinfo(np.int32).max:   # int32 would wrap
+            q = q.astype(np.int64)
         q *= self.kd + 1
         q += p                                  # band entry p - q + (kd + 1) q
-        keep = free.T
-        # built as its (M x band size) transpose, whose rows are the elements
-        self.scatter = sp.csr_matrix(
-            (_unit_element_stiffness(mesh, K_A, k, l).T[keep], q.T[keep],
-             np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
-            shape=(M, (self.kd + 1) * self.n)).T
+        # its columns are the elements, each with its pairs in (k, l) order:
+        # all 21 but those with a clamped dof
+        indptr = np.zeros(M + 1, dtype=np.int64)
+        np.cumsum(21 - np.bincount(np.flatnonzero(~free) // 21, minlength=M),
+                  out=indptr[1:])
+        self.scatter = sp.csc_matrix(
+            (_unit_element_stiffness(mesh, K_A).T[free], q[free], indptr),
+            shape=((self.kd + 1) * self.n, M))
 
     def stiffness(self, s: np.ndarray) -> np.ndarray:
         """Lower band ab[i - j, j] = K[dofs[i], dofs[j]] of the stiffness
@@ -208,18 +236,17 @@ def assemble_load(mesh, config) -> np.ndarray:
                        minlength=2 * mesh.node_count)
 
 
-def assemble_body_coupling(mesh, config) -> sp.csr_matrix:
+def assemble_body_coupling(mesh, config, P: sp.csc_matrix) -> sp.csr_matrix:
     """Matrix C (N x 2N) with phi^T C u = integral of phi f.u (one-point rule).
 
     C^T phi is the phi-weighted body-force load; C u is its phi-sensitivity.
-    C = kron(P diag(A_e/9) P^T, f) for the incidence P: phi_bar_e takes 1/3
-    of each node's phi, and A_e/3 of the element's load goes to each node.
-    A zero body force gives an empty C.
+    C = kron(P diag(A_e/9) P^T, f) for the mesh's node_incidence P: phi_bar_e
+    takes 1/3 of each node's phi, and A_e/3 of the element's load goes to
+    each node.  A zero body force gives an empty C.
     """
     f = np.array([[config.body_fx, config.body_fy]], dtype=float)
     if not f.any():
         return sp.csr_matrix((mesh.node_count, 2 * mesh.node_count))
-    P = node_incidence(mesh)
     share = P.multiply(mesh.element_areas / 9.0) @ P.T
     return sp.kron(share, f, format="csr")
 
@@ -255,18 +282,35 @@ def lumped_weights(mesh) -> np.ndarray:
                        np.tile(mesh.element_areas / 3.0, 3), mesh.node_count)
 
 
+class LowerBand:
+    """Where the stored lower entries of a symmetric CSR pattern A (without
+    duplicates) go in LAPACK's lower band storage, with its rows and columns
+    numbered in `order`: the band of every matrix with A's pattern is one
+    scatter of its stored values."""
+
+    def __init__(self, A, order: np.ndarray):
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        i, j = np.repeat(rank, np.diff(A.indptr)), rank[A.indices]
+        self.lower = i >= j
+        i, j = i[self.lower], j[self.lower]
+        self.shape = (int((i - j).max()) + 1, A.shape[0])
+        self.offsets = (i - j) + self.shape[0] * j      # in Fortran order
+
+    def __call__(self, data: np.ndarray) -> np.ndarray:
+        """Lower band ab[i - j, j] of the matrix with the stored values data,
+        (kd+1, n) in Fortran order for its half-bandwidth kd."""
+        ab = np.zeros(self.shape, order="F")
+        ab.ravel(order="F")[self.offsets] = data[self.lower]
+        return ab
+
+
 def lower_band(A, order: np.ndarray) -> np.ndarray:
     """Lower band ab[i - j, j] = A[order[i], order[j]] of a symmetric sparse
     matrix, (kd+1, n) in Fortran order for its half-bandwidth kd."""
     A = sp.csr_matrix(A)
     A.sum_duplicates()
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    i, j = np.repeat(rank, np.diff(A.indptr)), rank[A.indices]
-    low = i >= j
-    ab = np.zeros((int((i - j).max()) + 1, A.shape[0]), order="F")
-    ab[i[low] - j[low], j[low]] = A.data[low]
-    return ab
+    return LowerBand(A, order)(A.data)
 
 
 class BandCholesky:

@@ -83,25 +83,31 @@ class Optimizer:
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
         self.weights = fem.lumped_weights(self.mesh)           # volume row
         self.M_raw, self.K_raw = fem.assemble_scalar_operators(self.mesh)
-        self.band_order = fem.band_order(self.mesh)     # scalar-field band rows
+        self.band_order = self.elastic.node_order       # scalar-field band rows
         self.volume_target = config.volume_fraction * self.mesh.area
         # beta = 1: chi never enters the physics (dK/dchi = 0), so the
         # two-scale field degenerates and chi stays at the uniform fraction m
         self.single_material = config.beta == 1.0
 
-        # the phase operators are constant, so each is factored once; the
-        # solved volume row is reused by every saddle solve
+        # the phase operators a M + b K are constant, so each is factored
+        # once; M and K share one CSR pattern, so the band of each is one
+        # scatter of its stored values.  The solved volume row is reused by
+        # every saddle solve
         gp, gc = config.gamma_phi, config.gamma_chi_eff
-        self.solve_phi = self._factor(
-            (gp / config.tau) * self.M_raw + config.kappa1 * gp * self.K_raw)
+        band = fem.LowerBand(self.M_raw, self.band_order)
+
+        def factor(a, b):
+            ab = band(a * self.M_raw.data + b * self.K_raw.data)
+            return fem.BandCholesky(ab, self.band_order).solve
+        self.solve_phi = factor(gp / config.tau, config.kappa1 * gp)
         self.weights_solved = self.solve_phi(self.weights)
-        self.solve_chi = None if self.single_material else self._factor(
-            (gc / config.tau_chi_eff) * self.M_raw + config.kappa2 * gc * self.K_raw)
+        self.solve_chi = None if self.single_material else factor(
+            gc / config.tau_chi_eff, config.kappa2 * gc)
 
         # line load g [N/mm] acts on the thickness-t edge: the plane-stress
         # solve sees the per-thickness traction g / t
         self.traction_load = fem.assemble_load(self.mesh, config) / config.thickness
-        self.C = fem.assemble_body_coupling(self.mesh, config)
+        self.C = fem.assemble_body_coupling(self.mesh, config, self.elastic.node_incidence)
         self.C_T = self.C.T.tocsr()                     # C^T phi: the body load
 
         # bounds honoring the frozen regions
@@ -119,13 +125,6 @@ class Optimizer:
             raise ConfigError(
                 f"volume_fraction: the target volume {self.volume_target:g} lies "
                 f"outside [{lo:g}, {hi:g}], the volumes the frozen regions allow")
-
-    # --- operators ---------------------------------------------------------
-
-    def _factor(self, A):
-        """Banded Cholesky solve of an SPD scalar-field operator."""
-        order = self.band_order
-        return fem.BandCholesky(fem.lower_band(A, order), order).solve
 
     # --- the admissible set -------------------------------------------------
 

@@ -9,7 +9,7 @@ import pytest
 
 import reference
 from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
-from gradtopo.config import apply_overrides, benchmark_config
+from gradtopo.config import apply_overrides, benchmark_config, load_config, loads_config
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
         "--set", "optimizer.max_iter=3"]
@@ -32,6 +32,7 @@ def test_validate_dump_round_trips(tmp_path, capsys):
     assert main(["validate", "--config", cfg, "--dump"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[domain]" in out and "nx = 8" in out
+    assert loads_config(out) == load_config(cfg)
 
 
 def test_validate_bad_config(tmp_path, capsys):

@@ -7,9 +7,10 @@ from scipy.linalg import lapack
 
 import reference
 from gradtopo import fem
-from gradtopo.config import cantilever_config
+from gradtopo.config import benchmark_config, cantilever_config
 from gradtopo.material import MaterialModel, plane_stress_matrix
 from gradtopo.mesh import build_rect_mesh
+from gradtopo.optimizer import Optimizer
 
 
 def setup(nx=4, ny=2, **kw):
@@ -162,7 +163,7 @@ def test_clamped_dofs_are_the_nodes_at_x_0():
 def test_body_force_load_and_coupling_consistency():
     cfg, mesh, mat = setup(5, 3, traction_y=0.0, body_fy=-0.1)
     phi = np.random.default_rng(0).random(mesh.node_count)
-    C = fem.assemble_body_coupling(mesh, cfg)
+    C = fem.assemble_body_coupling(mesh, cfg, fem.node_incidence(mesh))
     # C^T phi must equal the per-element phi-weighted body load
     f = reference.body_load(mesh, phi, (cfg.body_fx, cfg.body_fy))
     assert np.allclose(C.T @ phi, f, atol=1e-12)
@@ -179,7 +180,7 @@ def test_body_force_load_and_coupling_consistency():
     assert float(phi @ (C @ u)) == pytest.approx(exact, rel=1e-12)
     # no body force, no coupling entries
     no_body = dataclasses.replace(cfg, body_fy=0.0)
-    assert fem.assemble_body_coupling(mesh, no_body).nnz == 0
+    assert fem.assemble_body_coupling(mesh, no_body, fem.node_incidence(mesh)).nnz == 0
 
 
 # --- scalar operators ------------------------------------------------------
@@ -224,6 +225,82 @@ def test_scalar_operators_match_separate_assembly_bitwise():
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
+# a non-uniform mesh: there element-order sums and COO -> CSR duplicate sums
+# of the mass matrix differ in some entries, so a changed summation order shows
+SKEWED = dict(mesh_nx=37, mesh_ny=13, domain_width=123.4, domain_height=45.6)
+
+
+def pair_formula_scatter(mesh, K_A):
+    """The elastic scatter from (21, M) gathers of the element dof ranks and
+    (3, 3, 2, 2, M) element stiffness blocks, frozen as a bitwise oracle."""
+    M, N = mesh.element_count, mesh.node_count
+    nodes = fem.band_order(mesh)
+    nodes = nodes[mesh.nodes[nodes, 0] != 0.0]
+    dofs = (2 * nodes[:, None] + [0, 1]).ravel()
+    dof_rank = np.full(2 * N, -1)
+    dof_rank[dofs] = np.arange(len(dofs))
+    el = mesh.elements
+    element_dofs = np.empty((M, 6), dtype=int)
+    element_dofs[:, 0::2] = 2 * el
+    element_dofs[:, 1::2] = 2 * el + 1
+    k, l = np.tril_indices(6)
+    r = dof_rank[element_dofs.T]
+    p, q = np.maximum(r[k], r[l]), np.minimum(r[k], r[l])
+    free = q >= 0
+    p -= q
+    kd = int(p.max(where=free, initial=0))
+    q *= kd + 1
+    q += p
+    E = fem._UNIT_STRAINS
+    C = np.einsum("pvc,vw,qwd->pqcd", E, K_A, E).reshape(4, 4)
+    g = np.ascontiguousarray(mesh.grads.transpose(1, 2, 0))
+    gg = g[:, None, :, None] * g[None, :, None, :]
+    Ke = (C.T @ gg.reshape(9, 4, -1)).reshape(gg.shape)
+    Ke *= mesh.element_areas
+    i, c, j, d = k // 2, k % 2, l // 2, l % 2
+    lower = Ke[i, j, c, d]
+    lower += Ke[j, i, d, c]
+    lower *= 0.5
+    keep = free.T
+    scatter = sp.csr_matrix(
+        (lower.T[keep], q.T[keep], np.concatenate([[0], np.cumsum(keep.sum(axis=1))])),
+        shape=(M, (kd + 1) * len(dofs))).T
+    return scatter, kd, dofs
+
+
+@pytest.mark.parametrize("kw", [SKEWED, dict(mesh_nx=6, mesh_ny=14)], ids=["skewed", "tall"])
+def test_elastic_scatter_matches_the_pair_formula_bitwise(kw):
+    cfg = cantilever_config(**kw)
+    mesh, mat = build_rect_mesh(cfg), MaterialModel.from_config(cfg)
+    op = fem.ElasticOperator(mesh, mat.K_A)
+    want, kd, dofs = pair_formula_scatter(mesh, mat.K_A)
+    assert op.kd == kd and np.array_equal(op.dofs, dofs)
+    assert op.scatter.shape == want.shape
+    assert np.array_equal(op.scatter.indptr, want.indptr)
+    assert np.array_equal(op.scatter.indices, want.indices)
+    assert np.array_equal(op.scatter.data.view(np.int64), want.data.view(np.int64))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_phase_bands_match_the_sparse_sums_bitwise(monkeypatch, beta):
+    """Optimizer factors the band of each phase operator a M + b K exactly as
+    lower_band places the sparse sum."""
+    bands = []
+    factor = fem.BandCholesky
+    monkeypatch.setattr(fem, "BandCholesky",
+                        lambda ab, rows: bands.append(ab.copy(order="A")) or factor(ab, rows))
+    opt = Optimizer(benchmark_config(**SKEWED, beta=beta))
+    cfg, M, K = opt.config, opt.M_raw, opt.K_raw
+    gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
+    operators = [(gp / cfg.tau) * M + cfg.kappa1 * gp * K,
+                 (gc / cfg.tau_chi_eff) * M + cfg.kappa2 * gc * K]
+    assert len(bands) == (1 if beta == 1.0 else 2)
+    for ab, A in zip(bands, operators):
+        want = fem.lower_band(A, opt.band_order)
+        assert ab.shape == want.shape and ab.flags.f_contiguous
+        assert np.array_equal(ab.view(np.int64), want.view(np.int64))
 
 
 def test_volume_row_exact_for_linear_fields():

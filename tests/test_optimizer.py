@@ -313,6 +313,21 @@ def test_setup_factors_A_chi_only_for_the_clamp_update(monkeypatch, kw,
     assert len(calls) == factorizations
 
 
+def test_setup_builds_each_constant_piece_once(monkeypatch):
+    """The band order, the element dof map, the incidence (read by the body
+    coupling too) and the scalar band positions are each built once."""
+    calls = {}
+    for name in ("band_order", "_element_dofs", "node_incidence", "LowerBand"):
+        def counted(*args, _fn=getattr(fem, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(fem, name, counted)
+    opt = Optimizer(small_config(body_fy=-0.05))
+    assert opt.C.nnz > 0
+    assert calls == {"band_order": 1, "_element_dofs": 1, "node_incidence": 1,
+                     "LowerBand": 1}
+
+
 def test_run_factors_the_elastic_operator_once_per_iteration(monkeypatch):
     """Each trial is evaluated once and is the next iterate: the initial
     field, then one factorization of the elastic operator K per iteration;
