@@ -7,7 +7,7 @@ the single-material design is the stiffest but uses the full material
 budget everywhere.
 """
 
-from gradtopo.config import benchmark_config
+from gradtopo.config import cantilever_config
 from gradtopo.optimizer import Optimizer
 
 VARIANTS = [
@@ -21,7 +21,7 @@ VARIANTS = [
 def main():
     rows = []
     for label, kw in VARIANTS:
-        config = benchmark_config(**kw)
+        config = cantilever_config(**kw)
         print(f"running {label} ...")
         state, _ = Optimizer(config).run()
         rows.append((label, state.compliance, state.m_chi,

@@ -11,7 +11,7 @@ Produces, under out/benchmark/:
 import os
 
 from gradtopo import export
-from gradtopo.config import benchmark_config
+from gradtopo.config import cantilever_config
 from gradtopo.optimizer import Optimizer
 
 
@@ -19,7 +19,7 @@ def main():
     outdir = os.path.join("out", "benchmark")
     os.makedirs(outdir, exist_ok=True)
 
-    config = benchmark_config()
+    config = cantilever_config()
     opt = Optimizer(config)
 
     def progress(state, rec):

@@ -11,13 +11,13 @@ interior at a modest compliance cost.
 import numpy as np
 
 from gradtopo import stress
-from gradtopo.config import benchmark_config
+from gradtopo.config import cantilever_config
 from gradtopo.optimizer import Optimizer
 
 
 def main():
     for kappa5 in (0.0, 1.0):
-        config = benchmark_config(kappa5=kappa5)
+        config = cantilever_config(kappa5=kappa5)
         print(f"running kappa5 = {kappa5:g} ...")
         state, _ = Optimizer(config).run()
         vm_max = float(stress.von_mises(state.sigma).max())

@@ -14,11 +14,12 @@ import logging
 import os
 import sys
 import time
+import zipfile
 
 import numpy as np
 
 from gradtopo import export
-from gradtopo.config import (ConfigError, apply_overrides, benchmark_config,
+from gradtopo.config import (ConfigError, apply_overrides, cantilever_config,
                              load_config, serialize)
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
@@ -45,12 +46,12 @@ def _setup_logging():
 
 
 def _load(args, default_builtin=False):
-    """The --config file, or the built-in benchmark scenario if default_builtin,
-    with the --set overrides applied."""
+    """The --config file, or the built-in cantilever (RunConfig's defaults) if
+    default_builtin, with the --set overrides applied."""
     if args.config:
         config = load_config(args.config)
     elif default_builtin:
-        config = benchmark_config()
+        config = cantilever_config()
     else:
         raise ConfigError("--config is required (or use the bench subcommand)")
     return apply_overrides(config, args.set)
@@ -93,7 +94,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.config:
-        raise ConfigError("bench runs the built-in benchmark scenario and takes "
+        raise ConfigError("bench runs the built-in cantilever and takes "
                           "no --config (use run --config)")
     return _execute(_load(args, default_builtin=True), args.out)
 
@@ -147,6 +148,42 @@ def cmd_sweep(args) -> int:
     return EXIT_ERROR if any(r[3] == "ERROR" for r in rows) else EXIT_OK
 
 
+# what np.load and a read of an archive member raise on a file that is not
+# a snapshot: a bad zip, a truncated or pickled .npy, an object array
+_UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile)
+
+
+def _read_snapshot(path, node_count):
+    """The (phi, chi) nodal fields of an .npz snapshot; ConfigError naming
+    the snapshot if it is not one for a mesh of node_count nodes."""
+    # opened here: np.load leaves the file it opens open when it is a bad zip
+    with open(path, "rb") as fh:
+        try:
+            snap = np.load(fh)
+        except _UNREADABLE:
+            raise ConfigError(f"snapshot {path} is not a readable .npz archive") from None
+        if not isinstance(snap, np.lib.npyio.NpzFile):
+            raise ConfigError(f"snapshot {path} is not an .npz archive")
+        with snap:
+            try:
+                fields = {name: snap[name] for name in ("phi", "chi") if name in snap}
+            except _UNREADABLE as exc:
+                raise ConfigError(f"snapshot {path} has an unreadable field: {exc}") from None
+    for name in ("phi", "chi"):
+        if name not in fields:
+            raise ConfigError(f"snapshot has no {name} field")
+        if fields[name].dtype.kind not in "biuf":
+            raise ConfigError(f"snapshot {path} holds {name} values of type "
+                              f"{fields[name].dtype}, not real numbers")
+        if fields[name].shape != (node_count,):
+            raise ConfigError(f"snapshot {name} does not match the configured "
+                              f"mesh size ({node_count} nodes)")
+    phi, chi = fields["phi"], fields["chi"]
+    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
+        raise ConfigError("snapshot holds non-finite phi or chi values")
+    return phi, chi
+
+
 def cmd_export_stl(args) -> int:
     try:
         export.stl_height(args.height)
@@ -156,20 +193,7 @@ def cmd_export_stl(args) -> int:
         raise ConfigError(f"threshold must be finite, got {args.threshold}")
     config = _load(args, default_builtin=True)
     mesh = build_rect_mesh(config)
-    snap = np.load(args.snapshot)
-    if not isinstance(snap, np.lib.npyio.NpzFile):
-        raise ConfigError(f"snapshot {args.snapshot} is not an .npz archive")
-    with snap:
-        fields = {name: snap[name] for name in ("phi", "chi") if name in snap}
-    for name in ("phi", "chi"):
-        if name not in fields:
-            raise ConfigError(f"snapshot has no {name} field")
-        if fields[name].shape != (mesh.node_count,):
-            raise ConfigError(f"snapshot {name} does not match the configured "
-                              f"mesh size ({mesh.node_count} nodes)")
-    phi, chi = fields["phi"], fields["chi"]
-    if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
-        raise ConfigError("snapshot holds non-finite phi or chi values")
+    phi, chi = _read_snapshot(args.snapshot, mesh.node_count)
     for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
                                        args.height, args.out):
         print(f"wrote {path}")
@@ -194,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "out")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", help="run the tuned built-in cantilever benchmark")
+    p = sub.add_parser("bench", help="run the built-in cantilever benchmark")
     common(p, "out")
     p.set_defaults(func=cmd_bench)
 

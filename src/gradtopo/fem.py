@@ -210,7 +210,7 @@ def _traction_edge_contributions(mesh, config):
     Returns (nodes, weights) such that the load at nodes[k] is weights[k] * g;
     the weights sum to the covered strip length.
     """
-    half = config.traction_length_eff / 2.0
+    half = config.traction_length / 2.0
     lo = config.traction_center_eff - half
     hi = config.traction_center_eff + half
     # the side's nodes run upward, so its edges (y1, y2) have y1 < y2

@@ -54,7 +54,7 @@ class MaterialModel:
     @classmethod
     def from_config(cls, config) -> "MaterialModel":
         return cls(config.youngs_modulus, config.poisson, config.beta,
-                   config.ersatz_eff)
+                   config.ersatz)
 
     # scalar stiffness factors ------------------------------------------------
 

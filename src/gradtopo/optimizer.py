@@ -93,7 +93,7 @@ class Optimizer:
         # once; M and K share one CSR pattern, so the band of each is one
         # scatter of its stored values.  The solved volume row is reused by
         # every saddle solve
-        gp, gc = config.gamma_phi, config.gamma_chi_eff
+        gp, gc = config.gamma_phi, config.gamma_chi
         band = fem.LowerBand(self.M_raw, self.band_order)
 
         def factor(a, b):
@@ -102,7 +102,7 @@ class Optimizer:
         self.solve_phi = factor(gp / config.tau, config.kappa1 * gp)
         self.weights_solved = self.solve_phi(self.weights)
         self.solve_chi = None if self.single_material else factor(
-            gc / config.tau_chi_eff, config.kappa2 * gc)
+            gc / config.tau_chi, config.kappa2 * gc)
 
         # line load g [N/mm] acts on the thickness-t edge: the plane-stress
         # solve sees the per-thickness traction g / t
@@ -200,7 +200,7 @@ class Optimizer:
         cfg = self.config
         rhs_phi, rhs_chi = self._flow_rhs(
             iterate, U, -cfg.kappa1 * cfg.gamma_phi * (self.K_raw @ iterate.phi),
-            -cfg.kappa2 * cfg.gamma_chi_eff * (self.K_raw @ iterate.chi))
+            -cfg.kappa2 * cfg.gamma_chi * (self.K_raw @ iterate.chi))
         return -rhs_phi, -rhs_chi
 
     def phase_field_step(self, iterate: Iterate, U):
@@ -214,7 +214,7 @@ class Optimizer:
         cfg = self.config
         rhs_phi, rhs_chi = self._flow_rhs(
             iterate, U, (cfg.gamma_phi / cfg.tau) * (self.M_raw @ iterate.phi),
-            (cfg.gamma_chi_eff / cfg.tau_chi_eff) * (self.M_raw @ iterate.chi))
+            (cfg.gamma_chi / cfg.tau_chi) * (self.M_raw @ iterate.chi))
         phi_new, lam = fem.solve_saddle(self.solve_phi, self.weights, rhs_phi,
                                         self.volume_target, self.weights_solved)
         if self.single_material:
@@ -238,7 +238,7 @@ class Optimizer:
         term carries the same kappa2*gamma_chi scaling as the chi operator).
         """
         cfg = self.config
-        gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
+        gp, gc = cfg.gamma_phi, cfg.gamma_chi
         gl = cfg.kappa1 * (float(self.weights @ W(phi)) / gp
                            + 0.5 * gp * float(phi @ (self.K_raw @ phi)))
         grad_chi = 0.5 * cfg.kappa2 * gc * float(chi @ (self.K_raw @ chi))

@@ -12,6 +12,11 @@ The per-element body-force load is the oracle for fem's body coupling C.
 The STL and VTK readers parse gradtopo's output files on their own, and
 the STL edge counts and volume are computed from the triangles as read,
 and a region's area from its cap triangles.
+
+UNCALIBRATED is the cantilever scenario that most small-mesh tests run: a
+heavier load on a narrower strip, a sharp interface and small time steps,
+with no seeded noise.  It is not the calibrated benchmark of RunConfig's
+defaults: a full run of it does not converge.
 """
 
 import struct
@@ -19,6 +24,13 @@ from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
+
+# keyword overrides for cantilever_config; traction_length is a tenth of
+# the default 100 mm height, and a test that changes the height scales it
+UNCALIBRATED = dict(
+    traction_y=-600.0, traction_length=10.0, gamma_phi=0.01, gamma_chi=0.01,
+    ersatz=0.01, kappa1=400.0, tau=1e-6, tau_chi=1e-6, tol=0.02, seed=0,
+    perturb=0.0, yield_stress=45.0)
 
 
 def element_B(mesh, e: int) -> np.ndarray:

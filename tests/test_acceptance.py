@@ -14,7 +14,7 @@ import pytest
 
 import reference
 from gradtopo import export, stress
-from gradtopo.config import benchmark_config, cantilever_config
+from gradtopo.config import cantilever_config
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
 
@@ -35,7 +35,7 @@ def bench():
     """Run the four benchmark variants once, recording per-iteration checks."""
     out = {}
     for name, kw in VARIANTS.items():
-        cfg = benchmark_config(**kw)
+        cfg = cantilever_config(**kw)
         opt = Optimizer(cfg)
         checks = {"vol_rel_max": 0.0, "bounds_ok": True}
 
@@ -134,7 +134,7 @@ def interior_fields(opt, seed):
 
 def test_adjoint_identity_on_benchmark_mesh():
     # f = 0, kappa4 = 1, kappa5 = 0: the adjoint system equals the state system
-    cfg = benchmark_config(kappa5=0.0)
+    cfg = cantilever_config(kappa5=0.0)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=3)
     x = opt.state_solve(phi, chi)
@@ -143,7 +143,8 @@ def test_adjoint_identity_on_benchmark_mesh():
 
 
 def test_phi_gradient_oracle_ten_directions():
-    cfg = cantilever_config(mesh_nx=4, mesh_ny=2)   # kappa5 = 1: stress active
+    # kappa5 = 1: stress active
+    cfg = cantilever_config(**reference.UNCALIBRATED, mesh_nx=4, mesh_ny=2)
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=5)
     x = opt.state_solve(phi, chi)
@@ -161,8 +162,9 @@ def test_phi_gradient_oracle_ten_directions():
 
 def test_tip_deflection_matches_timoshenko():
     # full-material cantilever, uniform end shear over the whole right edge
-    cfg = cantilever_config(mesh_nx=200, mesh_ny=100, traction_y=-1.0,
-                            traction_length=100.0, kappa5=0.0)
+    cfg = cantilever_config(**{**reference.UNCALIBRATED, "mesh_nx": 200, "mesh_ny": 100,
+                               "traction_y": -1.0, "traction_length": 100.0,
+                               "kappa5": 0.0})
     opt = Optimizer(cfg)
     ones = np.ones(opt.mesh.node_count)
     u = opt.state_solve(ones, ones).u
@@ -291,7 +293,7 @@ def test_prism_volume_analytic(tmp_path):
 # --- determinism -------------------------------------------------------------
 
 def test_identical_runs_byte_identical_csv(tmp_path):
-    cfg = benchmark_config(mesh_nx=20, mesh_ny=10, max_iter=10)
+    cfg = cantilever_config(mesh_nx=20, mesh_ny=10, max_iter=10)
     paths = []
     for tag in ("a", "b"):
         state, history = Optimizer(cfg).run()

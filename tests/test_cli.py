@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -9,15 +10,19 @@ import pytest
 
 import reference
 from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
-from gradtopo.config import apply_overrides, benchmark_config, load_config, loads_config
+from gradtopo.config import (RunConfig, apply_overrides, cantilever_config, load_config,
+                             loads_config, serialize)
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
         "--set", "optimizer.max_iter=3"]
 
 
-def write_cfg(tmp_path, body=""):
+def write_cfg(tmp_path, **fields):
+    """A config file of the uncalibrated scenario on an 8x4 mesh, with the
+    given fields."""
     path = tmp_path / "case.cfg"
-    path.write_text("[domain]\nnx = 8\nny = 4\n" + body)
+    path.write_text(serialize(RunConfig(**{**reference.UNCALIBRATED, "mesh_nx": 8,
+                                           "mesh_ny": 4, **fields})))
     return str(path)
 
 
@@ -36,7 +41,7 @@ def test_validate_dump_round_trips(tmp_path, capsys):
 
 
 def test_validate_bad_config(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[material]\npoisson = 0.9\n")
+    cfg = write_cfg(tmp_path, poisson=0.9)
     assert main(["validate", "--config", cfg]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert "poisson" in captured.out + captured.err
@@ -75,6 +80,20 @@ def test_run_converged_exit_code(tmp_path, capsys):
                  "--set", "optimizer.tol=1e9", "--out", out])
     assert code == EXIT_OK
     assert "converged=yes" in capsys.readouterr().out
+
+
+def test_a_file_that_sets_only_the_mesh_runs_the_benchmark(tmp_path, capsys):
+    """Every key a file leaves out takes RunConfig's calibrated default, so
+    run on a file that sets only the mesh is bench on that mesh."""
+    path = tmp_path / "mesh.cfg"
+    path.write_text("[domain]\nnx = 20\nny = 10\n")
+    run, bench = tmp_path / "run", tmp_path / "bench"
+    assert main(["run", "--config", str(path), "--out", str(run)]) == EXIT_OK
+    assert "converged=yes" in capsys.readouterr().out
+    assert main(["bench", "--set", "domain.nx=20", "--set", "domain.ny=10",
+                 "--out", str(bench)]) == EXIT_OK
+    for name in ("history.csv", "fields.vtk", "fields.npz"):
+        assert (run / name).read_bytes() == (bench / name).read_bytes(), name
 
 
 def test_identical_runs_identical_csv(tmp_path):
@@ -178,6 +197,46 @@ def test_export_stl_rejects_a_snapshot_that_is_not_an_npz(tmp_path, capsys, capl
     assert not (tmp_path / "stl").exists()
 
 
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# a snapshot file that np.load refuses or that holds fields of no real number
+UNREADABLE_SNAPSHOTS = {
+    "text": lambda path: path.write_text("phi,chi\n0.5,0.5\n"),
+    "truncated-npy": lambda path: path.write_bytes(npy_bytes(np.ones(TINY_NODES))[:30]),
+    "corrupt-zip": lambda path: path.write_bytes(b"PK\x03\x04" + bytes(60)),
+    "object-phi": lambda path: np.savez(path, phi=np.full(TINY_NODES, None, dtype=object),
+                                        chi=np.full(TINY_NODES, 0.3)),
+    "string-phi": lambda path: np.savez(path, phi=np.full(TINY_NODES, "1.0"),
+                                        chi=np.full(TINY_NODES, 0.3)),
+    "complex-chi": lambda path: np.savez(path, phi=np.ones(TINY_NODES),
+                                         chi=np.full(TINY_NODES, 0.3 + 0.1j)),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_SNAPSHOTS)
+def test_export_stl_rejects_an_unreadable_snapshot(tmp_path, capsys, caplog, kind):
+    path = tmp_path / "snap.npz"
+    UNREADABLE_SNAPSHOTS[kind](path)
+    code = main(["export-stl", "--snapshot", str(path), *TINY,
+                 "--out", str(tmp_path / "stl")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: snapshot {path} ") and err.count("\n") == 1
+    assert "run failed" not in caplog.text        # no traceback logged
+    assert not (tmp_path / "stl").exists()
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64, np.float32])
+def test_export_stl_accepts_real_and_bool_snapshots(tmp_path, capsys, dtype):
+    phi = np.ones(TINY_NODES, dtype=dtype)
+    assert export_fields(tmp_path, phi=phi, chi=phi) == EXIT_OK
+    assert (tmp_path / "stl" / "above.stl").exists()
+
+
 @pytest.mark.parametrize("command", ["export-stl", "bench"])
 def test_an_output_path_that_is_a_file_is_an_error(tmp_path, capsys, caplog, command):
     snapshot, taken = str(tmp_path / "snap.npz"), tmp_path / "taken"
@@ -232,7 +291,7 @@ def test_sweep_runs_the_benchmark_without_config(tmp_path, monkeypatch):
                         lambda config, outdir: seen.append((config, outdir)) or (state, []))
     out = str(tmp_path / "sweep")
     assert main(["sweep", "optimizer.kappa2=40", "--out", out]) == EXIT_OK
-    assert seen == [(apply_overrides(benchmark_config(), ["optimizer.kappa2=40"]),
+    assert seen == [(apply_overrides(cantilever_config(), ["optimizer.kappa2=40"]),
                      os.path.join(out, "optimizer_kappa2_40"))]
     seen.clear()
     monkeypatch.chdir(tmp_path)

@@ -3,9 +3,10 @@ import textwrap
 
 import pytest
 
+import reference
 from gradtopo.config import (_SCHEMA, Box, ConfigError, RunConfig, apply_overrides,
-                             benchmark_config, cantilever_config, load_config,
-                             loads_config, serialize, validate)
+                             cantilever_config, load_config, loads_config, serialize,
+                             validate)
 from gradtopo.optimizer import Optimizer
 
 CANTILEVER_CFG = textwrap.dedent("""\
@@ -56,8 +57,10 @@ def test_load_cantilever_values(tmp_path):
 
 
 def test_default_pnorm_p_is_8():
+    """A key that a file leaves out takes RunConfig's default."""
     cfg = loads_config("[domain]\nnx = 4\nny = 2\n")
     assert cfg.pnorm_p == 8
+    assert cfg == cantilever_config(mesh_nx=4, mesh_ny=2)
 
 
 def test_volume_fraction_out_of_bounds_names_field():
@@ -126,7 +129,8 @@ def test_removed_key_rejected(item):
 
 
 def test_validate_ok_on_benchmark():
-    assert validate(cantilever_config()) == []
+    assert validate(RunConfig()) == []
+    assert cantilever_config() == RunConfig()
 
 
 def test_validate_beta_zero():
@@ -188,10 +192,10 @@ EVERY_FIELD = dict(
     traction_center=30.0 + 1 / 3, thickness=2.5, body_fx=0.01, body_fy=-0.05,
     fixed_void=(Box(0, 0, 5 + 1 / 3, 80),),
     fixed_solid=(Box(140, 30, 150, 50), Box(100, 0, 110, 1 / 7)),
-    youngs_modulus=1000.0, poisson=0.3, beta=1 / 3, gamma_phi=2.0, gamma_chi=5e-4,
-    ersatz=0.01, volume_fraction=0.6, kappa1=20.0, kappa2=40.0, kappa3=0.5,
-    kappa4=2.0, kappa5=0.0, tau=3.5e-3, tau_chi=2e-7, max_iter=80, tol=0.055,
-    seed=3, perturb=0.01, pnorm_p=6, yield_stress=41.0)
+    youngs_modulus=1000.0, poisson=0.3, beta=1 / 3, gamma_phi=0.5, gamma_chi=1e-3,
+    ersatz=0.02, volume_fraction=0.6, kappa1=30.0, kappa2=40.0, kappa3=0.5,
+    kappa4=2.0, kappa5=0.0, tau=2e-3, tau_chi=1e-7 / 3, max_iter=80, tol=0.03,
+    seed=3, perturb=0.01, pnorm_p=6, yield_stress=44.0)
 
 
 def test_round_trip_with_every_field_set():
@@ -207,6 +211,7 @@ def test_apply_overrides():
     out = apply_overrides(cfg, ["optimizer.kappa2=400000", "material.beta=1"])
     assert out.kappa2 == 400000
     assert out.beta == 1.0
+    assert out == dataclasses.replace(cfg, kappa2=400000.0, beta=1.0)
     # original untouched
     assert cfg.kappa2 == 4000
 
@@ -215,7 +220,7 @@ def test_apply_overrides():
 def test_load_key_sets_only_its_own_field(key):
     """An override of one load component keeps every other field of the
     config it overrides; a file's other components are the defaults."""
-    base = benchmark_config(body_fx=0.03, body_fy=-0.05)
+    base = cantilever_config(body_fx=0.03, body_fy=-0.05)
     for start, out in ((base, apply_overrides(base, [f"domain.{key}=7"])),
                        (RunConfig(), loads_config(f"[domain]\n{key} = 7\n"))):
         assert out == dataclasses.replace(start, **{key: 7.0})
@@ -230,7 +235,7 @@ def test_apply_overrides_rejects_bad_shape():
 
 def test_optimizer_rejects_an_invalid_config():
     with pytest.raises(ConfigError, match="poisson"):
-        Optimizer(RunConfig(poisson=0.7))
+        Optimizer(RunConfig(**reference.UNCALIBRATED, poisson=0.7))
 
 
 def test_apply_overrides_validates():
@@ -239,10 +244,13 @@ def test_apply_overrides_validates():
 
 
 def test_effective_defaults():
+    """The load strip is centred on the loaded edge unless placed; no other
+    default follows another field."""
     cfg = cantilever_config()
-    assert cfg.traction_length_eff == pytest.approx(10.0)
+    assert cfg.traction_center is None
     assert cfg.traction_center_eff == pytest.approx(50.0)
-    assert cfg.gamma_chi_eff == cfg.gamma_phi
-    cfg2 = cantilever_config(gamma_chi=0.5, traction_length=4.0)
-    assert cfg2.gamma_chi_eff == 0.5
-    assert cfg2.traction_length_eff == 4.0
+    assert cantilever_config(domain_height=60.0).traction_center_eff == pytest.approx(30.0)
+    assert cantilever_config(traction_center=20.0).traction_center_eff == 20.0
+    moved = cantilever_config(gamma_phi=0.5, tau=1e-4, domain_height=60.0)
+    for name in ("gamma_chi", "ersatz", "tau_chi", "traction_length"):
+        assert getattr(moved, name) == getattr(cfg, name), name

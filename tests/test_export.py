@@ -22,7 +22,7 @@ def make_mesh(nx=20, ny=10):
 # --- VTK / CSV --------------------------------------------------------------
 
 def test_vtk_round_trip(tmp_path):
-    cfg = cantilever_config(mesh_nx=6, mesh_ny=3, max_iter=2)
+    cfg = cantilever_config(**reference.UNCALIBRATED, mesh_nx=6, mesh_ny=3, max_iter=2)
     state, _ = Optimizer(cfg).run()
     mesh = build_rect_mesh(cfg)
     path = str(tmp_path / "fields.vtk")

@@ -7,14 +7,15 @@ from scipy.linalg import lapack
 
 import reference
 from gradtopo import fem
-from gradtopo.config import benchmark_config, cantilever_config
+from gradtopo.config import cantilever_config
 from gradtopo.material import MaterialModel, plane_stress_matrix
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
 
 
 def setup(nx=4, ny=2, **kw):
-    cfg = cantilever_config(mesh_nx=nx, mesh_ny=ny, **kw)
+    cfg = cantilever_config(**{**reference.UNCALIBRATED, "mesh_nx": nx, "mesh_ny": ny,
+                               **kw})
     mesh = build_rect_mesh(cfg)
     mat = MaterialModel.from_config(cfg)
     return cfg, mesh, mat
@@ -291,11 +292,11 @@ def test_phase_bands_match_the_sparse_sums_bitwise(monkeypatch, beta):
     factor = fem.BandCholesky
     monkeypatch.setattr(fem, "BandCholesky",
                         lambda ab, rows: bands.append(ab.copy(order="A")) or factor(ab, rows))
-    opt = Optimizer(benchmark_config(**SKEWED, beta=beta))
+    opt = Optimizer(cantilever_config(**SKEWED, beta=beta))
     cfg, M, K = opt.config, opt.M_raw, opt.K_raw
-    gp, gc = cfg.gamma_phi, cfg.gamma_chi_eff
+    gp, gc = cfg.gamma_phi, cfg.gamma_chi
     operators = [(gp / cfg.tau) * M + cfg.kappa1 * gp * K,
-                 (gc / cfg.tau_chi_eff) * M + cfg.kappa2 * gc * K]
+                 (gc / cfg.tau_chi) * M + cfg.kappa2 * gc * K]
     assert len(bands) == (1 if beta == 1.0 else 2)
     for ab, A in zip(bands, operators):
         want = fem.lower_band(A, opt.band_order)

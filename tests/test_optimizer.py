@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 import reference
 from gradtopo import fem, stress
-from gradtopo.config import (Box, ConfigError, benchmark_config, cantilever_config,
-                             validate)
+from gradtopo.config import Box, ConfigError, cantilever_config, validate
 from gradtopo.material import dW
 from gradtopo.mesh import locate_region_nodes
 from gradtopo.optimizer import Optimizer
 
 
 def small_config(**kw):
-    return cantilever_config(**{"mesh_nx": 4, "mesh_ny": 2, "max_iter": 3, **kw})
+    return cantilever_config(**{**reference.UNCALIBRATED, "mesh_nx": 4, "mesh_ny": 2,
+                                "max_iter": 3, **kw})
 
 
 def interior_fields(opt, seed=0):
@@ -82,8 +82,8 @@ def test_setup_refuses_a_volume_the_frozen_regions_exclude(frozen):
     """The step meets w.phi = V before the projection, so a V outside the
     admissible volumes would pass every per-iterate check (the solid run
     ends at 20000, the void run at 1000, against 10000)."""
-    cfg = benchmark_config(mesh_nx=20, mesh_ny=10, max_iter=5, volume_fraction=0.5,
-                           **frozen)
+    cfg = cantilever_config(mesh_nx=20, mesh_ny=10, max_iter=5, volume_fraction=0.5,
+                            **frozen)
     with pytest.raises(ConfigError, match=r"^volume_fraction: the target volume 10000 "):
         Optimizer(cfg)
 
@@ -206,7 +206,7 @@ def test_phase_step_solves_the_gradient_flow():
     and chi*, with its own pseudo-time step tau_chi, satisfies
     (gc/tau_chi) M (chi* - chi) + k2 gc K (chi* - chi) + g_chi = 0."""
     cfg = small_config(mesh_nx=8, mesh_ny=4, body_fy=-0.05,
-                       tau_chi=0.2 * cantilever_config().tau)
+                       tau_chi=0.2 * reference.UNCALIBRATED["tau"])
     assert cfg.kappa5 == 1.0 and cfg.tau_chi != cfg.tau
     opt = Optimizer(cfg)
     phi, chi = interior_fields(opt, seed=3)
@@ -219,7 +219,7 @@ def test_phase_step_solves_the_gradient_flow():
         + cfg.kappa1 * cfg.gamma_phi * (opt.K_raw @ d) + lam * opt.weights + g_phi
     assert np.abs(residual).max() <= 1e-10 * np.abs(g_phi).max()
 
-    gc, d = cfg.gamma_chi_eff, chi_star - chi
+    gc, d = cfg.gamma_chi, chi_star - chi
     terms = ((gc / cfg.tau_chi) * (opt.M_raw @ d), cfg.kappa2 * gc * (opt.K_raw @ d),
              g_chi)
     scale = max(np.abs(t).max() for t in terms)
@@ -233,14 +233,14 @@ def test_phase_step_keeps_its_float_order(beta):
     (stress on, a body force, a step tau that is not the benchmark's): a
     reordered right-hand side changes the rounding, which the benchmark's
     transient amplifies."""
-    cfg = benchmark_config(mesh_nx=12, mesh_ny=6, body_fy=-0.05, beta=beta,
-                           tau=0.5 * benchmark_config().tau)
+    cfg = cantilever_config(mesh_nx=12, mesh_ny=6, body_fy=-0.05, beta=beta,
+                            tau=0.5 * cantilever_config().tau)
     assert cfg.kappa5 == 1.0
     opt = Optimizer(cfg)
     x = opt.state_solve(*interior_fields(opt, seed=8))
     U = opt.adjoint_solve(x)
 
-    gp, gc, tau = cfg.gamma_phi, cfg.gamma_chi_eff, cfg.tau
+    gp, gc, tau = cfg.gamma_phi, cfg.gamma_chi, cfg.tau
     Sigma = opt.elastic.strains(U) \
         - cfg.kappa5 * stress.pointwise_penalty_gradient(x.aggregate, opt.mesh)
     share = opt.mesh.element_areas / 3.0 * np.einsum("ej,ej->e", Sigma, x.unit_stress)
@@ -249,7 +249,7 @@ def test_phase_step_keeps_its_float_order(beta):
     rhs_phi = (gp / tau) * (opt.M_raw @ x.phi) + q_s \
         - (cfg.kappa1 / gp) * (opt.weights * dW(x.phi)) \
         - (cfg.kappa3 * (opt.C @ x.u) + (opt.C @ U))
-    rhs_chi = (gc / cfg.tau_chi_eff) * (opt.M_raw @ x.chi) + q_sp
+    rhs_chi = (gc / cfg.tau_chi) * (opt.M_raw @ x.chi) + q_sp
 
     def factor(A):
         return fem.BandCholesky(fem.lower_band(A, opt.band_order), opt.band_order).solve
@@ -258,7 +258,7 @@ def test_phase_step_keeps_its_float_order(beta):
     phi_new, lam = fem.solve_saddle(solve_phi, opt.weights, rhs_phi,
                                     opt.volume_target, solve_phi(opt.weights))
     chi_new = x.chi if beta == 1.0 else factor(
-        (gc / cfg.tau_chi_eff) * opt.M_raw + cfg.kappa2 * gc * opt.K_raw)(rhs_chi)
+        (gc / cfg.tau_chi) * opt.M_raw + cfg.kappa2 * gc * opt.K_raw)(rhs_chi)
 
     phi_star, chi_star, lam_star = opt.phase_field_step(x, U)
     assert np.array_equal(phi_star, phi_new) and lam_star == lam
@@ -287,7 +287,7 @@ def test_chi_driving_matches_compliance_sensitivity():
     phi, chi = interior_fields(opt, seed=11)
     x = opt.state_solve(phi, chi)
     g_chi = opt.gradient(x, opt.adjoint_solve(x))[1]
-    mechanical = g_chi - cfg.kappa2 * cfg.gamma_chi_eff * (opt.K_raw @ chi)
+    mechanical = g_chi - cfg.kappa2 * cfg.gamma_chi * (opt.K_raw @ chi)
     h = 1e-6
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -503,10 +503,11 @@ def log_uniform(lo_exp, hi_exp):
 @st.composite
 def runnable_configs(draw):
     """Configs that validate accepts on meshes up to 12x6: the benchmark or
-    the default base, with the optimizer's weights, steps and volume drawn
-    over wide ranges, a body force in some draws and a frozen void box in
-    others."""
-    base = draw(st.sampled_from([benchmark_config, cantilever_config]))()
+    the uncalibrated base, with the optimizer's weights, steps and volume
+    drawn over wide ranges, a body force in some draws and a frozen void box
+    in others."""
+    scenario = draw(st.sampled_from([{}, reference.UNCALIBRATED]))
+    base = cantilever_config(**scenario)
     body_fx, body_fy, fixed_void = 0.0, 0.0, ()
     if draw(st.booleans()):
         body_fx, body_fy = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
@@ -520,6 +521,8 @@ def runnable_configs(draw):
         beta=draw(st.sampled_from([1 / 6, 1 / 2, 1.0])), tau=draw(log_uniform(-7, -2)),
         volume_fraction=draw(st.floats(0.3, 0.9)), body_fx=body_fx, body_fy=body_fy,
         fixed_void=fixed_void, max_iter=30)
+    if scenario:        # the uncalibrated chi step is the drawn phi step
+        config = dataclasses.replace(config, tau_chi=config.tau)
     assume(validate(config) == [])
     return config
 
