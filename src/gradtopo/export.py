@@ -32,8 +32,7 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Geometry that cannot be written as a closed solid (no caps, or an
-    extrusion with an edge not used by exactly two triangles or a vertex
-    that is not the cap point it extrudes)."""
+    extrusion with an edge not used by exactly two triangles)."""
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +196,9 @@ def extrude_to_stl(caps, height: float, path: str) -> int:
 
     `caps` is a (T,3,2) array of counter-clockwise triangles that tile the
     region.  They are written at z = 0 and z = height, and the walls stand
-    on the cap edges that no other cap shares (vertices keyed by their
-    float32 bits, as stored).  Raises ValueError for a height that float32
+    on the cap edges that no other cap shares.  Every vertex is written from
+    its name: the float32 bits of its cap point (-0 as +0), which also key
+    the points, and of its z.  Raises ValueError for a height that float32
     cannot store (see stl_height), and GeometryError, before writing, if any
     edge of the solid is not used by exactly two triangles.  Returns the
     number of triangles written.
@@ -207,100 +207,105 @@ def extrude_to_stl(caps, height: float, path: str) -> int:
     caps = np.asarray(caps, dtype=float).reshape(-1, 3, 2)
     if not len(caps):
         raise GeometryError("no caps to extrude")
-    # one id per distinct float32 point: its rank among the sorted keys
-    xy = _xy_keys(caps).ravel()
-    order = np.argsort(xy)
-    xy = xy[order]
-    first = np.concatenate([[True], xy[1:] != xy[:-1]])
-    keys = xy[first]
-    ids = np.empty(len(xy), dtype=np.int64)
-    ids[order] = np.cumsum(first) - 1
-    ids = ids.reshape(-1, 3)
-    # the walls stand on the edges used once: a key that differs from both
-    # neighbours in the sorted edge keys
-    edge = _edge_keys(ids).ravel()
-    order = np.argsort(edge)
-    edge = edge[order]
-    bound = np.concatenate([[True], edge[1:] != edge[:-1], [True]])
-    wall = np.empty(len(edge), dtype=bool)
-    wall[order] = bound[:-1] & bound[1:]
-    wall = wall.reshape(-1, 3)
+    ids, keys = _point_ids(caps)
     # wall edges a -> b, from corner k to k + 1 of cap t in its
     # counter-clockwise order: the region lies on their left, so the walls
     # wind outward
-    t, k = np.nonzero(wall)
+    t, k = np.nonzero(_used_once(_edge_keys(ids)))
     k1 = (k + 1) % 3
-    level = np.repeat(np.array([[1, 1, 1], [0, 0, 0], [0, 0, 1], [0, 1, 1]], dtype=np.int8),
-                      [len(caps), len(caps), len(t), len(t)], axis=0)
-    tris = np.empty(level.shape + (3,))
-    _prism(tris[..., :2], caps, caps[t, k], caps[t, k1])
-    np.multiply(level, float(height), out=tris[..., 2])
-    # the same vertices as 2 * (cap point id) + level, level 1 at z = height
-    vertex = np.empty(level.shape, dtype=np.int64)
-    _prism(vertex, ids, ids[t, k], ids[t, k1])
-    vertex *= 2
-    vertex += level
-    stored = tris.astype(np.float32)
-    _check_closed(stored, vertex, keys, z)
-    records = np.zeros(len(tris), dtype=_STL_RECORD)
-    records["v"] = stored
-    # the normal as np.cross and np.linalg.norm compute it, component-wise
-    d1, d2 = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-    normal = (d1[:, 1] * d2[:, 2] - d1[:, 2] * d2[:, 1],
-              d1[:, 2] * d2[:, 0] - d1[:, 0] * d2[:, 2],
-              d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    norm = np.sqrt(normal[0] * normal[0] + normal[1] * normal[1] + normal[2] * normal[2])
-    for i, c in enumerate(normal):
-        # a degenerate triangle keeps the zero normal
-        np.divide(c, norm, out=records["normal"][:, i], where=norm > 0)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<80sI", b"gradtopo extruded design", len(tris)))
-        fh.write(memoryview(records))
-    return len(tris)
-
-
-def _prism(out: np.ndarray, cap: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Fill `out` (n,3,...) with the prism's triangles, as values per vertex,
-    from its caps' (T,3,...) and its wall edges' ends' (W,...): top caps
-    (normal +z), mirrored bottom caps (normal -z), then the walls (a, b, b)
-    and (a, b, a)."""
-    top, bottom, wall = len(cap), 2 * len(cap), 2 * len(cap) + len(a)
-    out[:top] = cap
-    out[top:bottom] = cap[:, ::-1]
-    out[bottom:, 0] = np.concatenate([a, a])
-    out[bottom:, 1] = np.concatenate([b, b])
-    out[bottom:wall, 2] = b
-    out[wall:, 2] = a
-
-
-def _check_closed(v: np.ndarray, vertex: np.ndarray, keys: np.ndarray, z: np.float32) -> None:
-    """GeometryError unless every edge of the stored triangles `v` (T,3,3)
-    is used by exactly two of them.
-
-    vertex[t, i] = 2 * p + level names v[t, i] as cap point p, of float32
-    xy bits keys[p], at z = 0 (level 0) or z (level 1).  Each stored vertex
-    is checked against its name bit for bit; since the keys are distinct
-    and z > 0, two stored vertices are then equal exactly when their names
-    are, and the edges are counted on the names: in the sorted edge keys,
-    every edge is used twice exactly when the keys come in equal pairs and
-    no pair equals the next.
-    """
-    # the float32 bits of every name: x and y from its key, z from its level
+    # every vertex named 2 * (cap point id) + level, level 1 at z = height:
+    # top caps (normal +z), mirrored bottom caps (normal -z), then the walls
+    # (a0, b0, b1) and (a0, b1, a1)
+    a, b = 2 * ids[t, k], 2 * ids[t, k1]
+    vertex = np.concatenate([2 * ids + 1, 2 * ids[:, ::-1], np.stack([a, b, b + 1], axis=1),
+                             np.stack([a, b + 1, a + 1], axis=1)])
+    # the float32 bits of every name: x and y from its point's key, z from
+    # its level
     named = np.empty((len(keys), 2, 3), dtype=np.uint32)
     named[..., 0] = (keys >> 32)[:, None]
     named[..., 1] = (keys & 0xFFFFFFFF)[:, None]
     named[..., 2] = _float32_bits([0.0, z])
-    stored = (np.asarray(v, dtype=np.float32) + np.float32(0.0)).view(np.uint32)
-    if not np.array_equal(stored.reshape(-1, 3),
-                          np.take(named.reshape(-1, 3), vertex.ravel(), axis=0)):
-        raise GeometryError("a stored STL vertex is not the cap point it extrudes")
+    named = named.reshape(-1, 3)
+    try:
+        _check_closed(vertex)
+    except GeometryError as err:
+        ends = [", ".join(map(str, named[n].view(np.float32))) for n in err.edge]
+        raise GeometryError(f"{err}, the first from ({ends[0]}) to ({ends[1]})") from None
+    records = np.zeros(len(vertex), dtype=_STL_RECORD)
+    for j in range(3):     # a corner at a time: a third of the gather's temporary
+        records["v"][:, j].view(np.uint32)[...] = named[vertex[:, j]]
+    # the normals of each kind of triangle from its float64 cap differences
+    # and its z differences as scalars: the bits np.cross and np.linalg.norm
+    # give on its vertices, signed zeros included
+    c0, c1, c2 = caps[:, 0], caps[:, 1], caps[:, 2]
+    a, b = caps[t, k], caps[t, k1]
+    h = float(height)
+    top, bottom, walls = len(caps), 2 * len(caps), 2 * len(caps) + len(t)
+    normal = records["normal"]
+    _normals(normal[:top], c1 - c0, c2 - c0, h - h, h - h)
+    _normals(normal[top:bottom], c1 - c2, c0 - c2, 0.0 - 0.0, 0.0 - 0.0)
+    _normals(normal[bottom:walls], b - a, b - a, 0.0 - 0.0, h - 0.0)
+    _normals(normal[walls:], b - a, a - a, h - 0.0, h - 0.0)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<80sI", b"gradtopo extruded design", len(records)))
+        fh.write(memoryview(records))
+    return len(records)
+
+
+def _point_ids(caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One id (T,3) per distinct float32 point of the caps (T,3,2), its rank
+    among the points' sorted keys, and those keys (P,): the float32 x and y
+    bits packed into an int64."""
+    bits = _float32_bits(caps)
+    xy = (bits[..., 0] << 32 | bits[..., 1]).ravel()
+    order = np.argsort(xy)
+    xy = xy[order]
+    first = np.concatenate([[True], xy[1:] != xy[:-1]])
+    ids = np.empty(len(xy), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ids.reshape(-1, 3), xy[first]
+
+
+def _used_once(keys: np.ndarray) -> np.ndarray:
+    """Whether each edge key (T,3) is used once: differs from both its
+    neighbours in the sorted keys."""
+    order = np.argsort(keys, axis=None)
+    keys = keys.ravel()[order]
+    bound = np.concatenate([[True], keys[1:] != keys[:-1], [True]])
+    once = np.empty(len(keys), dtype=bool)
+    once[order] = bound[:-1] & bound[1:]
+    return once.reshape(-1, 3)
+
+
+def _normals(out: np.ndarray, d1: np.ndarray, d2: np.ndarray, z1: float, z2: float) -> None:
+    """Write the unit normals of triangles with edge vectors (d1, z1) and
+    (d2, z2), (n,2) and scalar, into out (n,3); a degenerate triangle keeps
+    the zero normal."""
+    x1, y1, x2, y2 = d1[:, 0], d1[:, 1], d2[:, 0], d2[:, 1]
+    normal = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+    norm = np.sqrt(normal[0] * normal[0] + normal[1] * normal[1] + normal[2] * normal[2])
+    for i, c in enumerate(normal):
+        np.divide(c, norm, out=out[:, i], where=norm > 0)
+
+
+def _check_closed(vertex: np.ndarray) -> None:
+    """GeometryError unless every edge of the triangles (T,3), given by their
+    vertices' names, is used by exactly two of them.
+
+    In the sorted edge keys, every edge is used twice exactly when the keys
+    come in equal pairs and no pair equals the next.  The error's `edge`
+    holds the names of the ends of the first edge, in key order, that is not.
+    """
     edge = _edge_keys(vertex).ravel()
     edge.sort()
     if not (len(edge) % 2 == 0 and np.array_equal(edge[0::2], edge[1::2])
             and not np.any(edge[2::2] == edge[1:-1:2])):
-        uses = np.unique(edge, return_counts=True)[1]
-        raise GeometryError(f"extruded solid is not closed: {np.count_nonzero(uses != 2)} "
+        keys, uses = np.unique(edge, return_counts=True)
+        err = GeometryError(f"extruded solid is not closed: {np.count_nonzero(uses != 2)} "
                             f"of {len(uses)} edges are not used by exactly two triangles")
+        t, k = np.argwhere(_edge_keys(vertex) == keys[uses != 2][0])[0]
+        err.edge = vertex[t, k], vertex[t, (k + 1) % 3]
+        raise err
 
 
 def split_to_stl(phi: np.ndarray, chi: np.ndarray, mesh, threshold: float,
@@ -336,12 +341,6 @@ def _float32_bits(a) -> np.ndarray:
     are one value as a binary STL stores it."""
     v = np.asarray(a, dtype=np.float32) + np.float32(0.0)
     return v.view(np.uint32).astype(np.int64)
-
-
-def _xy_keys(p) -> np.ndarray:
-    """One int64 key per point (..., 2+): its float32 x and y bits packed."""
-    bits = _float32_bits(np.asarray(p)[..., :2])
-    return bits[..., 0] << 32 | bits[..., 1]
 
 
 def _edge_keys(ids: np.ndarray) -> np.ndarray:

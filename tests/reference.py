@@ -134,8 +134,8 @@ def body_load(mesh, phi, body_force) -> np.ndarray:
     return f
 
 
-def read_stl(path: str) -> np.ndarray:
-    """Triangles (n,3,3) of a binary STL: 80-byte header, uint32 count, then
+def read_stl_records(path: str) -> np.ndarray:
+    """The records of a binary STL: 80-byte header, uint32 count, then
     50-byte records (normal, three vertices, attribute)."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -143,7 +143,12 @@ def read_stl(path: str) -> np.ndarray:
     if len(data) != 84 + 50 * count:
         raise ValueError(f"{path}: not a binary STL ({len(data)} bytes)")
     record = np.dtype([("normal", "<f4", 3), ("v", "<f4", (3, 3)), ("attr", "<u2")])
-    return np.frombuffer(data, record, count, 84)["v"].astype(float)
+    return np.frombuffer(data, record, count, 84)
+
+
+def read_stl(path: str) -> np.ndarray:
+    """Triangles (n,3,3) of a binary STL."""
+    return read_stl_records(path)["v"].astype(float)
 
 
 def stl_edge_use_counts(tris: np.ndarray) -> dict:

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -261,6 +262,20 @@ def test_extrude_rejects_open_solid(tmp_path):
     assert export.extrude_to_stl([signed[[0, 1, 2]], loop[[0, 2, 3]]], 1.0, str(path)) == 12
 
 
+@pytest.mark.parametrize("shift, height, ends", [
+    ((0.0, 0.0), 1.0, "(0.0, 0.0, 0.0) to (0.0, 0.0, 1.0)"),
+    ((0.1, -2.5), 2.5, "(0.1, -2.5, 0.0) to (0.1, -2.5, 2.5)"),
+])
+def test_extrude_refusal_names_the_open_edge(tmp_path, shift, height, ends):
+    """Two triangles that meet at one corner: the refusal names the float32
+    ends of the vertical edge there, the one edge not used twice."""
+    bowtie = np.array([((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                       ((0.0, 0.0), (-1.0, 0.0), (0.0, -1.0))]) + shift
+    with pytest.raises(export.GeometryError,
+                       match=r"not closed: 1 of .*, the first from " + re.escape(ends) + "$"):
+        export.extrude_to_stl(bowtie, height, str(tmp_path / "x.stl"))
+
+
 def test_extrude_refuses_region_that_touches_itself_at_a_vertex(tmp_path):
     """The node on the threshold counts as above, so the crossings around it
     collapse onto it and the two corner regions share only that vertex.  No
@@ -297,7 +312,7 @@ def test_check_closed_counts_the_edges_not_used_twice(soup):
     assert sorted(c for c in counts.values() if c != 2) == bad_uses
     with pytest.raises(export.GeometryError,
                        match=f"not closed: {len(bad_uses)} of {len(counts)} edges"):
-        export._check_closed(stored, names, export._xy_keys(xy), z)
+        export._check_closed(names)
 
 
 @pytest.mark.parametrize("caps, bad_uses", [
@@ -411,6 +426,37 @@ def test_extrude_refuses_exactly_the_open_solids(tmp_path, kind, seed):
         else:
             export.extrude_to_stl(caps, 2.5, str(path))
             assert reference.stl_edge_use_counts(reference.read_stl(str(path))) == counts
+
+
+def check_normals(records):
+    v = records["v"].astype(float)
+    cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    norm = np.linalg.norm(cross, axis=1)
+    expected = np.zeros(cross.shape, dtype=np.float32)
+    expected[norm > 0] = cross[norm > 0] / norm[norm > 0, None]
+    assert np.array_equal(records["normal"].view(np.uint32), expected.view(np.uint32))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["random", "quarter", "smooth"])
+def test_normals_are_the_unit_cross_products_of_the_stored_vertices(tmp_path, kind, seed):
+    """Every written normal is, bit for bit, the float32 of np.cross of the
+    stored triangle's edges over its np.linalg.norm, or zero where that norm
+    is 0; the height 2.5 is exact in float32.  Every quarter region on the
+    12x6 mesh touches itself at a vertex and is refused, so the small mesh
+    gives each field STLs to check."""
+    path = str(tmp_path / "part.stl")
+    written = 0
+    for mesh in (make_mesh(12, 6), make_mesh(4, 2)):
+        field = p1_field(kind, mesh, seed)
+        for caps in (export.region_caps(field, mesh, 0.5), below_caps(field, mesh)):
+            try:
+                export.extrude_to_stl(caps, 2.5, path)
+            except export.GeometryError:
+                continue
+            check_normals(reference.read_stl_records(path))
+            written += 1
+    assert written
 
 
 def test_extrude_rejects_bad_height_and_empty(tmp_path):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, note, settings
+from hypothesis import assume, example, given, note, settings
 from hypothesis import strategies as st
 
 import reference
@@ -529,6 +529,11 @@ def runnable_configs(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(config=runnable_configs())
+# both bases on the largest mesh, checked whatever the draws hold
+@example(config=cantilever_config(mesh_nx=12, mesh_ny=6, max_iter=30))
+@example(config=dataclasses.replace(
+    cantilever_config(**reference.UNCALIBRATED, mesh_nx=12, mesh_ny=6, max_iter=30),
+    tau_chi=reference.UNCALIBRATED["tau"]))
 def test_every_accepted_iterate_is_finite_and_admissible(config):
     """Each iterate the loop accepts has finite fields, the exact volume
     before the projection, 0 <= phi <= 1, 0 <= chi <= phi (chi = m for
