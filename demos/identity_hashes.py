@@ -40,7 +40,7 @@ def run_gradtopo(*argv) -> int:
 
 
 def digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:12] if path.exists() else "-"
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:12]
 
 
 def run_case(case, out: Path) -> list[str]:
@@ -50,10 +50,11 @@ def run_case(case, out: Path) -> list[str]:
         sys.exit(f"gradtopo bench {' '.join(case)} exited with {code}")
     stl = out / "stl"
     code = run_gradtopo("export-stl", "--snapshot", str(out / "fields.npz"),
-                    "--threshold", "0.5", "--height", "10", "--out", str(stl))
+                        "--threshold", "0.5", "--height", "10", "--out", str(stl))
     if code != 0:
         sys.exit(f"gradtopo export-stl after bench {' '.join(case)} exited with {code}")
-    return [digest(out / name) for name in FILES] + [digest(stl / name) for name in STLS]
+    return ([digest(out / name) for name in FILES]
+            + [digest(stl / name) if (stl / name).exists() else "-" for name in STLS])
 
 
 def main() -> None:
