@@ -67,6 +67,17 @@ def _optimize(config, outdir, callback=None):
     return state, history
 
 
+# the end-of-run values that the run/bench summary line and each sweep row print
+SUMMARY_KEYS = ("iterations", "compliance", "m_chi", "objective", "max_von_mises", "sigma_pn")
+
+
+def _summary(state) -> list[str]:
+    """The SUMMARY_KEYS values of the run that ended at state, formatted."""
+    values = (state.compliance, state.m_chi, state.objective,
+              state.aggregate.sigma_e.max(initial=0.0), state.aggregate.sigma_pn)
+    return [str(state.iter), *(f"{v:.6g}" for v in values)]
+
+
 def _execute(config, outdir) -> int:
     t0 = time.perf_counter()
 
@@ -77,13 +88,10 @@ def _execute(config, outdir) -> int:
                      rec.compliance, rec.m_chi, rec.delta_phi, rec.delta_chi)
 
     state, history = _optimize(config, outdir, progress)
-    last = history[-1]
     # iterations over the loop's wall time (set-up and export excluded)
-    iters_per_s = state.iter / last.wall_time
-    print(f"converged={'yes' if state.converged else 'no'} "
-          f"iterations={state.iter} compliance={state.compliance:.6g} "
-          f"m_chi={state.m_chi:.6g} objective={state.objective:.6g} "
-          f"max_von_mises={last.max_von_mises:.6g} "
+    iters_per_s = state.iter / history[-1].wall_time
+    values = " ".join(f"{k}={v}" for k, v in zip(SUMMARY_KEYS, _summary(state)))
+    print(f"converged={'yes' if state.converged else 'no'} {values} "
           f"wall_s={time.perf_counter() - t0:.3f} iters_per_s={iters_per_s:.3g}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
 
@@ -123,29 +131,26 @@ def cmd_sweep(args) -> int:
     if shared:
         raise ConfigError(f"sweep variants share an output directory: {', '.join(shared)}")
     base = _load(args, default_builtin=True)
-    rows = []
+    header = ("variant", *SUMMARY_KEYS, "convergence")
+    rows = [header]
     for label, name, overrides in variants:
         try:
             state, _ = _optimize(apply_overrides(base, overrides),
                                  os.path.join(args.out, name))
-            rows.append((label, f"{state.compliance:.6g}", f"{state.m_chi:.4g}",
-                         "YES" if state.converged else "NO"))
+            rows.append((label, *_summary(state), "YES" if state.converged else "NO"))
         except Exception as exc:  # per-run failures recorded, sweep continues
             log.error("sweep variant %s failed: %s", label, exc)
-            rows.append((label, "error", "error", "ERROR"))
-    header = ("variant", "compliance", "m_chi", "convergence")
-    widths = [max(len(r[i]) for r in rows + [header]) for i in range(4)]
+            rows.append((label, *["error"] * len(SUMMARY_KEYS), "ERROR"))
+    widths = [max(map(len, column)) for column in zip(*rows)]
     fmt = " | ".join("{:%d}" % w for w in widths)
     print(fmt.format(*header))
     print("-|-".join("-" * w for w in widths))
-    for r in rows:
+    for r in rows[1:]:
         print(fmt.format(*r))
     if args.table:
         with open(args.table, "w", encoding="ascii") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in rows:
-                fh.write(",".join(r) + "\n")
-    return EXIT_ERROR if any(r[3] == "ERROR" for r in rows) else EXIT_OK
+            fh.writelines(",".join(r) + "\n" for r in rows)
+    return EXIT_ERROR if any(r[-1] == "ERROR" for r in rows) else EXIT_OK
 
 
 # what np.load and a read of an archive member raise on a file that is not
@@ -252,11 +257,9 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         return args.func(args)
-    except (ConfigError, export.GeometryError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:
-        log.exception("run failed")
+        if not isinstance(exc, (ConfigError, export.GeometryError, OSError)):
+            log.exception("run failed")     # a traceback for what is unexpected
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

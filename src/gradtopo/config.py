@@ -13,6 +13,9 @@ import io
 import math
 from dataclasses import astuple, dataclass, replace
 
+from gradtopo.fem import lumped_weights
+from gradtopo.mesh import build_rect_mesh, frozen_bounds
+
 __all__ = [
     "Box",
     "RunConfig",
@@ -173,6 +176,15 @@ def validate(config: RunConfig) -> list[str]:
         for b1 in config.fixed_solid:
             if b0.overlaps(b1):
                 v.append(f"fixed regions overlap: void {b0} intersects solid {b1}")
+    # the phase-field step holds w.phi = V before the projection, so a V that
+    # no design within the frozen regions has would pass every iterate check
+    if not v and (config.fixed_void or config.fixed_solid):
+        mesh = build_rect_mesh(config)
+        weights, target = lumped_weights(mesh), config.volume_fraction * mesh.area
+        lo, hi = (float(weights @ bound) for bound in frozen_bounds(mesh, config))
+        if not lo <= target <= hi:
+            v.append(f"volume_fraction: the target volume {target:g} lies outside "
+                     f"[{lo:g}, {hi:g}], the volumes the frozen regions allow")
     return v
 
 

@@ -97,7 +97,9 @@ def write_run(outdir: str, state, history: list, mesh) -> None:
 def _snap(p: np.ndarray) -> np.ndarray:
     # the binary STL stores float32: snapping every point to it collapses
     # eps-offset crossings onto their mesh nodes, so the caps drop the
-    # slivers between them
+    # slivers between them.  Not in a coordinate that is 0 at the node:
+    # float32 keeps such a crossing's ~7e-11 mm offset from 0, so the caps
+    # keep (33.333332, 6.67e-11) next to the node (33.333332, 0)
     return np.asarray(p, dtype=np.float32).astype(float)
 
 

@@ -105,3 +105,14 @@ def locate_region_nodes(mesh: Mesh, box) -> np.ndarray:
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     inside = (x >= box.x0) & (x <= box.x1) & (y >= box.y0) & (y <= box.y1)
     return np.flatnonzero(inside)
+
+
+def frozen_bounds(mesh: Mesh, config) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal bounds (lower, upper) of phi: [0, 1], with upper 0 in the
+    config's fixed_void boxes and lower 1 in its fixed_solid boxes."""
+    lower, upper = np.zeros(mesh.node_count), np.ones(mesh.node_count)
+    for box in config.fixed_void:
+        upper[locate_region_nodes(mesh, box)] = 0.0
+    for box in config.fixed_solid:
+        lower[locate_region_nodes(mesh, box)] = 1.0
+    return lower, upper

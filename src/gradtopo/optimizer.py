@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradtopo import fem, stress
-from gradtopo.config import ConfigError, RunConfig, validated
+from gradtopo.config import RunConfig, validated
 from gradtopo.material import MaterialModel, W, dW
-from gradtopo.mesh import build_rect_mesh, locate_region_nodes
+from gradtopo.mesh import build_rect_mesh, frozen_bounds
 
 __all__ = ["Iterate", "IterationRecord", "Optimizer"]
 
@@ -110,21 +110,8 @@ class Optimizer:
         self.C = fem.assemble_body_coupling(self.mesh, config, self.elastic.node_incidence)
         self.C_T = self.C.T.tocsr()                     # C^T phi: the body load
 
-        # bounds honoring the frozen regions
-        N = self.mesh.node_count
-        self.phi_lower = np.zeros(N)
-        self.phi_upper = np.ones(N)
-        for box in config.fixed_void:
-            self.phi_upper[locate_region_nodes(self.mesh, box)] = 0.0
-        for box in config.fixed_solid:
-            self.phi_lower[locate_region_nodes(self.mesh, box)] = 1.0
-        # the step holds w.phi = V before the projection, so a V that no
-        # admissible phi has would pass every per-iterate check
-        lo, hi = float(self.weights @ self.phi_lower), float(self.weights @ self.phi_upper)
-        if not lo <= self.volume_target <= hi:
-            raise ConfigError(
-                f"volume_fraction: the target volume {self.volume_target:g} lies "
-                f"outside [{lo:g}, {hi:g}], the volumes the frozen regions allow")
+        # bounds honoring the frozen regions, which validate checked admit V
+        self.phi_lower, self.phi_upper = frozen_bounds(self.mesh, config)
 
     # --- the admissible set -------------------------------------------------
 

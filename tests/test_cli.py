@@ -1,5 +1,7 @@
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import reference
-from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser, main
 from gradtopo.config import (RunConfig, apply_overrides, cantilever_config, load_config,
                              loads_config, serialize)
 
@@ -265,7 +267,8 @@ def test_sweep_table(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "variant" in stdout and "compliance" in stdout
     rows = Path(table).read_text().splitlines()
-    assert rows[0] == "variant,compliance,m_chi,convergence"
+    assert rows[0] == ("variant,iterations,compliance,m_chi,objective,max_von_mises,"
+                       "sigma_pn,convergence")
     assert len(rows) == 4   # header + 2 sweep values + beta=1 reference
     # every variant writes what run writes, so export-stl can read it
     for variant in ("optimizer_kappa2_40", "optimizer_kappa2_4000", "beta_1"):
@@ -286,7 +289,9 @@ def test_sweep_exit_code_on_failed_variant(tmp_path, capsys):
 
 def test_sweep_runs_the_benchmark_without_config(tmp_path, monkeypatch):
     seen = []
-    state = SimpleNamespace(compliance=1.0, m_chi=0.5, converged=True)
+    state = SimpleNamespace(iter=3, compliance=1.0, m_chi=0.5, objective=2.0,
+                            aggregate=SimpleNamespace(sigma_e=np.ones(2), sigma_pn=0.9),
+                            converged=True)
     monkeypatch.setattr("gradtopo.cli._optimize",
                         lambda config, outdir: seen.append((config, outdir)) or (state, []))
     out = str(tmp_path / "sweep")
@@ -299,6 +304,27 @@ def test_sweep_runs_the_benchmark_without_config(tmp_path, monkeypatch):
     assert [outdir for _, outdir in seen] == [os.path.join("out", "optimizer_kappa2_40")]
 
 
+def test_bench_line_and_sweep_row_agree(tmp_path, capsys):
+    """bench and a one-variant sweep of the same config print the same
+    end-of-run values, and the CSV puts them between variant and
+    convergence."""
+    mesh = ["--set", "domain.nx=8", "--set", "domain.ny=4"]
+    assert main(["bench", *mesh, "--set", "optimizer.max_iter=3",
+                 "--out", str(tmp_path / "bench")]) == EXIT_NOT_CONVERGED
+    line = dict(item.split("=") for item in capsys.readouterr().out.split())
+    table = tmp_path / "table.csv"
+    assert main(["sweep", "optimizer.max_iter=3", *mesh, "--out", str(tmp_path / "sweep"),
+                 "--table", str(table)]) == EXIT_OK
+    header, row = (r.split(",") for r in table.read_text().splitlines())
+    assert header == ["variant", "iterations", "compliance", "m_chi", "objective",
+                      "max_von_mises", "sigma_pn", "convergence"]
+    swept = dict(zip(header, row))
+    shared = line.keys() & swept.keys()
+    assert shared == set(header[1:-1])
+    assert {k: line[k] for k in shared} == {k: swept[k] for k in shared}
+    assert line["converged"] == "no" and swept["convergence"] == "NO"
+
+
 def test_sweep_bad_spec(capsys):
     assert main(["sweep", "kappa2"]) == EXIT_ERROR
     assert "sweep spec" in capsys.readouterr().err
@@ -309,7 +335,9 @@ def test_sweep_bad_spec(capsys):
 def test_sweep_names_directories_from_the_stripped_key_and_value(
         tmp_path, monkeypatch, spec):
     seen = []
-    state = SimpleNamespace(compliance=1.0, m_chi=0.5, converged=True)
+    state = SimpleNamespace(iter=3, compliance=1.0, m_chi=0.5, objective=2.0,
+                            aggregate=SimpleNamespace(sigma_e=np.ones(2), sigma_pn=0.9),
+                            converged=True)
     monkeypatch.setattr("gradtopo.cli._optimize",
                         lambda config, outdir: seen.append((config, outdir)) or (state, []))
     out = str(tmp_path / "sweep")
@@ -461,3 +489,29 @@ def test_threads_flag_removed(capsys):
         main(["bench", "--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def readme_commands():
+    """Each `gradtopo ...` line of README's sh blocks, shlex-split, without
+    the command name and a trailing `> file`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["gradtopo"]:
+                commands.append(argv[1:argv.index(">")] if ">" in argv else argv[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    """README's commands stand in for scripts, so a renamed or removed flag
+    they use fails here."""
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's `gradtopo {shlex.join(argv)}` does not parse: "
+                        f"{capsys.readouterr().err}")

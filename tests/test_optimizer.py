@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference
 from gradtopo import fem, stress
-from gradtopo.config import Box, ConfigError, cantilever_config, validate
+from gradtopo.config import Box, ConfigError, RunConfig, cantilever_config, validate
 from gradtopo.material import dW
 from gradtopo.mesh import locate_region_nodes
 from gradtopo.optimizer import Optimizer
@@ -75,17 +76,26 @@ def wild_fields(opt, seed=0):
             -0.5 + 2.0 * rng.random(opt.mesh.node_count))
 
 
-@pytest.mark.parametrize("frozen", [dict(fixed_solid=(Box(0, 0, 200, 100),)),
-                                    dict(fixed_void=(Box(0, 0, 200, 90),))],
-                         ids=["solid-above-target", "void-below-target"])
-def test_setup_refuses_a_volume_the_frozen_regions_exclude(frozen):
+@pytest.mark.parametrize("config, message", [
+    (dataclasses.replace(RunConfig(), mesh_nx=20, mesh_ny=10, max_iter=5,
+                         volume_fraction=0.5, fixed_solid=(Box(0, 0, 200, 100),)),
+     "the target volume 10000 lies outside [20000, 20000]"),
+    (dataclasses.replace(RunConfig(), mesh_nx=20, mesh_ny=10, max_iter=5,
+                         volume_fraction=0.5, fixed_void=(Box(0, 0, 200, 90),)),
+     "the target volume 10000 lies outside [0, 1000]"),
+    (dataclasses.replace(RunConfig(), mesh_nx=2, mesh_ny=1, fixed_void=(Box(0, 0, 5, 5),),
+                         volume_fraction=0.875, tau=0.01, max_iter=30),
+     "the target volume 17500 lies outside [0, 16666.7]"),
+], ids=["solid-above-target", "void-below-target", "void-corner-node"])
+def test_setup_refuses_a_volume_the_frozen_regions_exclude(config, message):
     """The step meets w.phi = V before the projection, so a V outside the
     admissible volumes would pass every per-iterate check (the solid run
-    ends at 20000, the void run at 1000, against 10000)."""
-    cfg = cantilever_config(mesh_nx=20, mesh_ny=10, max_iter=5, volume_fraction=0.5,
-                            **frozen)
-    with pytest.raises(ConfigError, match=r"^volume_fraction: the target volume 10000 "):
-        Optimizer(cfg)
+    ends at 20000, the void run at 1000, against 10000).  validate names
+    it, so `gradtopo validate` refuses what the Optimizer refuses."""
+    expected = f"volume_fraction: {message}, the volumes the frozen regions allow"
+    assert validate(config) == [expected]
+    with pytest.raises(ConfigError, match=re.escape(expected)):
+        Optimizer(config)
 
 
 def test_project_is_idempotent_and_admissible():
