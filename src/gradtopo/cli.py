@@ -1,5 +1,9 @@
 """Command-line entry point: config -> optimize -> export.
 
+Every subcommand reads the --config file, or without one the built-in
+cantilever benchmark (RunConfig's defaults), and applies the --set overrides
+on top; `bench` is another name for `run`.
+
 Exit codes: 0 converged, 2 iteration cap reached, 1 error.  The environment
 variable GRADTOPO_LOG selects the log level: DEBUG, INFO (the default, with a
 progress line every PROGRESS_EVERY iterations), WARNING, ERROR or CRITICAL;
@@ -19,8 +23,8 @@ import zipfile
 import numpy as np
 
 from gradtopo import export
-from gradtopo.config import (ConfigError, apply_overrides, cantilever_config,
-                             load_config, serialize)
+from gradtopo.config import (ConfigError, RunConfig, apply_overrides, load_config,
+                             serialize)
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
 
@@ -45,16 +49,11 @@ def _setup_logging():
     log.setLevel(level)
 
 
-def _load(args, default_builtin=False):
-    """The --config file, or the built-in cantilever (RunConfig's defaults) if
-    default_builtin, with the --set overrides applied."""
-    if args.config:
-        config = load_config(args.config)
-    elif default_builtin:
-        config = cantilever_config()
-    else:
-        raise ConfigError("--config is required (or use the bench subcommand)")
-    return apply_overrides(config, args.set)
+def _load(args):
+    """The --config file, or the built-in cantilever (RunConfig's defaults)
+    without one, with the --set overrides applied."""
+    return apply_overrides(load_config(args.config) if args.config else RunConfig(),
+                           args.set)
 
 
 def _optimize(config, outdir, callback=None):
@@ -78,7 +77,8 @@ def _summary(state) -> list[str]:
     return [str(state.iter), *(f"{v:.6g}" for v in values)]
 
 
-def _execute(config, outdir) -> int:
+def cmd_run(args) -> int:
+    config = _load(args)
     t0 = time.perf_counter()
 
     def progress(state, rec):
@@ -87,24 +87,13 @@ def _execute(config, outdir) -> int:
                      "delta_phi=%.3e delta_chi=%.3e", rec.iter, rec.objective,
                      rec.compliance, rec.m_chi, rec.delta_phi, rec.delta_chi)
 
-    state, history = _optimize(config, outdir, progress)
+    state, history = _optimize(config, args.out, progress)
     # iterations over the loop's wall time (set-up and export excluded)
     iters_per_s = state.iter / history[-1].wall_time
     values = " ".join(f"{k}={v}" for k, v in zip(SUMMARY_KEYS, _summary(state)))
     print(f"converged={'yes' if state.converged else 'no'} {values} "
           f"wall_s={time.perf_counter() - t0:.3f} iters_per_s={iters_per_s:.3g}")
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
-
-
-def cmd_run(args) -> int:
-    return _execute(_load(args), args.out)
-
-
-def cmd_bench(args) -> int:
-    if args.config:
-        raise ConfigError("bench runs the built-in cantilever and takes "
-                          "no --config (use run --config)")
-    return _execute(_load(args, default_builtin=True), args.out)
 
 
 def cmd_validate(args) -> int:
@@ -130,7 +119,7 @@ def cmd_sweep(args) -> int:
     shared = sorted({subdir for subdir in subdirs if subdirs.count(subdir) > 1})
     if shared:
         raise ConfigError(f"sweep variants share an output directory: {', '.join(shared)}")
-    base = _load(args, default_builtin=True)
+    base = _load(args)
     header = ("variant", *SUMMARY_KEYS, "convergence")
     rows = [header]
     for label, name, overrides in variants:
@@ -143,10 +132,10 @@ def cmd_sweep(args) -> int:
             rows.append((label, *["error"] * len(SUMMARY_KEYS), "ERROR"))
     widths = [max(map(len, column)) for column in zip(*rows)]
     fmt = " | ".join("{:%d}" % w for w in widths)
-    print(fmt.format(*header))
+    print(fmt.format(*header).rstrip())
     print("-|-".join("-" * w for w in widths))
     for r in rows[1:]:
-        print(fmt.format(*r))
+        print(fmt.format(*r).rstrip())
     if args.table:
         with open(args.table, "w", encoding="ascii") as fh:
             fh.writelines(",".join(r) + "\n" for r in rows)
@@ -196,7 +185,7 @@ def cmd_export_stl(args) -> int:
         raise ConfigError(str(exc)) from None
     if not np.isfinite(args.threshold):
         raise ConfigError(f"threshold must be finite, got {args.threshold}")
-    config = _load(args, default_builtin=True)
+    config = _load(args)
     mesh = build_rect_mesh(config)
     phi, chi = _read_snapshot(args.snapshot, mesh.node_count)
     for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
@@ -212,22 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out=None):
-        p.add_argument("--config", help="configuration file path")
+        p.add_argument("--config", help="configuration file path (default: the "
+                                        "built-in cantilever benchmark)")
         p.add_argument("--set", action="append", default=[],
                        metavar="section.key=value", help="override a config key")
         if out is not None:     # validate writes nothing
             p.add_argument("--out", default=out,
                            help="output directory (default: %(default)s)")
 
-    p = sub.add_parser("run", help="run one optimization")
+    p = sub.add_parser("run", aliases=["bench"],
+                       help="run one optimization (default: the built-in cantilever)")
     common(p, "out")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("bench", help="run the built-in cantilever benchmark")
-    common(p, "out")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("validate", help="validate a configuration file")
+    p = sub.add_parser("validate", help="validate a configuration")
     common(p)
     p.add_argument("--dump", action="store_true",
                    help="print the resolved config in place of 'config ok'")

@@ -7,8 +7,8 @@ plane-stress Voigt matrix of the bulk material:
 
 with k_m(chi) = chi + beta*(1-chi) interpolating between the bulk material
 (chi=1) and a beta-fraction soft material (chi=0), and g the ersatz parameter
-setting the void stiffness floor g^2 (by default the interface-width
-parameter gamma_phi).  Voigt convention:
+setting the void stiffness floor g^2 (the config key `ersatz`, independent
+of the interface width gamma_phi).  Voigt convention:
 (s11, s22, s12) with engineering shear strain.
 """
 
@@ -44,11 +44,11 @@ class MaterialModel:
     or same-shape arrays and clamp (phi, chi) to [0,1] first.
     """
 
-    def __init__(self, E: float, nu: float, beta: float, gamma_phi: float):
+    def __init__(self, E: float, nu: float, beta: float, ersatz: float):
         self.E = float(E)
         self.nu = float(nu)
         self.beta = float(beta)
-        self.gamma = float(gamma_phi)
+        self.ersatz = float(ersatz)
         self.K_A = plane_stress_matrix(E, nu)
 
     @classmethod
@@ -70,7 +70,7 @@ class MaterialModel:
     def stiffness_factors(self, phi, chi):
         """(s, ds/dphi, ds/dchi) with K(phi,chi) = s * K_A."""
         phi = np.clip(phi, 0.0, 1.0)
-        g2 = self.gamma ** 2
+        g2 = self.ersatz ** 2
         km = self.km(chi)
         cubic = phi ** 3 + g2 * (1.0 - phi) ** 3
         return (km * cubic, km * (3.0 * phi ** 2 - 3.0 * g2 * (1.0 - phi) ** 2),

@@ -266,6 +266,7 @@ def test_sweep_table(tmp_path, capsys):
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert "variant" in stdout and "compliance" in stdout
+    assert all(line == line.rstrip() for line in stdout.splitlines())
     rows = Path(table).read_text().splitlines()
     assert rows[0] == ("variant,iterations,compliance,m_chi,objective,max_von_mises,"
                        "sigma_pn,convergence")
@@ -328,6 +329,24 @@ def test_bench_line_and_sweep_row_agree(tmp_path, capsys):
 def test_sweep_bad_spec(capsys):
     assert main(["sweep", "kappa2"]) == EXIT_ERROR
     assert "sweep spec" in capsys.readouterr().err
+
+
+def test_sweep_empty_value_list(monkeypatch, capsys):
+    monkeypatch.setattr("gradtopo.cli._optimize",
+                        lambda config, outdir: pytest.fail("a variant was run"))
+    assert main(["sweep", "optimizer.kappa2=,"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: sweep value list is empty\n"
+
+
+def test_an_unexpected_error_is_logged_with_its_traceback(tmp_path, monkeypatch, capsys,
+                                                         caplog):
+    def fail(self, callback=None):
+        raise RuntimeError("solver exploded")
+    monkeypatch.setattr("gradtopo.optimizer.Optimizer.run", fail)
+    assert main(["run", *TINY, "--out", str(tmp_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: solver exploded\n"
+    [record] = [r for r in caplog.records if r.getMessage() == "run failed"]
+    assert record.exc_info[0] is RuntimeError
 
 
 @pytest.mark.parametrize("spec", ["optimizer.kappa2 =40,4000",
@@ -410,8 +429,12 @@ def test_console_script_installed(tmp_path):
 
 def test_bench_applies_seed(monkeypatch):
     seen = []
-    monkeypatch.setattr("gradtopo.cli._execute",
-                        lambda config, outdir: seen.append(config) or EXIT_OK)
+    state = SimpleNamespace(iter=1, compliance=1.0, m_chi=0.5, objective=2.0,
+                            aggregate=SimpleNamespace(sigma_e=np.ones(2), sigma_pn=0.9),
+                            converged=True)
+    monkeypatch.setattr("gradtopo.cli._optimize",
+                        lambda config, outdir, callback: seen.append(config)
+                        or (state, [SimpleNamespace(wall_time=1.0)]))
     assert main(["bench", "--set", "optimizer.seed=7",
                  "--set", "optimizer.max_iter=1"]) == EXIT_OK
     assert seen[0].seed == 7
@@ -419,9 +442,22 @@ def test_bench_applies_seed(monkeypatch):
     assert seen[0].perturb > 0.0          # still the benchmark scenario
 
 
-def test_bench_rejects_config(tmp_path, capsys):
-    assert main(["bench", "--config", write_cfg(tmp_path)]) == EXIT_ERROR
-    assert "--config" in capsys.readouterr().err
+@pytest.mark.parametrize("config", [False, True], ids=["builtin", "config"])
+def test_bench_is_run(tmp_path, capsys, config):
+    """bench is another name for run: with or without --config, the two write
+    the same bytes."""
+    argv = [*TINY, *(["--config", write_cfg(tmp_path)] if config else [])]
+    run, bench = tmp_path / "run", tmp_path / "bench"
+    assert main(["run", *argv, "--out", str(run)]) == EXIT_NOT_CONVERGED
+    assert main(["bench", *argv, "--out", str(bench)]) == EXIT_NOT_CONVERGED
+    for name in ("history.csv", "fields.vtk", "fields.npz"):
+        assert (run / name).read_bytes() == (bench / name).read_bytes(), name
+
+
+def test_validate_dump_without_config_is_the_cantilever(capsys):
+    """The dump of the built-in cantilever is a complete config file."""
+    assert main(["validate", "--dump"]) == EXIT_OK
+    assert loads_config(capsys.readouterr().out) == RunConfig()
 
 
 @pytest.mark.parametrize("override, name", [

@@ -243,6 +243,40 @@ def test_apply_overrides_validates():
         apply_overrides(cantilever_config(), ["material.poisson=0.7"])
 
 
+@pytest.mark.parametrize("item, error", [
+    ("domain.width=0", "domain_width: must be > 0"),
+    ("domain.height=nan", "domain_height: must be > 0"),
+    ("domain.thickness=-1", "thickness: must be > 0"),
+    ("material.youngs_modulus=inf", "youngs_modulus: must be > 0"),
+    ("material.gamma_phi=0", "gamma_phi: must be > 0"),
+    ("material.gamma_chi=nan", "gamma_chi: must be > 0"),
+    ("material.ersatz=-0.01", "ersatz: must be > 0"),
+    ("optimizer.tau=inf", "tau: must be > 0"),
+    ("optimizer.tau_chi=0", "tau_chi: must be > 0"),
+    ("optimizer.tol=nan", "tol: must be > 0"),
+    ("stress.yield_stress=-41", "yield_stress: must be > 0"),
+    ("domain.nx=0", "mesh_nx: must be >= 1"),
+    ("domain.ny=-1", "mesh_ny: must be >= 1"),
+    ("stress.pnorm_p=1", "pnorm_p: must be an integer >= 2"),
+    ("optimizer.max_iter=0", "max_iter: must be >= 1"),
+    ("[domain]\nfixed_void = 10,0,5,10\n", "fixed_void: empty box"),
+    ("[domain]\nfixed_solid = 0,0,10,10; ;1,2,3\n", "fixed_solid: box needs 4 numbers"),
+], ids=["width-0", "height-nan", "thickness-neg", "youngs-inf", "gamma_phi-0",
+        "gamma_chi-nan", "ersatz-neg", "tau-inf", "tau_chi-0", "tol-nan",
+        "yield-neg", "nx-0", "ny-neg", "pnorm_p-1", "max_iter-0", "box-empty",
+        "box-3-numbers"])
+def test_each_config_rule_names_its_field(item, error):
+    """An override, or a config text for the box strings, that breaks one
+    rule gives a ConfigError naming the field (an empty `;` part is skipped,
+    so the 3-number box is the one refused)."""
+    with pytest.raises(ConfigError) as exc:
+        if item.startswith("["):
+            loads_config(item)
+        else:
+            apply_overrides(RunConfig(), [item])
+    assert error in str(exc.value)
+
+
 def test_effective_defaults():
     """The load strip is centred on the loaded edge unless placed; no other
     default follows another field."""

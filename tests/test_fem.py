@@ -89,7 +89,7 @@ def test_single_triangle_stiffness_hand_oracle():
     mesh.grads = g
     mesh.element_count = 1
     mesh.node_count = 3
-    mat = MaterialModel(E=2.0, nu=0.0, beta=1.0, gamma_phi=0.01)
+    mat = MaterialModel(E=2.0, nu=0.0, beta=1.0, ersatz=0.01)
     B = fem.strain_displacement(mesh)
     # hand-built B for grads (-1,-1),(1,0),(0,1)
     B_hand = np.array([[-1, 0, 1, 0, 0, 0],

@@ -8,7 +8,7 @@ from gradtopo.material import MaterialModel, W, dW, plane_stress_matrix
 
 
 def model(**kw):
-    args = dict(E=12500.0, nu=0.25, beta=1.0 / 6.0, gamma_phi=0.01)
+    args = dict(E=12500.0, nu=0.25, beta=1.0 / 6.0, ersatz=0.01)
     args.update(kw)
     return MaterialModel(**args)
 
@@ -115,4 +115,4 @@ def test_stiffness_factor_bounds_property(phi, chi, beta):
     assert 0 < s <= 1.0 + 1e-12
     # the ersatz floor, grouped as in s = k_m * (phi^3 + gamma^2 (1-phi)^3)
     # so that both sides round the same products
-    assert s >= beta * (m.gamma ** 2 * (1 - phi) ** 3)
+    assert s >= beta * (m.ersatz ** 2 * (1 - phi) ** 3)
