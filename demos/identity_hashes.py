@@ -1,4 +1,4 @@
-"""Print the output hashes of README's three 80-iteration benchmark cases.
+"""Print the output hashes of README's four 80-iteration benchmark cases.
 
 A change that must keep every result is checked byte for byte against its
 parent commit: run this on both commits and compare the tables.
@@ -24,6 +24,8 @@ CASES = (
     (),
     ("--set", "material.beta=1"),
     ("--set", "optimizer.kappa5=0", "--set", "domain.body_fy=-0.05"),
+    # frozen regions: their volume bounds and the projection's clamp to them
+    ("--set", "domain.fixed_void=150,40,170,60", "--set", "domain.fixed_solid=0,0,10,100"),
 )
 FILES = ("history.csv", "fields.vtk", "fields.npz")
 STLS = ("above.stl", "below.stl")

@@ -4,6 +4,10 @@ The configuration file uses plain ``key = value`` entries grouped under the
 section headers ``[domain]``, ``[material]``, ``[optimizer]`` and
 ``[stress]``, one field of RunConfig per key.  Any key can be overridden on
 the command line with ``--set section.key=value``.
+
+A RunConfig is checked when it is built, by its constructor and so by
+``dataclasses.replace`` too: one that breaks a rule raises ConfigError
+listing every violation, so every RunConfig that exists is valid.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ __all__ = [
     "load_config",
     "loads_config",
     "serialize",
-    "validate",
-    "validated",
     "apply_overrides",
     "cantilever_config",
 ]
@@ -51,8 +53,8 @@ class Box:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, immutable description of one optimization problem: by
-    default the calibrated cantilever benchmark on the 100x50 mesh.
+    """Immutable description of one optimization problem, checked when it is
+    built: by default the calibrated cantilever benchmark on the 100x50 mesh.
 
     Units are mm / N / MPa throughout.  The calibrated time steps are not
     inside a stability region: with them the explicit stress coupling lets
@@ -107,94 +109,83 @@ class RunConfig:
     def traction_center_eff(self) -> float:
         return self.domain_height / 2.0 if self.traction_center is None else self.traction_center
 
+    def __post_init__(self):
+        """Refuse a config that breaks any rule: raise ConfigError listing
+        every violation, each naming the offending field and the constraint
+        it breaks."""
+        v: list[str] = []
 
-def validate(config: RunConfig) -> list[str]:
-    """Return the list of invariant violations (empty iff the config is valid).
+        def positive(name, value):
+            if not (value > 0) or not math.isfinite(value):
+                v.append(f"{name}: must be > 0, got {value}")
 
-    Violations are data, not exceptions: each entry names the offending field
-    and the constraint it breaks.
-    """
-    v: list[str] = []
-
-    def positive(name, value):
-        if not (value > 0) or not math.isfinite(value):
-            v.append(f"{name}: must be > 0, got {value}")
-
-    positive("domain_width", config.domain_width)
-    positive("domain_height", config.domain_height)
-    positive("thickness", config.thickness)
-    if config.mesh_nx < 1:
-        v.append(f"mesh_nx: must be >= 1, got {config.mesh_nx}")
-    if config.mesh_ny < 1:
-        v.append(f"mesh_ny: must be >= 1, got {config.mesh_ny}")
-    if not (0.0 < config.volume_fraction < 1.0):
-        v.append(f"volume_fraction: must be in (0,1), got {config.volume_fraction}")
-    positive("youngs_modulus", config.youngs_modulus)
-    if not (0.0 < config.poisson < 0.5):
-        v.append(f"poisson: must be in (0,0.5), got {config.poisson}")
-    if not (0.0 < config.beta <= 1.0):
-        v.append(f"beta: must be in (0,1], got {config.beta}")
-    positive("gamma_phi", config.gamma_phi)
-    positive("gamma_chi", config.gamma_chi)
-    positive("ersatz", config.ersatz)
-    for name in ("kappa1", "kappa2", "kappa3", "kappa4", "kappa5"):
-        if not (0.0 <= getattr(config, name) < math.inf):
-            v.append(f"{name}: must be >= 0 and finite, got {getattr(config, name)}")
-    for name in ("traction_x", "traction_y", "body_fx", "body_fy"):
-        if not math.isfinite(getattr(config, name)):
-            v.append(f"{name}: must be finite, got {getattr(config, name)}")
-    positive("tau", config.tau)
-    positive("tau_chi", config.tau_chi)
-    positive("tol", config.tol)
-    if config.pnorm_p < 2:
-        v.append(f"pnorm_p: must be an integer >= 2, got {config.pnorm_p}")
-    positive("yield_stress", config.yield_stress)
-    if config.max_iter < 1:
-        v.append(f"max_iter: must be >= 1, got {config.max_iter}")
-    if not (0.0 < config.traction_length < math.inf):
-        v.append(f"traction_length: must be finite and > 0, got {config.traction_length}")
-    if config.traction_center is not None and not math.isfinite(config.traction_center):
-        v.append(f"traction_center: must be finite, got {config.traction_center}")
-    length, center = config.traction_length, config.traction_center_eff
-    lo, hi = center - length / 2.0, center + length / 2.0
-    # a non-finite length or center is reported by its own field above
-    if (math.isfinite(length) and math.isfinite(center)
-            and not (lo < config.domain_height and hi > 0.0)):
-        v.append(f"traction_center: the load strip [{lo:g}, {hi:g}] misses the "
-                 f"loaded edge [0, {config.domain_height:g}]")
-    if config.seed < 0:
-        v.append(f"seed: must be >= 0, got {config.seed}")
-    if not (config.perturb >= 0.0 and math.isfinite(config.perturb)):
-        v.append(f"perturb: must be >= 0, got {config.perturb}")
-    for name in ("fixed_void", "fixed_solid"):
-        for box in getattr(config, name):
-            if not all(map(math.isfinite, astuple(box))):
-                v.append(f"{name}: box {box} has a non-finite coordinate")
-            elif box.x1 < box.x0 or box.y1 < box.y0:
-                v.append(f"{name}: empty box {box} (x1 < x0 or y1 < y0)")
-    for b0 in config.fixed_void:
-        for b1 in config.fixed_solid:
-            if b0.overlaps(b1):
-                v.append(f"fixed regions overlap: void {b0} intersects solid {b1}")
-    # the phase-field step holds w.phi = V before the projection, so a V that
-    # no design within the frozen regions has would pass every iterate check
-    if not v and (config.fixed_void or config.fixed_solid):
-        mesh = build_rect_mesh(config)
-        weights, target = lumped_weights(mesh), config.volume_fraction * mesh.area
-        lo, hi = (float(weights @ bound) for bound in frozen_bounds(mesh, config))
-        if not lo <= target <= hi:
-            v.append(f"volume_fraction: the target volume {target:g} lies outside "
-                     f"[{lo:g}, {hi:g}], the volumes the frozen regions allow")
-    return v
-
-
-def validated(config: RunConfig) -> RunConfig:
-    """The config itself if it is valid; otherwise raise ConfigError listing
-    every violation."""
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(violations))
-    return config
+        positive("domain_width", self.domain_width)
+        positive("domain_height", self.domain_height)
+        positive("thickness", self.thickness)
+        if self.mesh_nx < 1:
+            v.append(f"mesh_nx: must be >= 1, got {self.mesh_nx}")
+        if self.mesh_ny < 1:
+            v.append(f"mesh_ny: must be >= 1, got {self.mesh_ny}")
+        if not (0.0 < self.volume_fraction < 1.0):
+            v.append(f"volume_fraction: must be in (0,1), got {self.volume_fraction}")
+        positive("youngs_modulus", self.youngs_modulus)
+        if not (0.0 < self.poisson < 0.5):
+            v.append(f"poisson: must be in (0,0.5), got {self.poisson}")
+        if not (0.0 < self.beta <= 1.0):
+            v.append(f"beta: must be in (0,1], got {self.beta}")
+        positive("gamma_phi", self.gamma_phi)
+        positive("gamma_chi", self.gamma_chi)
+        positive("ersatz", self.ersatz)
+        for name in ("kappa1", "kappa2", "kappa3", "kappa4", "kappa5"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                v.append(f"{name}: must be >= 0 and finite, got {getattr(self, name)}")
+        for name in ("traction_x", "traction_y", "body_fx", "body_fy"):
+            if not math.isfinite(getattr(self, name)):
+                v.append(f"{name}: must be finite, got {getattr(self, name)}")
+        positive("tau", self.tau)
+        positive("tau_chi", self.tau_chi)
+        positive("tol", self.tol)
+        if self.pnorm_p < 2:
+            v.append(f"pnorm_p: must be an integer >= 2, got {self.pnorm_p}")
+        positive("yield_stress", self.yield_stress)
+        if self.max_iter < 1:
+            v.append(f"max_iter: must be >= 1, got {self.max_iter}")
+        if not (0.0 < self.traction_length < math.inf):
+            v.append(f"traction_length: must be finite and > 0, got {self.traction_length}")
+        if self.traction_center is not None and not math.isfinite(self.traction_center):
+            v.append(f"traction_center: must be finite, got {self.traction_center}")
+        length, center = self.traction_length, self.traction_center_eff
+        lo, hi = center - length / 2.0, center + length / 2.0
+        # a non-finite length or center is reported by its own field above
+        if (math.isfinite(length) and math.isfinite(center)
+                and not (lo < self.domain_height and hi > 0.0)):
+            v.append(f"traction_center: the load strip [{lo:g}, {hi:g}] misses the "
+                     f"loaded edge [0, {self.domain_height:g}]")
+        if self.seed < 0:
+            v.append(f"seed: must be >= 0, got {self.seed}")
+        if not (self.perturb >= 0.0 and math.isfinite(self.perturb)):
+            v.append(f"perturb: must be >= 0, got {self.perturb}")
+        for name in ("fixed_void", "fixed_solid"):
+            for box in getattr(self, name):
+                if not all(map(math.isfinite, astuple(box))):
+                    v.append(f"{name}: box {box} has a non-finite coordinate")
+                elif box.x1 < box.x0 or box.y1 < box.y0:
+                    v.append(f"{name}: empty box {box} (x1 < x0 or y1 < y0)")
+        for b0 in self.fixed_void:
+            for b1 in self.fixed_solid:
+                if b0.overlaps(b1):
+                    v.append(f"fixed regions overlap: void {b0} intersects solid {b1}")
+        # the phase-field step holds w.phi = V before the projection, so a V that
+        # no design within the frozen regions has would pass every iterate check
+        if not v and (self.fixed_void or self.fixed_solid):
+            mesh = build_rect_mesh(self)
+            weights, target = lumped_weights(mesh), self.volume_fraction * mesh.area
+            lo, hi = (float(weights @ bound) for bound in frozen_bounds(mesh, self))
+            if not lo <= target <= hi:
+                v.append(f"volume_fraction: the target volume {target:g} lies outside "
+                         f"[{lo:g}, {hi:g}], the volumes the frozen regions allow")
+        if v:
+            raise ConfigError("invalid configuration:\n  " + "\n  ".join(v))
 
 
 # --- file format -----------------------------------------------------------
@@ -281,11 +272,11 @@ def loads_config(text: str) -> RunConfig:
     for section in parser.sections():
         for key, raw in parser.items(section):
             _apply_entry(values, section, key, raw)
-    return validated(RunConfig(**values))
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:
-    """Load and validate a RunConfig from a file."""
+    """Load a RunConfig from a file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -306,7 +297,8 @@ def serialize(config: RunConfig) -> str:
                 continue
             rendered = _fmt_boxes(value)
         else:
-            rendered = repr(value) if isinstance(value, float) else str(value)
+            # float(): a numpy float's repr is np.float64(...), which no parser reads
+            rendered = repr(float(value)) if isinstance(value, float) else str(value)
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, rendered)
@@ -316,7 +308,8 @@ def serialize(config: RunConfig) -> str:
 
 
 def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply ``section.key=value`` overrides and re-validate."""
+    """Apply ``section.key=value`` overrides: a new RunConfig, which is checked
+    when it is built, or config itself when there are none."""
     values: dict = {}
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -324,13 +317,10 @@ def apply_overrides(config: RunConfig, overrides: list[str]) -> RunConfig:
         lhs, raw = item.split("=", 1)
         section, key = lhs.split(".", 1)
         _apply_entry(values, section.strip(), key.strip(), raw.strip())
-    return validated(replace(config, **values))
+    return replace(config, **values) if values else config
 
 
-def cantilever_config(**overrides) -> RunConfig:
-    """The cantilever benchmark (RunConfig's defaults) with keyword overrides
-    applied on top, validated."""
-    return validated(replace(RunConfig(), **overrides))
-
-
-benchmark_config = cantilever_config    # the name perfbench imports
+# RunConfig's defaults are the cantilever benchmark, so keyword overrides on
+# top of it are RunConfig's own keywords; benchmark_config is the name that
+# perfbench imports
+cantilever_config = benchmark_config = RunConfig

@@ -30,7 +30,6 @@ __all__ = [
     "assemble_scalar_operators",
     "lumped_weights",
     "LowerBand",
-    "lower_band",
     "BandCholesky",
     "solve_saddle",
 ]
@@ -305,19 +304,11 @@ class LowerBand:
         return ab
 
 
-def lower_band(A, order: np.ndarray) -> np.ndarray:
-    """Lower band ab[i - j, j] = A[order[i], order[j]] of a symmetric sparse
-    matrix, (kd+1, n) in Fortran order for its half-bandwidth kd."""
-    A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    return LowerBand(A, order)(A.data)
-
-
 class BandCholesky:
     """LAPACK banded Cholesky factor of an SPD matrix A; `.solve` applies A^-1.
 
     `ab` is the lower band of A whose row k is the unknown rows[k] (see
-    lower_band and ElasticOperator.stiffness), and is factored in place.  A
+    LowerBand and ElasticOperator.stiffness), and is factored in place.  A
     matrix that is not positive definite raises.
     """
 

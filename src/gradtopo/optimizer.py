@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradtopo import fem, stress
-from gradtopo.config import RunConfig, validated
+from gradtopo.config import RunConfig
 from gradtopo.material import MaterialModel, W, dW
 from gradtopo.mesh import build_rect_mesh, frozen_bounds
 
@@ -77,7 +77,7 @@ class Optimizer:
     """Holds the mesh, material, and prefactorized constant operators."""
 
     def __init__(self, config: RunConfig):
-        self.config = validated(config)
+        self.config = config
         self.mesh = build_rect_mesh(config)
         self.material = MaterialModel.from_config(config)
         self.elastic = fem.ElasticOperator(self.mesh, self.material.K_A)
@@ -110,7 +110,7 @@ class Optimizer:
         self.C = fem.assemble_body_coupling(self.mesh, config, self.elastic.node_incidence)
         self.C_T = self.C.T.tocsr()                     # C^T phi: the body load
 
-        # bounds honoring the frozen regions, which validate checked admit V
+        # bounds honoring the frozen regions, which RunConfig checked admit V
         self.phi_lower, self.phi_upper = frozen_bounds(self.mesh, config)
 
     # --- the admissible set -------------------------------------------------

@@ -7,7 +7,9 @@ and K_e = A_e B_e^T (s_e K_A) B_e is added into a sparse 2N x 2N matrix.  It
 shares no code with gradtopo's band scatter, strain operator or stress load,
 so agreement between the two checks both.  Only the mesh and material
 objects passed in are used: their geometry, K_A and the stiffness factor.
-The per-element body-force load is the oracle for fem's body coupling C.
+The per-element body-force load is the oracle for fem's body coupling C,
+and lower_band places a sparse matrix in the band storage that fem's band
+scatter and band Cholesky use.
 
 The STL and VTK readers parse gradtopo's output files on their own, and
 the STL edge counts and volume are computed from the triangles as read,
@@ -100,6 +102,23 @@ def reduce(mesh, K, f):
     zero, so the right-hand side needs no correction."""
     free = free_dofs(mesh)
     return K[free][:, free], f[free]
+
+
+def lower_band(A, order: np.ndarray) -> np.ndarray:
+    """Lower band ab[i - j, j] = A[order[i], order[j]] of a symmetric sparse
+    matrix (duplicates summed), (kd+1, n) in Fortran order for its
+    half-bandwidth kd: the band that fem.LowerBand scatters, placed entry by
+    entry."""
+    A = sp.coo_matrix(A)
+    A.sum_duplicates()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    i, j = rank[A.row], rank[A.col]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    ab = np.zeros((int((i - j).max()) + 1, A.shape[0]), order="F")
+    ab[i - j, j] = A.data[lower]
+    return ab
 
 
 def element_stress(mesh, material, phi, chi, u) -> np.ndarray:

@@ -10,10 +10,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import gradtopo.config
+import gradtopo.optimizer
 import reference
 from gradtopo.cli import EXIT_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, build_parser, main
-from gradtopo.config import (RunConfig, apply_overrides, cantilever_config, load_config,
+from gradtopo.config import (Box, RunConfig, apply_overrides, cantilever_config, load_config,
                              loads_config, serialize)
+from gradtopo.mesh import build_rect_mesh
 
 TINY = ["--set", "domain.nx=8", "--set", "domain.ny=4",
         "--set", "optimizer.max_iter=3"]
@@ -43,10 +46,29 @@ def test_validate_dump_round_trips(tmp_path, capsys):
 
 
 def test_validate_bad_config(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, poisson=0.9)
-    assert main(["validate", "--config", cfg]) == EXIT_ERROR
+    cfg = tmp_path / "case.cfg"     # written as text: no RunConfig holds it
+    cfg.write_text("[material]\npoisson = 0.9\n")
+    assert main(["validate", "--config", str(cfg)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert "poisson" in captured.out + captured.err
+
+
+def test_run_checks_a_config_once(tmp_path, monkeypatch):
+    """A RunConfig is checked once, when load_config builds it: a config with
+    a frozen box builds one mesh for its volume check and one for the
+    Optimizer."""
+    cfg = write_cfg(tmp_path, mesh_nx=20, mesh_ny=10, max_iter=1,
+                    fixed_void=(Box(150, 40, 170, 60),))
+    built = []
+
+    def counting(config):
+        built.append(config)
+        return build_rect_mesh(config)
+    for module in (gradtopo.config, gradtopo.optimizer):
+        monkeypatch.setattr(module, "build_rect_mesh", counting)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NOT_CONVERGED
+    assert len(built) == 2
 
 
 def test_missing_config_is_an_error(capsys):

@@ -1,13 +1,12 @@
 import dataclasses
 import textwrap
 
+import numpy as np
 import pytest
 
 import reference
 from gradtopo.config import (_SCHEMA, Box, ConfigError, RunConfig, apply_overrides,
-                             cantilever_config, load_config, loads_config, serialize,
-                             validate)
-from gradtopo.optimizer import Optimizer
+                             cantilever_config, load_config, loads_config, serialize)
 
 CANTILEVER_CFG = textwrap.dedent("""\
     [domain]
@@ -128,50 +127,58 @@ def test_removed_key_rejected(item):
         loads_config(f"[{section}]\n{key} = {value}\n")
 
 
+def violations(**fields) -> list[str]:
+    """The violations that the ConfigError of building a RunConfig from
+    fields lists, one a line."""
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**fields)
+    head, *lines = str(exc.value).split("\n  ")
+    assert head == "invalid configuration:"
+    return lines
+
+
 def test_validate_ok_on_benchmark():
-    assert validate(RunConfig()) == []
-    assert cantilever_config() == RunConfig()
+    assert cantilever_config() == RunConfig()       # builds: the defaults are valid
 
 
 def test_validate_beta_zero():
-    cfg = RunConfig(beta=0.0)
-    violations = validate(cfg)
-    assert any("beta" in v for v in violations)
+    assert any("beta" in v for v in violations(beta=0.0))
 
 
 def test_validate_overlapping_fixed_regions():
-    cfg = RunConfig(fixed_void=(Box(0, 0, 50, 50),),
-                    fixed_solid=(Box(25, 25, 75, 75),))
-    violations = validate(cfg)
-    assert any("overlap" in v for v in violations)
+    found = violations(fixed_void=(Box(0, 0, 50, 50),), fixed_solid=(Box(25, 25, 75, 75),))
+    assert any("overlap" in v for v in found)
 
 
 def test_validate_touching_fixed_regions():
     """Regions are closed boxes: nodes on a shared edge would be both frozen
     void and frozen solid."""
-    cfg = RunConfig(mesh_nx=8, mesh_ny=4, fixed_void=(Box(0, 0, 50, 100),),
-                    fixed_solid=(Box(50, 0, 100, 100),))
-    assert any("overlap" in v for v in validate(cfg))
-    corner = RunConfig(fixed_void=(Box(0, 0, 50, 50),),
-                       fixed_solid=(Box(50, 50, 100, 100),))
-    assert any("overlap" in v for v in validate(corner))
+    edge = violations(mesh_nx=8, mesh_ny=4, fixed_void=(Box(0, 0, 50, 100),),
+                      fixed_solid=(Box(50, 0, 100, 100),))
+    assert any("overlap" in v for v in edge)
+    corner = violations(fixed_void=(Box(0, 0, 50, 50),),
+                        fixed_solid=(Box(50, 50, 100, 100),))
+    assert any("overlap" in v for v in corner)
 
 
 def test_validate_accepts_a_strip_that_overhangs_the_edge():
-    assert validate(RunConfig(traction_center=98.0, traction_length=10.0)) == []
+    assert RunConfig(traction_center=98.0, traction_length=10.0).traction_center == 98.0
 
 
 def test_disjoint_fixed_regions_ok():
     cfg = RunConfig(fixed_void=(Box(0, 0, 10, 10),),
                     fixed_solid=(Box(50, 50, 60, 60),))
-    assert validate(cfg) == []
+    assert len(cfg.fixed_void) == len(cfg.fixed_solid) == 1
 
 
 def test_round_trip_identity():
-    cfg = cantilever_config(mesh_nx=17, mesh_ny=9, kappa2=40.0,
+    """numpy numbers are written as the Python numbers they equal."""
+    cfg = cantilever_config(mesh_nx=np.int64(17), mesh_ny=9, kappa2=np.float64(40.0),
                             fixed_solid=(Box(0, 0, 5, 100),),
-                            perturb=0.01, seed=3)
-    again = loads_config(serialize(cfg))
+                            perturb=0.01, seed=np.int64(3))
+    text = serialize(cfg)
+    assert "nx = 17" in text and "kappa2 = 40.0" in text and "seed = 3" in text
+    again = loads_config(text)
     assert again == cfg
     assert loads_config(serialize(again)) == again
 
@@ -233,9 +240,13 @@ def test_apply_overrides_rejects_bad_shape():
         apply_overrides(cantilever_config(), ["kappa2:40"])
 
 
-def test_optimizer_rejects_an_invalid_config():
+def test_an_invalid_config_cannot_be_built():
+    """The constructor checks a RunConfig, and dataclasses.replace goes
+    through it."""
     with pytest.raises(ConfigError, match="poisson"):
-        Optimizer(RunConfig(**reference.UNCALIBRATED, poisson=0.7))
+        RunConfig(**reference.UNCALIBRATED, poisson=0.7)
+    with pytest.raises(ConfigError, match="poisson"):
+        dataclasses.replace(RunConfig(), poisson=0.7)
 
 
 def test_apply_overrides_validates():

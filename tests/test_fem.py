@@ -299,7 +299,7 @@ def test_phase_bands_match_the_sparse_sums_bitwise(monkeypatch, beta):
                  (gc / cfg.tau_chi) * M + cfg.kappa2 * gc * K]
     assert len(bands) == (1 if beta == 1.0 else 2)
     for ab, A in zip(bands, operators):
-        want = fem.lower_band(A, opt.band_order)
+        want = reference.lower_band(A, opt.band_order)
         assert ab.shape == want.shape and ab.flags.f_contiguous
         assert np.array_equal(ab.view(np.int64), want.view(np.int64))
 
@@ -430,7 +430,7 @@ def test_band_half_bandwidth(nx, ny, elastic_kd):
     cfg, mesh, mat = setup(nx, ny)
     assert fem.ElasticOperator(mesh, mat.K_A).kd == elastic_kd
     assert elastic_kd <= 2 * (min(nx, ny) + 2) + 1
-    ab = fem.lower_band(fem.assemble_scalar_operators(mesh)[1], fem.band_order(mesh))
+    ab = reference.lower_band(fem.assemble_scalar_operators(mesh)[1], fem.band_order(mesh))
     assert ab.shape == (min(nx, ny) + 3, mesh.node_count)
 
 
@@ -459,7 +459,7 @@ def test_factor_spd_residual(which):
         M, K = fem.assemble_scalar_operators(mesh)
         A = 1e3 * M + K
         rows = fem.band_order(mesh)
-        ab = fem.lower_band(A, rows)
+        ab = reference.lower_band(A, rows)
     # b is zero at the clamped dofs, where the solve returns zero
     b = np.zeros(A.shape[0])
     b[rows] = np.random.default_rng(9).standard_normal(len(rows))
@@ -470,14 +470,14 @@ def test_factor_spd_residual(which):
 def test_lower_band_sums_duplicates_and_accepts_csc():
     dense = np.array([[4.0, 1.0, 0.0], [1.0, 5.0, 2.0], [0.0, 2.0, 6.0]])
     order = np.array([2, 0, 1])
-    ab = fem.lower_band(sp.csr_matrix(dense), order)
+    ab = reference.lower_band(sp.csr_matrix(dense), order)
     assert np.array_equal(band_matrix(ab, order), dense)
     # 5 = 2 + 3 on the diagonal and 2 = 0.5 + 1.5 off it, stored twice each
     dup = sp.coo_matrix(([4.0, 1.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.0, 6.0],
                          ([0, 0, 1, 1, 1, 1, 1, 2, 2], [0, 1, 0, 1, 1, 2, 2, 1, 2])),
                         shape=(3, 3))
-    assert np.array_equal(fem.lower_band(dup, order), ab)
-    assert np.array_equal(fem.lower_band(sp.csc_matrix(dense), order), ab)
+    assert np.array_equal(reference.lower_band(dup, order), ab)
+    assert np.array_equal(reference.lower_band(sp.csc_matrix(dense), order), ab)
 
 
 @pytest.mark.parametrize("rhs", ["load", "zero", "full"])
@@ -506,7 +506,7 @@ def test_band_solve_of_a_phase_operator_matches_dpbtrs(rhs):
     cfg, mesh, mat = setup(20, 10)
     M, K = fem.assemble_scalar_operators(mesh)
     rows = fem.band_order(mesh)
-    ab = fem.lower_band(1e3 * M + K, rows)
+    ab = reference.lower_band(1e3 * M + K, rows)
     b = (fem.lumped_weights(mesh) if rhs == "weights"
          else np.random.default_rng(4).standard_normal(mesh.node_count))
     factor, _ = lapack.dpbtrf(ab, lower=1)
@@ -517,7 +517,7 @@ def test_band_solve_of_a_phase_operator_matches_dpbtrs(rhs):
 def test_factor_spd_singular_is_a_solver_error():
     A = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(fem.SolverError, match="factorization"):
-        fem.BandCholesky(fem.lower_band(A, np.arange(2)), np.arange(2))
+        fem.BandCholesky(reference.lower_band(A, np.arange(2)), np.arange(2))
 
 
 def test_band_cholesky_rejects_an_indefinite_stiffness():
