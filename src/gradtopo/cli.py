@@ -1,8 +1,8 @@
 """Command-line entry point: config -> optimize -> export.
 
-Every subcommand reads the --config file, or without one the built-in
-cantilever benchmark (RunConfig's defaults), and applies the --set overrides
-on top; `bench` is another name for `run`.
+run, sweep and validate read the --config file, or without one the built-in
+cantilever (RunConfig's defaults), with the --set overrides on top; export-stl
+reads the config its snapshot records.  `bench` is another name for `run`.
 
 Exit codes: 0 converged, 2 iteration cap reached, 1 error.  The environment
 variable GRADTOPO_LOG selects the log level: DEBUG, INFO (the default, with a
@@ -24,7 +24,7 @@ import numpy as np
 
 from gradtopo import export
 from gradtopo.config import (ConfigError, RunConfig, apply_overrides, load_config,
-                             serialize)
+                             loads_config, serialize)
 from gradtopo.mesh import build_rect_mesh
 from gradtopo.optimizer import Optimizer
 
@@ -62,7 +62,7 @@ def _optimize(config, outdir, callback=None):
     os.makedirs(outdir, exist_ok=True)
     opt = Optimizer(config)
     state, history = opt.run(callback=callback)
-    export.write_run(outdir, state, history, opt.mesh)
+    export.write_run(outdir, state, history, opt.mesh, config)
     return state, history
 
 
@@ -147,9 +147,9 @@ def cmd_sweep(args) -> int:
 _UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile)
 
 
-def _read_snapshot(path, node_count):
-    """The (phi, chi) nodal fields of an .npz snapshot; ConfigError naming
-    the snapshot if it is not one for a mesh of node_count nodes."""
+def _read_snapshot(path):
+    """The (phi, chi) nodal fields of an .npz snapshot and the mesh of the
+    config it records; ConfigError naming the snapshot if it is not one."""
     # opened here: np.load leaves the file it opens open when it is a bad zip
     with open(path, "rb") as fh:
         try:
@@ -160,22 +160,31 @@ def _read_snapshot(path, node_count):
             raise ConfigError(f"snapshot {path} is not an .npz archive")
         with snap:
             try:
-                fields = {name: snap[name] for name in ("phi", "chi") if name in snap}
+                fields = {name: snap[name] for name in ("phi", "chi", "config")
+                          if name in snap}
             except _UNREADABLE as exc:
                 raise ConfigError(f"snapshot {path} has an unreadable field: {exc}") from None
+    text = fields.get("config", np.str_(""))
+    if text.dtype.kind != "U" or text.ndim:
+        raise ConfigError(f"snapshot {path} has a config that is not text")
+    try:
+        mesh = build_rect_mesh(loads_config(str(text)))
+    except ConfigError as exc:
+        raise ConfigError(f"snapshot {path} has a config that does not load: {exc}") from None
+    source = "its config" if "config" in fields else "the built-in cantilever"
     for name in ("phi", "chi"):
         if name not in fields:
             raise ConfigError(f"snapshot has no {name} field")
         if fields[name].dtype.kind not in "biuf":
             raise ConfigError(f"snapshot {path} holds {name} values of type "
                               f"{fields[name].dtype}, not real numbers")
-        if fields[name].shape != (node_count,):
-            raise ConfigError(f"snapshot {name} does not match the configured "
-                              f"mesh size ({node_count} nodes)")
+        if fields[name].shape != (mesh.node_count,):
+            raise ConfigError(f"snapshot {name} does not match the mesh size of {source} "
+                              f"({mesh.node_count} nodes)")
     phi, chi = fields["phi"], fields["chi"]
     if not (np.isfinite(phi).all() and np.isfinite(chi).all()):
         raise ConfigError("snapshot holds non-finite phi or chi values")
-    return phi, chi
+    return phi, chi, mesh
 
 
 def cmd_export_stl(args) -> int:
@@ -185,9 +194,7 @@ def cmd_export_stl(args) -> int:
         raise ConfigError(str(exc)) from None
     if not np.isfinite(args.threshold):
         raise ConfigError(f"threshold must be finite, got {args.threshold}")
-    config = _load(args)
-    mesh = build_rect_mesh(config)
-    phi, chi = _read_snapshot(args.snapshot, mesh.node_count)
+    phi, chi, mesh = _read_snapshot(args.snapshot)
     for path, _ in export.split_to_stl(phi, chi, mesh, args.threshold,
                                        args.height, args.out):
         print(f"wrote {path}")
@@ -230,10 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-stl", help="threshold-split a snapshot into STLs")
-    common(p, ".")
-    p.add_argument("--snapshot", required=True, help="fields.npz from a run")
+    p.add_argument("--snapshot", required=True, help="fields.npz from a run, read on "
+                   "the mesh of its recorded config (none: the built-in cantilever)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--height", type=float, default=10.0)
+    p.add_argument("--out", default=".", help="output directory (default: %(default)s)")
     p.set_defaults(func=cmd_export_stl)
 
     return parser

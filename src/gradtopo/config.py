@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import numbers
 from dataclasses import astuple, dataclass, replace
 
 from gradtopo.fem import lumped_weights
@@ -122,6 +123,10 @@ class RunConfig:
         positive("domain_width", self.domain_width)
         positive("domain_height", self.domain_height)
         positive("thickness", self.thickness)
+        for name in ("mesh_nx", "mesh_ny", "max_iter", "seed", "pnorm_p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                v.append(f"{name}: must be an integer, got {value!r}")
         if self.mesh_nx < 1:
             v.append(f"mesh_nx: must be >= 1, got {self.mesh_nx}")
         if self.mesh_ny < 1:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from gradtopo import stress
+from gradtopo.config import serialize
 from gradtopo.optimizer import IterationRecord
 
 __all__ = [
@@ -43,9 +43,8 @@ def write_fields(state, mesh, path: str) -> None:
     """Legacy-VTK ASCII snapshot: point data phi, chi, u_mag; cell data von_mises."""
     if not path:
         raise ValueError("write_fields: empty output path")
-    phi, chi, u, sigma = state.phi, state.chi, state.u, state.sigma
+    phi, chi, u = state.phi, state.chi, state.u
     u_mag = np.hypot(u[0::2], u[1::2])
-    vm = stress.von_mises(sigma)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("gradtopo fields\n")
@@ -63,7 +62,7 @@ def write_fields(state, mesh, path: str) -> None:
             fh.write(_rows("%.9g\n", data))
         fh.write(f"CELL_DATA {mesh.element_count}\n")
         fh.write("SCALARS von_mises double 1\nLOOKUP_TABLE default\n")
-        fh.write(_rows("%.9g\n", vm))
+        fh.write(_rows("%.9g\n", state.aggregate.sigma_e))
 
 
 def _rows(fmt: str, a: np.ndarray) -> str:
@@ -81,13 +80,13 @@ def write_history_csv(history: list, path: str) -> None:
                              else getattr(rec, f) for f in IterationRecord.CSV_FIELDS])
 
 
-def write_run(outdir: str, state, history: list, mesh) -> None:
-    """The outputs of one run in outdir: history.csv, fields.vtk and the
-    fields.npz snapshot that export-stl reads."""
+def write_run(outdir: str, state, history: list, mesh, config) -> None:
+    """The outputs of one run of config in outdir: history.csv, fields.vtk and
+    fields.npz (phi, chi, u, sigma and config's text), which export-stl reads."""
     write_history_csv(history, os.path.join(outdir, "history.csv"))
     write_fields(state, mesh, os.path.join(outdir, "fields.vtk"))
-    np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi,
-             chi=state.chi, u=state.u, sigma=state.sigma)
+    np.savez(os.path.join(outdir, "fields.npz"), phi=state.phi, chi=state.chi,
+             u=state.u, sigma=state.sigma, config=serialize(config))
 
 
 # --------------------------------------------------------------------------

@@ -211,8 +211,8 @@ class Optimizer:
     # --- diagnostics --------------------------------------------------------
 
     def compliance_of(self, phi, u) -> float:
-        """Load work over the whole plate: thickness x per-thickness work."""
-        c = float(self.traction_load @ u) + self.config.kappa3 * float(phi @ (self.C @ u))
+        """Load work over the whole plate, (traction + C^T phi) . u x thickness."""
+        c = float(self.traction_load @ u) + float(phi @ (self.C @ u))
         return c * self.config.thickness
 
     def m_chi_of(self, chi) -> float:

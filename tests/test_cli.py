@@ -132,7 +132,7 @@ def test_export_stl_from_snapshot(tmp_path, capsys):
     main(["bench", *TINY, "--out", out])
     stl_dir = str(tmp_path / "stl")
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
-                 *TINY, "--out", stl_dir, "--threshold", "0.5", "--height", "4"])
+                 "--out", stl_dir, "--threshold", "0.5", "--height", "4"])
     assert code == EXIT_OK
     written = [l.split()[-1] for l in capsys.readouterr().out.splitlines()
                if l.startswith("wrote ")]
@@ -148,20 +148,72 @@ def test_export_stl_whole_structure(tmp_path, capsys):
     main(["bench", *TINY, "--out", out])
     stl_dir = str(tmp_path / "stl")
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
-                 *TINY, "--out", stl_dir, "--threshold", "0", "--height", "2"])
+                 "--out", stl_dir, "--threshold", "0", "--height", "2"])
     assert code == EXIT_OK
     assert os.path.exists(os.path.join(stl_dir, "above.stl"))
     assert not os.path.exists(os.path.join(stl_dir, "below.stl"))
 
 
 def test_export_stl_mesh_mismatch(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    main(["bench", *TINY, "--out", out])
-    code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
-                 "--set", "domain.nx=5", "--set", "domain.ny=5",
-                 "--out", str(tmp_path / "stl")])
+    """A snapshot whose fields do not match the mesh of its own config."""
+    path = str(tmp_path / "snap.npz")
+    np.savez(path, phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES, 0.3),
+             config=serialize(RunConfig(mesh_nx=5, mesh_ny=5)))
+    code = main(["export-stl", "--snapshot", path, "--out", str(tmp_path / "stl")])
     assert code == EXIT_ERROR
     assert "mesh" in capsys.readouterr().err
+    assert not (tmp_path / "stl").exists()
+
+
+def test_export_stl_reads_the_mesh_its_run_recorded(tmp_path, capsys):
+    """A run on a 400 mm wide plate exports a 400 mm wide part, with no
+    config given to export-stl."""
+    out, stl_dir = str(tmp_path / "run"), tmp_path / "stl"
+    main(["run", "--set", "domain.nx=20", "--set", "domain.ny=10",
+          "--set", "domain.width=400", "--set", "optimizer.max_iter=3", "--out", out])
+    code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
+                 "--threshold", "0", "--out", str(stl_dir)])
+    assert code == EXIT_OK
+    x = reference.read_stl(str(stl_dir / "above.stl"))[..., 0]
+    assert (x.min(), x.max()) == (0.0, 400.0)
+
+
+def test_export_stl_reads_a_snapshot_without_config_on_the_cantilever(tmp_path, capsys):
+    """A hand-made snapshot, or one written before snapshots recorded their
+    config, is read on the built-in cantilever's 100x50 mesh."""
+    path, stl_dir = str(tmp_path / "snap.npz"), tmp_path / "stl"
+    nodes = build_rect_mesh(RunConfig()).node_count
+    np.savez(path, phi=np.ones(nodes), chi=np.full(nodes, 0.3))
+    assert main(["export-stl", "--snapshot", path, "--out", str(stl_dir)]) == EXIT_OK
+    xy = reference.read_stl(str(stl_dir / "below.stl"))[..., :2]
+    assert (xy.min(axis=(0, 1)).tolist(), xy.max(axis=(0, 1)).tolist()) == ([0, 0], [200, 100])
+    np.savez(path, phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES, 0.3))
+    assert main(["export-stl", "--snapshot", path, "--out", str(stl_dir)]) == EXIT_ERROR
+    assert capsys.readouterr().err == ("error: snapshot phi does not match the mesh size "
+                                       f"of the built-in cantilever ({nodes} nodes)\n")
+
+
+@pytest.mark.parametrize("config", ["[domain]\nfoo = 1\n", np.float64(3.0)],
+                         ids=["unknown-key", "not-text"])
+def test_export_stl_refuses_a_recorded_config_that_does_not_load(tmp_path, capsys,
+                                                                 caplog, config):
+    path = str(tmp_path / "snap.npz")
+    np.savez(path, phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES, 0.3), config=config)
+    code = main(["export-stl", "--snapshot", path, "--out", str(tmp_path / "stl")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: snapshot {path} ")
+    assert "run failed" not in caplog.text        # no traceback logged
+    assert not (tmp_path / "stl").exists()
+
+
+@pytest.mark.parametrize("flag", [["--config", "case.cfg"], ["--set", "domain.nx=8"]],
+                         ids=["config", "set"])
+def test_export_stl_takes_no_config(capsys, flag):
+    """The snapshot records its run's config, so there is none to give."""
+    with pytest.raises(SystemExit) as exc:
+        main(["export-stl", "--snapshot", "fields.npz", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--height", "-1"), ("--height", "nan"),
@@ -174,7 +226,7 @@ def test_export_stl_bad_height(tmp_path, capsys, flag, value):
     main(["bench", *TINY, "--out", out])
     stl_dir = tmp_path / "stl"
     code = main(["export-stl", "--snapshot", os.path.join(out, "fields.npz"),
-                 *TINY, "--out", str(stl_dir), flag, value])
+                 "--out", str(stl_dir), flag, value])
     assert code == EXIT_ERROR
     assert flag[2:] in capsys.readouterr().err
     assert not stl_dir.exists()
@@ -183,11 +235,13 @@ def test_export_stl_bad_height(tmp_path, capsys, flag, value):
 def export_fields(tmp_path, **fields):
     """Run export-stl on a snapshot of the given fields on the TINY mesh."""
     path = str(tmp_path / "snap.npz")
-    np.savez(path, **fields)
-    return main(["export-stl", "--snapshot", path, *TINY, "--out", str(tmp_path / "stl")])
+    np.savez(path, config=TINY_CONFIG, **fields)
+    return main(["export-stl", "--snapshot", path, "--out", str(tmp_path / "stl")])
 
 
 TINY_NODES = 9 * 5
+# what a run on the TINY mesh records in its snapshot
+TINY_CONFIG = serialize(RunConfig(mesh_nx=8, mesh_ny=4))
 
 
 def test_export_stl_rejects_non_finite_snapshot(tmp_path, capsys):
@@ -200,7 +254,7 @@ def test_export_stl_rejects_non_finite_snapshot(tmp_path, capsys):
 
 @pytest.mark.parametrize("fields, error", [
     (dict(phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES - 1, 0.3)),
-     f"snapshot chi does not match the configured mesh size ({TINY_NODES} nodes)"),
+     f"snapshot chi does not match the mesh size of its config ({TINY_NODES} nodes)"),
     (dict(phi=np.ones(TINY_NODES)), "snapshot has no chi field"),
 ], ids=["short-chi", "missing-chi"])
 def test_export_stl_rejects_malformed_snapshot(tmp_path, capsys, caplog, fields,
@@ -214,7 +268,7 @@ def test_export_stl_rejects_malformed_snapshot(tmp_path, capsys, caplog, fields,
 def test_export_stl_rejects_a_snapshot_that_is_not_an_npz(tmp_path, capsys, caplog):
     path = str(tmp_path / "phi.npy")
     np.save(path, np.ones(TINY_NODES))
-    code = main(["export-stl", "--snapshot", path, *TINY, "--out", str(tmp_path / "stl")])
+    code = main(["export-stl", "--snapshot", path, "--out", str(tmp_path / "stl")])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err == f"error: snapshot {path} is not an .npz archive\n"
     assert "run failed" not in caplog.text
@@ -233,11 +287,12 @@ UNREADABLE_SNAPSHOTS = {
     "truncated-npy": lambda path: path.write_bytes(npy_bytes(np.ones(TINY_NODES))[:30]),
     "corrupt-zip": lambda path: path.write_bytes(b"PK\x03\x04" + bytes(60)),
     "object-phi": lambda path: np.savez(path, phi=np.full(TINY_NODES, None, dtype=object),
-                                        chi=np.full(TINY_NODES, 0.3)),
+                                        chi=np.full(TINY_NODES, 0.3), config=TINY_CONFIG),
     "string-phi": lambda path: np.savez(path, phi=np.full(TINY_NODES, "1.0"),
-                                        chi=np.full(TINY_NODES, 0.3)),
+                                        chi=np.full(TINY_NODES, 0.3), config=TINY_CONFIG),
     "complex-chi": lambda path: np.savez(path, phi=np.ones(TINY_NODES),
-                                         chi=np.full(TINY_NODES, 0.3 + 0.1j)),
+                                         chi=np.full(TINY_NODES, 0.3 + 0.1j),
+                                         config=TINY_CONFIG),
 }
 
 
@@ -245,8 +300,7 @@ UNREADABLE_SNAPSHOTS = {
 def test_export_stl_rejects_an_unreadable_snapshot(tmp_path, capsys, caplog, kind):
     path = tmp_path / "snap.npz"
     UNREADABLE_SNAPSHOTS[kind](path)
-    code = main(["export-stl", "--snapshot", str(path), *TINY,
-                 "--out", str(tmp_path / "stl")])
+    code = main(["export-stl", "--snapshot", str(path), "--out", str(tmp_path / "stl")])
     assert code == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: snapshot {path} ") and err.count("\n") == 1
@@ -264,10 +318,11 @@ def test_export_stl_accepts_real_and_bool_snapshots(tmp_path, capsys, dtype):
 @pytest.mark.parametrize("command", ["export-stl", "bench"])
 def test_an_output_path_that_is_a_file_is_an_error(tmp_path, capsys, caplog, command):
     snapshot, taken = str(tmp_path / "snap.npz"), tmp_path / "taken"
-    np.savez(snapshot, phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES, 0.3))
+    np.savez(snapshot, phi=np.ones(TINY_NODES), chi=np.full(TINY_NODES, 0.3),
+             config=TINY_CONFIG)
     taken.write_text("")
-    argv = ["--snapshot", snapshot] if command == "export-stl" else []
-    assert main([command, *argv, *TINY, "--out", str(taken)]) == EXIT_ERROR
+    argv = ["--snapshot", snapshot] if command == "export-stl" else TINY
+    assert main([command, *argv, "--out", str(taken)]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(taken) in err
     assert "run failed" not in caplog.text        # no traceback logged
@@ -293,10 +348,16 @@ def test_sweep_table(tmp_path, capsys):
     assert rows[0] == ("variant,iterations,compliance,m_chi,objective,max_von_mises,"
                        "sigma_pn,convergence")
     assert len(rows) == 4   # header + 2 sweep values + beta=1 reference
-    # every variant writes what run writes, so export-stl can read it
-    for variant in ("optimizer_kappa2_40", "optimizer_kappa2_4000", "beta_1"):
+    # every variant writes what run writes, so export-stl can read it, and
+    # its snapshot records its own config
+    for variant, overrides in (("optimizer_kappa2_40", ["optimizer.kappa2=40"]),
+                               ("optimizer_kappa2_4000", ["optimizer.kappa2=4000"]),
+                               ("beta_1", ["material.beta=1"])):
         for name in ("history.csv", "fields.vtk", "fields.npz"):
             assert os.path.exists(os.path.join(out, variant, name))
+        with np.load(os.path.join(out, variant, "fields.npz")) as snap:
+            assert loads_config(str(snap["config"])) == apply_overrides(
+                apply_overrides(RunConfig(), TINY[1::2]), overrides)
 
 
 def test_sweep_exit_code_on_failed_variant(tmp_path, capsys):

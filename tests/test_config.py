@@ -183,6 +183,27 @@ def test_round_trip_identity():
     assert loads_config(serialize(again)) == again
 
 
+@pytest.mark.parametrize("fields", [dict(pnorm_p=8.5), dict(mesh_nx=17.0), dict(seed=3.5),
+                                    dict(max_iter=True), dict(mesh_ny=np.float64(4.0))],
+                         ids=["pnorm_p-8.5", "nx-17.0", "seed-3.5", "max_iter-bool",
+                              "ny-float64"])
+def test_an_int_field_refuses_a_value_that_is_not_an_integer(fields):
+    """serialize would write it as text that loads_config refuses."""
+    (name, value), = fields.items()
+    with pytest.raises(ConfigError) as exc:
+        RunConfig(**fields)
+    assert f"{name}: must be an integer, got {value!r}" in str(exc.value)
+
+
+def test_numpy_integers_round_trip_as_integers():
+    ints = dict(mesh_nx=17, mesh_ny=9, max_iter=80, seed=3, pnorm_p=6)
+    cfg = RunConfig(**{name: np.int64(value) for name, value in ints.items()})
+    text = serialize(cfg)
+    for key, value in (("nx", 17), ("ny", 9), ("max_iter", 80), ("seed", 3), ("pnorm_p", 6)):
+        assert f"\n{key} = {value}\n" in text
+    assert loads_config(text) == cfg == RunConfig(**ints)
+
+
 def test_schema_covers_every_field():
     """Each RunConfig field has exactly one INI key, and each key names a
     field."""

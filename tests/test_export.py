@@ -43,9 +43,10 @@ def test_write_fields_matches_per_row_formatting(tmp_path):
     n = mesh.node_count
     phi = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
     phi[:5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    sigma = rng.standard_normal((mesh.element_count, 3))
     state = SimpleNamespace(phi=phi, chi=rng.random(n),
-                            u=rng.standard_normal(2 * n),
-                            sigma=rng.standard_normal((mesh.element_count, 3)))
+                            u=rng.standard_normal(2 * n), sigma=sigma,
+                            aggregate=SimpleNamespace(sigma_e=stress.von_mises(sigma)))
     path = str(tmp_path / "fields.vtk")
     export.write_fields(state, mesh, path)
     M = mesh.element_count

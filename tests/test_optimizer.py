@@ -288,6 +288,17 @@ def test_thickness_scales_the_traction():
         thin.compliance_of(phi, u1) / 2.5, rel=1e-12)
 
 
+def test_compliance_is_the_load_work():
+    """The compliance is the work of the traction and the body force, also
+    when kappa3 and kappa4 weight them differently in the objective."""
+    opt = Optimizer(small_config(mesh_nx=12, mesh_ny=6, kappa3=2.5, kappa4=0.4,
+                                 body_fy=-0.1))
+    x = opt.state_solve(*opt.initial_design())
+    load = opt.traction_load + opt.C_T @ x.phi
+    assert x.compliance == pytest.approx(float(load @ x.u) * opt.config.thickness,
+                                         rel=1e-12)
+
+
 def test_chi_driving_matches_compliance_sensitivity():
     """For kappa5 = 0 the mechanical part of the chi gradient,
     g_chi - k2 gc K chi, is d(compliance)/d(chi)."""
